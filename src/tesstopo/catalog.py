@@ -85,31 +85,20 @@ class CatalogEntry:
             **interior,
         )
 
-    def to_json(self) -> dict:
-        def opt(v: Scalar | None):
-            return None if v is None else v.to_json()
-
+    def as_doc(self) -> dict:
+        """The entry as recorded; unrecorded parameters are None."""
         return {
             "id": self.entry_id,
             "title": self.title,
             "construction": self.construction,
+            "complete": self.is_complete,
             "face_to_face": self.face_to_face,
-            "parameters": {
-                "edges_per_vertex": self.edges_per_vertex.to_json(),
-                "plates_per_edge": self.plates_per_edge.to_json(),
-                "vertices_per_plate": opt(self.vertices_per_plate),
-                "pi_edge_share": opt(self.pi_edge_share),
-                "hemi_vertex_share": opt(self.hemi_vertex_share),
-                "ridge_interior_rate": opt(self.ridge_interior_rate),
-                "side_interior_rate": opt(self.side_interior_rate),
-            },
-            "adjacency_checks": [
-                {"of": a, "to": b, "value": v.to_json()}
-                for a, b, v in self.adjacency_checks],
             "on_cap_curve": self.on_cap_curve,
+            "parameters": {f: getattr(self, f) for f in _CYCLIC + _INTERIOR},
+            "adjacency_checks": {f"{a}->{b}": v for a, b, v in self.adjacency_checks},
             "generator": self.generator,
             "generator_args": self.generator_args,
-            "derived_from": list(self.derived_from) if self.derived_from else None,
+            "derived_from": self.derived_from,
             "notes": self.notes,
         }
 
@@ -495,6 +484,9 @@ class CatalogReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def as_doc(self) -> dict:
+        return {"checked": self.checked, "ok": self.ok, "failures": self.failures}
 
 
 def _rebuild(entry: CatalogEntry) -> TessParams | None:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
-from typing import Any, Sequence
+from typing import Sequence
 
 from . import catalog
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     ParameterDomainError,
     PlanarParameterError,
     UnknownEntryError,
+    UsageError,
 )
 from .feasibility import (
     classify,
@@ -36,10 +36,8 @@ from .feasibility import (
     sample_feasible,
 )
 from .io import (
-    PARAM_FIELDS,
     PLANAR_ALIASES,
     PLANAR_FIELDS,
-    UsageError,
     encode,
     interpolate_polyline,
     params_from_file,
@@ -57,19 +55,6 @@ from .transforms import PlanarParams, central_point, central_point_orbit, column
 DEFAULT_DIGITS = 50
 MIN_DIGITS = 15
 PRECISION_ENV = "TESSTOPO_PRECISION"
-
-
-def params_doc(params: TessParams) -> dict:
-    return {field: getattr(params, field) for field in PARAM_FIELDS}
-
-
-def patch_doc(patch) -> dict:
-    return {
-        "axes": list(patch.axes),
-        "kind": patch.kind,
-        "vertices": [[x, y] for x, y in patch.vertices],
-        "open_edges": list(patch.open_edges),
-    }
 
 
 def resolve_digits(args) -> int:
@@ -100,7 +85,11 @@ def resolve_params(args) -> TessParams:
         return params_from_pairs(args.pairs)
     if args.params_file is not None:
         return params_from_file(args.params_file)
-    entry = catalog.get(args.catalog)
+    return catalog_params(args.catalog)
+
+
+def catalog_params(entry_id: str) -> TessParams:
+    entry = catalog.get(entry_id)
     if not entry.is_complete:
         raise UsageError(
             f"catalog entry {entry.entry_id} has no complete parameter set")
@@ -149,56 +138,33 @@ def add_output_arguments(sub) -> None:
 
 def cmd_derive(args) -> int:
     digits = resolve_digits(args)
-    params = resolve_params(args)
-    summary = derive(params)
-    doc = {
-        "parameters": params_doc(params),
-        "intensities": dict(summary.intensities),
-        "mean_adjacencies": {f"{a}->{b}": value
-                             for (a, b), value in summary.mean_adjacencies.items()},
-        "faces_per_cell": {
-            "apices": summary.apices_per_cell,
-            "ridges": summary.ridges_per_cell,
-            "sides": summary.sides_per_cell,
-        },
-        "corners_per_cell_side": summary.corners_per_cell_side,
-        "corners_per_plate": summary.corners_per_plate,
-        "pi_edges_per_vertex": summary.pi_edges_per_vertex,
-    }
-    emit(args, encode(doc, digits))
+    emit(args, encode(derive(resolve_params(args)).as_doc(), digits))
     return 0
 
 
 def cmd_check(args) -> int:
     digits = resolve_digits(args)
-    params = resolve_params(args)
-    report = classify(params)
-    doc = {
-        "parameters": params_doc(params),
-        "branch": report.branch,
-        "feasible": report.feasible,
-        "violated": list(report.violated),
-        "boundary": list(report.boundary),
-        "bounds": [
-            {
-                "name": bound.name,
-                "parameter": bound.parameter,
-                "relation": bound.relation,
-                "limit": bound.limit,
-                "value": bound.value,
-                "applicable": bound.applicable,
-                "satisfied": bound.satisfied,
-                "on_boundary": bound.on_boundary,
-            }
-            for bound in report.bounds
-        ],
-    }
-    emit(args, encode(doc, digits))
+    report = classify(resolve_params(args))
+    emit(args, encode(report.as_doc(), digits))
     return 0 if report.feasible else 1
+
+
+# the parameters each region type is a function of, in argument order
+REGION_INPUTS = {
+    "psi-tau": ("edges_per_vertex", "plates_per_edge", "vertices_per_plate"),
+    "kappa-xi": ("edges_per_vertex", "plates_per_edge", "vertices_per_plate",
+                 "ridge_interior_rate", "side_interior_rate"),
+}
+
+
+def polyline_series(name: str, points, digits: int) -> dict:
+    return {"name": name, "points": encode(points, digits)}
 
 
 def cmd_region(args) -> int:
     digits = resolve_digits(args)
+    if args.resolution < 2:
+        raise UsageError("--resolution must be at least 2")
     if args.type == "pv-ep":
         if args.ve is None:
             raise UsageError("region --type pv-ep needs --ve")
@@ -211,6 +177,7 @@ def cmd_region(args) -> int:
             raise UsageError(f"bad scalar: {exc}") from exc
         region = (plate_profile_region(ve) if ep_max is None
                   else plate_profile_region(ve, ep_max))
+        # the boundaries are resampled to --resolution, so they are built here
         boundaries = []
         series = []
         for line in region.boundaries:
@@ -219,75 +186,32 @@ def cmd_region(args) -> int:
                 "name": line.name,
                 "style": line.style,
                 "included": line.included,
-                "points": [[x, y] for x, y in points],
+                "points": points,
             })
-            series.append({"name": line.name,
-                           "points": encode([[x, y] for x, y in points], digits)})
-        patch = region.face_to_face
-        doc = {
-            "type": "pv-ep",
-            "edges_per_vertex": region.edges_per_vertex,
-            "plate_cap": region.plate_cap,
-            "window": {
-                "vertices_per_plate_max": region.window[0],
-                "plates_per_edge_max": region.window[1],
-            },
-            "face_to_face": patch_doc(patch),
-            "boundaries": boundaries,
-        }
-        series.append({"name": "face_to_face",
-                       "points": encode([[x, y] for x, y in patch.vertices], digits)})
+            series.append(polyline_series(line.name, points, digits))
+        doc = {"type": "pv-ep", **region.as_doc(), "boundaries": boundaries}
+        series.append(polyline_series("face_to_face", region.face_to_face.vertices,
+                                      digits))
         emit(args, encode(doc, digits), series)
         return 0
-    params = resolve_params(args)
+    params = resolve_params(args).as_dict()
+    given = {key: params[key] for key in REGION_INPUTS[args.type]}
+    doc = {"type": args.type, "parameters": given}
     if args.type == "psi-tau":
-        patch = interior_rate_region(params.edges_per_vertex,
-                                     params.plates_per_edge,
-                                     params.vertices_per_plate)
-        low, high = ridge_rate_interval(params.edges_per_vertex,
-                                        params.plates_per_edge,
-                                        params.vertices_per_plate)
-        doc = {
-            "type": "psi-tau",
-            "parameters": {
-                "edges_per_vertex": params.edges_per_vertex,
-                "plates_per_edge": params.plates_per_edge,
-                "vertices_per_plate": params.vertices_per_plate,
-            },
-            "ridge_interior_interval": [low, high],
-            "region": patch_doc(patch),
-        }
+        patch = interior_rate_region(*given.values())
+        doc["ridge_interior_interval"] = ridge_rate_interval(*given.values())
     else:
-        patch = hemi_pi_region(params.edges_per_vertex,
-                               params.plates_per_edge,
-                               params.vertices_per_plate,
-                               params.ridge_interior_rate,
-                               params.side_interior_rate)
-        doc = {
-            "type": "kappa-xi",
-            "parameters": {
-                "edges_per_vertex": params.edges_per_vertex,
-                "plates_per_edge": params.plates_per_edge,
-                "vertices_per_plate": params.vertices_per_plate,
-                "ridge_interior_rate": params.ridge_interior_rate,
-                "side_interior_rate": params.side_interior_rate,
-            },
-            "region": patch_doc(patch),
-        }
-    series = [{"name": "region",
-               "points": encode([[x, y] for x, y in patch.vertices], digits)}]
-    emit(args, encode(doc, digits), series)
+        patch = hemi_pi_region(*given.values())
+    doc["region"] = patch.as_doc()
+    emit(args, encode(doc, digits),
+         [polyline_series("region", patch.vertices, digits)])
     return 0
 
 
 def component_params(source: str) -> TessParams:
     if source.startswith("@"):
         return params_from_file(source[1:])
-    entry = catalog.get(source)
-    if not entry.is_complete:
-        raise UsageError(
-            f"catalog entry {entry.entry_id} has no complete parameter set")
-    return entry.to_params()
+    return catalog_params(source)
 
 
 def cmd_transform(args) -> int:
@@ -298,29 +222,20 @@ def cmd_transform(args) -> int:
                 f"transform --op {args.op} takes planar key=value pairs")
         planar = planar_from_pairs(args.pairs)
         result = stratum(planar) if args.op == "stratum" else column(planar)
-        doc = {
-            "operation": args.op,
-            "planar": {
-                "edges_per_vertex": planar.edges_per_vertex,
-                "pi_vertex_share": planar.pi_vertex_share,
-                "pi_ends_per_edge": planar.pi_ends_per_edge,
-                "degree_second_moment": planar.degree_second_moment,
-                "vertex_intensity": planar.vertex_intensity,
-            },
-            "result": params_doc(result),
-        }
+        doc = {"operation": args.op, "planar": planar.as_dict(),
+               "result": result.as_dict()}
     elif args.op == "central-point":
         params = resolve_params(args)
-        doc = {"operation": args.op, "input": params_doc(params)}
+        doc = {"operation": args.op, "input": params.as_dict()}
         if args.steps is not None:
             if args.steps < 1:
                 raise UsageError("--steps must be at least 1")
             orbit = central_point_orbit(params, args.steps)
             doc["steps"] = args.steps
-            doc["orbit"] = [params_doc(step) for step in orbit]
-            doc["result"] = params_doc(orbit[-1])
+            doc["orbit"] = [step.as_dict() for step in orbit]
+            doc["result"] = orbit[-1].as_dict()
         else:
-            doc["result"] = params_doc(central_point(params))
+            doc["result"] = central_point(params).as_dict()
     else:
         if not args.component:
             raise UsageError(
@@ -341,19 +256,13 @@ def cmd_transform(args) -> int:
         doc = {
             "operation": args.op,
             "components": [
-                {"source": src, "weight": w, "parameters": params_doc(p)}
+                {"source": src, "weight": w, "parameters": p.as_dict()}
                 for src, p, w in components
             ],
-            "result": params_doc(result),
+            "result": result.as_dict(),
         }
         if len(components) == 2:
-            curve = mixture_curve(components[0][1], components[1][1])
-            doc["curve"] = {
-                "kind": curve.kind,
-                "offset": curve.offset,
-                "inverse_coefficient": curve.inverse_coefficient,
-                "endpoints": [[x, y] for x, y in curve.endpoints],
-            }
+            doc["curve"] = mixture_curve(components[0][1], components[1][1]).as_doc()
     emit(args, encode(doc, digits))
     return 0
 
@@ -361,49 +270,18 @@ def cmd_transform(args) -> int:
 def cmd_catalog(args) -> int:
     digits = resolve_digits(args)
     if args.action == "list":
-        rows = [
-            {
-                "id": entry.entry_id,
-                "title": entry.title,
-                "complete": entry.is_complete,
-                "face_to_face": entry.face_to_face,
-            }
-            for entry in catalog.entries()
-        ]
-        doc = {"entries": rows, "count": len(rows)}
-        emit(args, encode(doc, digits))
+        docs = [entry.as_doc() for entry in catalog.entries()]
+        rows = [{key: doc[key] for key in ("id", "title", "complete", "face_to_face")}
+                for doc in docs]
+        emit(args, encode({"entries": rows, "count": len(rows)}, digits))
         return 0
     if args.action == "show":
         if args.id is None:
             raise UsageError("catalog show needs an entry id")
-        entry = catalog.get(args.id)
-        doc = {
-            "id": entry.entry_id,
-            "title": entry.title,
-            "construction": entry.construction,
-            "complete": entry.is_complete,
-            "face_to_face": entry.face_to_face,
-            "on_cap_curve": entry.on_cap_curve,
-            "parameters": {
-                field: getattr(entry, field)
-                for field in PARAM_FIELDS if field != "vertex_intensity"
-            },
-            "adjacency_checks": {f"{a}->{b}": value
-                                 for a, b, value in entry.adjacency_checks},
-            "generator": entry.generator,
-            "generator_args": entry.generator_args,
-            "derived_from": entry.derived_from,
-            "notes": entry.notes,
-        }
-        emit(args, encode(doc, digits))
+        emit(args, encode(catalog.get(args.id).as_doc(), digits))
         return 0
     report = catalog.verify_catalog()
-    doc = {
-        "checked": report.checked,
-        "ok": report.ok,
-        "failures": list(report.failures),
-    }
-    emit(args, encode(doc, digits))
+    emit(args, encode(report.as_doc(), digits))
     return 0 if report.ok else 3
 
 
@@ -430,32 +308,12 @@ def cmd_measure(args) -> int:
 
     digits = resolve_digits(args)
     label, cx = build_complex_from_args(args)
-    measured = measure(cx)
-    doc = {
-        "source": label,
-        "parameters": params_doc(measured.params),
-        "counts": dict(measured.counts),
-        "intensities": dict(measured.intensities),
-        "mean_adjacencies": {f"{a}->{b}": value
-                             for (a, b), value in measured.mean_adjacencies.items()},
-        "faces_per_cell": {
-            "apices": measured.apices_per_cell,
-            "ridges": measured.ridges_per_cell,
-            "sides": measured.sides_per_cell,
-        },
-        "corners_per_cell_side": measured.corners_per_cell_side,
-        "corners_per_plate": measured.corners_per_plate,
-        "pi_edges_per_vertex": measured.pi_edges_per_vertex,
-        "face_to_face": measured.face_to_face,
-    }
+    report = validate(cx) if args.validate else None
+    measured = measure(cx) if report is None else report.measured
+    doc = {"source": label, **measured.as_doc()}
     code = 0
-    if args.validate:
-        report = validate(cx)
-        doc["validation"] = {
-            "ok": report.ok,
-            "failures": list(report.failures),
-            "notes": list(report.notes),
-        }
+    if report is not None:
+        doc["validation"] = report.as_doc()
         if not report.ok:
             for failure in report.failures:
                 print(f"validation failure: {failure}", file=sys.stderr)
@@ -467,36 +325,23 @@ def cmd_measure(args) -> int:
     return code
 
 
+# the measured parameters that the per-vertex counts determine
+STATS_AGGREGATES = ("edges_per_vertex", "pi_edge_share", "hemi_vertex_share",
+                    "ridge_interior_rate", "side_interior_rate")
+
+
 def cmd_stats(args) -> int:
     from .complexes import measure, vertex_stats
 
     digits = resolve_digits(args)
     label, cx = build_complex_from_args(args)
-    stats = vertex_stats(cx)
-    measured = measure(cx)
-    rows = [
-        {
-            "vertex": i,
-            "position": list(stat.position),
-            "edge_count": stat.edge_count,
-            "pi_edge_count": stat.pi_edge_count,
-            "hemi_indicator": stat.hemi_indicator,
-            "ridge_interior_count": stat.ridge_interior_count,
-            "side_interior_count": stat.side_interior_count,
-        }
-        for i, stat in enumerate(stats)
-    ]
+    rows = [{"vertex": i, **stat.as_doc()} for i, stat in enumerate(vertex_stats(cx))]
+    params = measure(cx).params.as_dict()
     doc = {
         "source": label,
         "vertex_count": len(rows),
         "vertices": rows,
-        "aggregates": {
-            "edges_per_vertex": measured.params.edges_per_vertex,
-            "pi_edge_share": measured.params.pi_edge_share,
-            "hemi_vertex_share": measured.params.hemi_vertex_share,
-            "ridge_interior_rate": measured.params.ridge_interior_rate,
-            "side_interior_rate": measured.params.side_interior_rate,
-        },
+        "aggregates": {key: params[key] for key in STATS_AGGREGATES},
     }
     emit(args, encode(doc, digits))
     return 0
@@ -512,7 +357,7 @@ def cmd_sample(args) -> int:
         "count": args.count,
         "seed": args.seed,
         "face_to_face": args.face_to_face,
-        "samples": [params_doc(p) for p in samples],
+        "samples": [p.as_dict() for p in samples],
     }
     emit(args, encode(doc, digits))
     return 0

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..errors import NotATessellationError
+from ..errors import NotATessellationError, UsageError
 from .geometry import (
     Mat,
     Polyhedron,
@@ -122,26 +122,35 @@ def _parse_frac(text) -> Fraction:
     raise NotATessellationError(f"bad rational literal {text!r}")
 
 
+def _rows(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise NotATessellationError(f"{what} must be a list, got {value!r}")
+    return list(value)
+
+
 def _parse_cell(entry) -> Polyhedron:
     if isinstance(entry, dict):
         if "apices" in entry:
             return _parse_cell(entry["apices"])
         if "halfspaces" in entry:
             planes = []
-            for hs in entry["halfspaces"]:
+            for hs in _rows(entry["halfspaces"], "halfspaces"):
                 if isinstance(hs, dict):
-                    n = tuple(_parse_frac(v) for v in hs["normal"])
-                    c = _parse_frac(hs["offset"])
+                    n = tuple(_parse_frac(v) for v in _rows(hs.get("normal"), "normal"))
+                    c = _parse_frac(hs.get("offset"))
+                    if len(n) != 3:
+                        raise NotATessellationError(
+                            "halfspace normals need three entries")
                 else:
-                    if len(hs) != 4:
+                    vals = [_parse_frac(v) for v in _rows(hs, "halfspace row")]
+                    if len(vals) != 4:
                         raise NotATessellationError(
                             "halfspace rows need four entries")
-                    vals = [_parse_frac(v) for v in hs]
                     n, c = tuple(vals[:3]), vals[3]
                 planes.append((n, c))
             return hull_from_halfspaces(planes)
         raise NotATessellationError("cell object needs 'apices' or 'halfspaces'")
-    rows = list(entry)
+    rows = [_rows(r, "cell row") for r in _rows(entry, "cell")]
     if not rows:
         raise NotATessellationError("empty cell entry")
     width = len(rows[0])
@@ -155,13 +164,16 @@ def _parse_cell(entry) -> Polyhedron:
 
 
 def make_domain(lattice_rows, cell_entries, metadata: dict | None = None) -> FundamentalDomain:
-    rows = [tuple(_parse_frac(v) for v in row) for row in lattice_rows]
+    rows = [tuple(_parse_frac(v) for v in _rows(row, "lattice row"))
+            for row in _rows(lattice_rows, "lattice")]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise NotATessellationError("lattice must be a 3x3 matrix")
     lattice: Mat = tuple(rows)  # type: ignore[assignment]
     if det3(lattice) == 0:
         raise NotATessellationError("lattice vectors are linearly dependent")
-    cells = tuple(_parse_cell(entry) for entry in cell_entries)
+    if metadata is not None and not isinstance(metadata, dict):
+        raise NotATessellationError("domain metadata must be an object")
+    cells = tuple(_parse_cell(entry) for entry in _rows(cell_entries, "cells"))
     if not cells:
         raise NotATessellationError("domain has no cells")
     return FundamentalDomain(lattice, cells, metadata or {})
@@ -177,4 +189,10 @@ def domain_from_json(data) -> FundamentalDomain:
 
 def load_domain_file(path) -> FundamentalDomain:
     with open(path, "r", encoding="utf-8") as fh:
-        return domain_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):  # a JSON string would be parsed again
+        raise NotATessellationError("domain file needs 'lattice' and 'cells'")
+    return domain_from_json(data)

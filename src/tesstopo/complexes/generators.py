@@ -147,7 +147,11 @@ def prism_columns(base: str = "square",
         if len(offsets) != count:
             raise GeneratorParameterError(
                 f"{base} base has {count} columns, got {len(offsets)} offsets")
-        heights = [_F(o) for o in offsets]
+        try:
+            heights = [_F(o) for o in offsets]
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise GeneratorParameterError(
+                f"offsets must be rational numbers, got {offsets!r}") from exc
     seen: dict[Fraction, int] = {}
     for c, h in enumerate(heights):
         key = h - math.floor(h)

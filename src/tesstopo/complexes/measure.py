@@ -9,6 +9,7 @@ formulas evaluated at the measured parameter tuple exactly.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from .build import PeriodicComplex
 from .geometry import Vec
 
 _F = Fraction
+_MAP_LABELS = {"intensities": "intensity", "mean_adjacencies": "adjacency"}
 
 
 @dataclass(frozen=True)
@@ -32,54 +34,23 @@ class VertexStats:
     ridge_interior_count: int  # (cell, ridge) pairs with the vertex inside
     side_interior_count: int   # (plate, side) pairs with the vertex inside
 
-    def to_json(self) -> dict:
-        return {
-            "position": [str(x) for x in self.position],
-            "edge_count": self.edge_count,
-            "pi_edge_count": self.pi_edge_count,
-            "hemi_indicator": self.hemi_indicator,
-            "ridge_interior_count": self.ridge_interior_count,
-            "side_interior_count": self.side_interior_count,
-        }
+    def as_doc(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 @dataclass(frozen=True)
-class MeasuredParams:
-    """Everything measured from one complex, mirroring DerivedSummary."""
+class MeasuredParams(DerivedSummary):
+    """Everything measured from one complex: the quantities a DerivedSummary
+    predicts, counted, plus the object counts of one fundamental domain and
+    whether the complex is face-to-face."""
 
-    params: TessParams
     counts: dict[str, int]
-    intensities: dict[str, Scalar]
-    mean_adjacencies: dict[tuple[str, str], Scalar]
-    apices_per_cell: Scalar
-    ridges_per_cell: Scalar
-    sides_per_cell: Scalar
-    corners_per_cell_side: Scalar
-    corners_per_plate: Scalar
-    pi_edges_per_vertex: Scalar
     face_to_face: bool
 
-    def mean_adjacent(self, of: str, to: str) -> Scalar:
-        return self.mean_adjacencies[(of, to)]
-
-    def to_json(self) -> dict:
-        return {
-            "params": self.params.to_json(),
-            "counts": dict(self.counts),
-            "face_to_face": self.face_to_face,
-            "intensities": {k: v.to_json() for k, v in self.intensities.items()},
-            "mean_adjacencies": {
-                f"{a}->{b}": v.to_json()
-                for (a, b), v in self.mean_adjacencies.items()},
-            "faces_per_cell": {
-                "apices": self.apices_per_cell.to_json(),
-                "ridges": self.ridges_per_cell.to_json(),
-                "sides": self.sides_per_cell.to_json(),
-            },
-            "corners_per_cell_side": self.corners_per_cell_side.to_json(),
-            "corners_per_plate": self.corners_per_plate.to_json(),
-            "pi_edges_per_vertex": self.pi_edges_per_vertex.to_json(),
-        }
+    def as_doc(self) -> dict:
+        doc = super().as_doc()
+        return {"parameters": doc.pop("parameters"), "counts": dict(self.counts),
+                **doc, "face_to_face": self.face_to_face}
 
 
 def measure(cx: PeriodicComplex) -> MeasuredParams:
@@ -190,13 +161,9 @@ class ValidationReport:
     notes: tuple[str, ...]
     measured: MeasuredParams
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "notes": list(self.notes),
-            "measured": self.measured.to_json(),
-        }
+    def as_doc(self) -> dict:
+        """The verdict; the measured values have their own document."""
+        return {"ok": self.ok, "failures": self.failures, "notes": self.notes}
 
 
 def validate(cx: PeriodicComplex) -> ValidationReport:
@@ -272,27 +239,18 @@ def validate(cx: PeriodicComplex) -> ValidationReport:
 def _compare_to_formulas(measured: MeasuredParams,
                          summary: DerivedSummary) -> list[str]:
     failures = []
-    for key, value in summary.intensities.items():
-        got = measured.intensities[key]
-        if got != value:
-            failures.append(f"intensity {key}: measured {got}, formula {value}")
-    for key, value in summary.mean_adjacencies.items():
-        got = measured.mean_adjacencies[key]
-        if got != value:
-            failures.append(
-                f"adjacency {key[0]}->{key[1]}: measured {got}, formula {value}")
-    pairs = [
-        ("apices per cell", measured.apices_per_cell, summary.apices_per_cell),
-        ("ridges per cell", measured.ridges_per_cell, summary.ridges_per_cell),
-        ("sides per cell", measured.sides_per_cell, summary.sides_per_cell),
-        ("corners per cell side", measured.corners_per_cell_side,
-         summary.corners_per_cell_side),
-        ("corners per plate", measured.corners_per_plate,
-         summary.corners_per_plate),
-        ("facet-interior edges per vertex", measured.pi_edges_per_vertex,
-         summary.pi_edges_per_vertex),
-    ]
-    for name, got, want in pairs:
-        if got != want:
-            failures.append(f"{name}: measured {got}, formula {want}")
+    for field in dataclasses.fields(DerivedSummary):
+        if field.name == "params":
+            continue  # the formulas were evaluated at the measured parameters
+        got, want = getattr(measured, field.name), getattr(summary, field.name)
+        if isinstance(want, dict):
+            label = _MAP_LABELS[field.name]
+            for key, value in want.items():
+                if got[key] != value:
+                    name = "->".join(key) if isinstance(key, tuple) else key
+                    failures.append(
+                        f"{label} {name}: measured {got[key]}, formula {value}")
+        elif got != want:
+            failures.append(f"{field.name.replace('_', ' ')}: "
+                            f"measured {got}, formula {want}")
     return failures

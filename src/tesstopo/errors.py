@@ -13,6 +13,7 @@ __all__ = [
     "NonConvexCellError",
     "NotATessellationError",
     "UnknownEntryError",
+    "UsageError",
 ]
 
 
@@ -56,3 +57,8 @@ class NotATessellationError(TesstopoError, RuntimeError):
 
 class UnknownEntryError(TesstopoError, KeyError):
     """Catalog lookup for an id that does not exist."""
+
+
+class UsageError(ValueError):
+    """Malformed invocation input, such as an unreadable or non-JSON input
+    file; the command line maps it to exit code 2."""

@@ -23,6 +23,7 @@ pairs. All geometry is exact.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,17 +114,8 @@ class Bound:
     satisfied: bool
     on_boundary: bool
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "parameter": self.parameter,
-            "relation": self.relation,
-            "limit": self.limit.to_json(),
-            "value": self.value.to_json(),
-            "applicable": self.applicable,
-            "satisfied": self.satisfied,
-            "on_boundary": self.on_boundary,
-        }
+    def as_doc(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def _bound(name: str, parameter: str, value: Scalar, relation: str,
@@ -150,13 +142,14 @@ class FeasibilityReport:
     def boundary(self) -> tuple[str, ...]:
         return tuple(b.name for b in self.bounds if b.satisfied and b.on_boundary)
 
-    def to_json(self) -> dict:
+    def as_doc(self) -> dict:
         return {
+            "parameters": self.params.as_dict(),
             "branch": self.branch,
             "feasible": self.feasible,
-            "violated": list(self.violated),
-            "boundary": list(self.boundary),
-            "bounds": [b.to_json() for b in self.bounds],
+            "violated": self.violated,
+            "boundary": self.boundary,
+            "bounds": [b.as_doc() for b in self.bounds],
         }
 
 
@@ -278,13 +271,8 @@ class RegionPatch:
     vertices: tuple[tuple[Scalar, Scalar], ...]
     open_edges: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "axes": list(self.axes),
-            "kind": self.kind,
-            "vertices": [[x.to_json(), y.to_json()] for x, y in self.vertices],
-            "open_edges": list(self.open_edges),
-        }
+    def as_doc(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def _clip(poly: list[tuple[Scalar, Scalar]], a: Scalar, b: Scalar,
@@ -422,14 +410,6 @@ class RegionPolyline:
     included: bool  # whether the line belongs to the region it bounds
     style: str  # "boundary" | "regime"
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "points": [[x.to_json(), y.to_json()] for x, y in self.points],
-            "included": self.included,
-            "style": self.style,
-        }
-
 
 @dataclass(frozen=True)
 class PlateProfileRegion:
@@ -442,13 +422,16 @@ class PlateProfileRegion:
     boundaries: tuple[RegionPolyline, ...]
     window: tuple[Scalar, Scalar]  # (vertices_per_plate max, plates_per_edge max)
 
-    def to_json(self) -> dict:
+    def as_doc(self) -> dict:
+        """Everything but the boundaries, whose sampling is the caller's."""
         return {
-            "edges_per_vertex": self.edges_per_vertex.to_json(),
-            "plate_cap": self.plate_cap.to_json(),
-            "face_to_face": self.face_to_face.to_json(),
-            "boundaries": [p.to_json() for p in self.boundaries],
-            "window": [self.window[0].to_json(), self.window[1].to_json()],
+            "edges_per_vertex": self.edges_per_vertex,
+            "plate_cap": self.plate_cap,
+            "window": {
+                "vertices_per_plate_max": self.window[0],
+                "plates_per_edge_max": self.window[1],
+            },
+            "face_to_face": self.face_to_face.as_doc(),
         }
 
 

@@ -1,10 +1,14 @@
 """Deterministic input parsing and output encoding for the command line.
 
-Exact values travel as strings: rationals as ``p/q`` and ratios over the
-squared circle constant as ``(a+b*pi^2)/(c+d*pi^2)``, exactly the forms
-``as_scalar`` parses back, so output from one invocation can feed another
-without loss. Every scalar is emitted with both the exact string and a
-decimal evaluation at the requested precision.
+Every document the command line prints is a result's ``as_doc()`` passed
+through :func:`encode`, which rewrites each exact value as an entry
+``{"exact": ..., "decimal": ...}``. The exact string is a rational ``p/q`` or
+a ratio over the squared circle constant ``(a+b*pi^2)/(c+d*pi^2)``, exactly
+the forms ``as_scalar`` parses back; the decimal is an evaluation at the
+requested precision. Output from one invocation can therefore feed another
+without loss: :func:`params_from_file` reads the ``parameters`` of a
+``derive``, ``check``, ``measure`` or ``catalog show`` document, taking each
+entry's exact string and ignoring its decimal.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .errors import ParameterDomainError
+from .errors import UsageError
 from .params import TessParams
 from .scalar import Scalar, as_scalar
 
@@ -54,10 +58,6 @@ PLANAR_FIELDS = (
     "edges_per_vertex", "pi_vertex_share", "pi_ends_per_edge",
     "degree_second_moment", "vertex_intensity",
 )
-
-
-class UsageError(ValueError):
-    """Malformed invocation input; maps to exit code 2."""
 
 
 def parse_pairs(tokens: Iterable[str], aliases: dict[str, str],
@@ -104,7 +104,9 @@ def params_from_file(path: str) -> TessParams:
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and "parameters" in data:
-        data = data["parameters"]  # accept a catalog `show` dump directly
+        # a derive, check, measure or catalog show document; its scalar
+        # entries decode from their exact strings
+        data = data["parameters"]
     try:
         return TessParams.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:

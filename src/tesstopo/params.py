@@ -163,22 +163,21 @@ class DerivedSummary:
             raise KeyError(f"no adjacency mean for ({of!r}, {to!r})")
         return self.mean_adjacencies[(of, to)]
 
-    def to_json(self) -> dict:
-        nested: dict[str, dict[str, object]] = {}
-        for (a, b), v in self.mean_adjacencies.items():
-            nested.setdefault(a, {})[b] = v.to_json()
+    def as_doc(self) -> dict:
+        """The summary as one document: plain values, Scalars left raw."""
         return {
-            "params": self.params.to_json(),
-            "intensities": {k: v.to_json() for k, v in self.intensities.items()},
-            "mean_adjacencies": nested,
-            "cell_faces": {
-                "apices": self.apices_per_cell.to_json(),
-                "ridges": self.ridges_per_cell.to_json(),
-                "sides": self.sides_per_cell.to_json(),
+            "parameters": self.params.as_dict(),
+            "intensities": dict(self.intensities),
+            "mean_adjacencies": {f"{a}->{b}": v
+                                 for (a, b), v in self.mean_adjacencies.items()},
+            "faces_per_cell": {
+                "apices": self.apices_per_cell,
+                "ridges": self.ridges_per_cell,
+                "sides": self.sides_per_cell,
             },
-            "corners_per_cell_side": self.corners_per_cell_side.to_json(),
-            "corners_per_plate": self.corners_per_plate.to_json(),
-            "pi_edges_per_vertex": self.pi_edges_per_vertex.to_json(),
+            "corners_per_cell_side": self.corners_per_cell_side,
+            "corners_per_plate": self.corners_per_plate,
+            "pi_edges_per_vertex": self.pi_edges_per_vertex,
         }
 
 

@@ -504,6 +504,9 @@ class Scalar:
         if isinstance(obj, int):
             return cls(obj)
         if isinstance(obj, dict):
+            if isinstance(obj.get("exact"), str):
+                # a CLI entry; its decimal is derived from the exact text
+                return cls.parse(obj["exact"])
             if {"a", "b", "c", "d"} <= obj.keys():
                 return cls((Fraction(obj["a"]), Fraction(obj["b"])),
                            (Fraction(obj["c"]), Fraction(obj["d"])))

@@ -23,6 +23,7 @@ matter for :func:`column`, which is sensitive to degree fluctuations.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -79,6 +80,9 @@ class PlanarParams:
         )
         p.validate()
         return p
+
+    def as_dict(self) -> dict[str, Scalar | None]:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def validate(self) -> None:
         ve = self.edges_per_vertex
@@ -315,13 +319,12 @@ class MixtureCurve:
         """True when the locus lies on the face-to-face ceiling curve."""
         return self.offset == 6 and self.inverse_coefficient == 12
 
-    def to_json(self) -> dict:
+    def as_doc(self) -> dict:
         return {
             "kind": self.kind,
-            "endpoints": [[x.to_json(), y.to_json()] for x, y in self.endpoints],
-            "offset": None if self.offset is None else self.offset.to_json(),
-            "inverse_coefficient": (None if self.inverse_coefficient is None
-                                    else self.inverse_coefficient.to_json()),
+            "offset": self.offset,
+            "inverse_coefficient": self.inverse_coefficient,
+            "endpoints": self.endpoints,
         }
 
 

@@ -128,11 +128,11 @@ def test_mixture_entries_above_curve():
 
 
 def test_entry_json_shape():
-    data = get("ex15_split_prism").to_json()
+    data = get("ex15_split_prism").as_doc()
     assert data["id"] == "ex15_split_prism"
-    assert data["parameters"]["pi_edge_share"] == {"num": 2, "den": 5}
+    assert data["parameters"]["pi_edge_share"] == Scalar(Fraction(2, 5))
     assert data["generator"] == "split_prism"
-    data = get("ex18c_split_rhombic_dodecahedra_finer").to_json()
+    data = get("ex18c_split_rhombic_dodecahedra_finer").as_doc()
     assert data["parameters"]["vertices_per_plate"] is None
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tesstopo.cli import main
 from tesstopo.scalar import as_scalar
@@ -273,6 +278,9 @@ def test_bad_precision_env_rejected(capsys, monkeypatch):
     ("measure", "--generator", "spoke_cube", "--arg", "k=-1"),
     ("catalog", "show"),
     ("sample", "--count", "0"),
+    ("region", "--type", "pv-ep", "--ve", "8", "--resolution", "-5"),
+    ("region", "--type", "psi-tau", "--resolution", "1", "ve=4", "ep=7/2", "pv=28/5"),
+    ("measure", "--generator", "prism_columns", "--arg", "offsets=a,b,c,d"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -295,6 +303,76 @@ def test_params_file_round_trip(capsys, tmp_path):
     code, again = run_json(capsys, "derive", "--params-file", str(path))
     assert code == 0
     assert again == doc
+
+
+@pytest.mark.parametrize("argv, direct", [
+    (["derive", "--catalog", "ex08_divided_delaunay"], ["--catalog", "ex08_divided_delaunay"]),
+    (["check", "--catalog", "ex08_divided_delaunay"], ["--catalog", "ex08_divided_delaunay"]),
+    (["catalog", "show", "ex08_divided_delaunay"], ["--catalog", "ex08_divided_delaunay"]),
+    (["derive", "ve=4", "ep=3", "pv=36/7", "xi=1", "kappa=2/3", "psi=2", "tau=4/3",
+      "intensity=5/2"], ["ve=4", "ep=3", "pv=36/7", "xi=1", "kappa=2/3", "psi=2",
+                         "tau=4/3", "intensity=5/2"]),
+    (["catalog", "show", "ex06b_square_columns"], ["--catalog", "ex06b_square_columns"]),
+    (["measure", "--generator", "split_prism"], None),
+])
+def test_output_feeds_params_file(capsys, tmp_path, argv, direct):
+    code, dump, _ = run(capsys, *argv)
+    assert code == 0
+    if direct is None:
+        direct = [f"{key}={value['exact']}"
+                  for key, value in json.loads(dump)["parameters"].items()]
+    path = tmp_path / "dump.json"
+    path.write_text(dump)
+    code, again, err = run(capsys, "derive", "--params-file", str(path))
+    assert code == 0, err
+    assert again == run(capsys, "derive", *direct)[1]
+
+
+def domain_file(tmp_path, text: str) -> str:
+    path = tmp_path / "domain.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["measure", "stats"])
+def test_domain_of_wrong_shape_exits_three(capsys, tmp_path, command):
+    path = domain_file(tmp_path, json.dumps({"lattice": 5, "cells": 3}))
+    code, _, err = run(capsys, command, "--domain", path)
+    assert code == 3
+    assert "lattice" in err
+
+
+def test_domain_file_not_json_exits_two(capsys, tmp_path):
+    path = domain_file(tmp_path, "lattice: [1, 0, 0]")
+    code, _, err = run(capsys, "measure", "--domain", path)
+    assert code == 2
+    assert "not valid JSON" in err
+
+
+JSON_LEAVES = st.sampled_from([None, True, 0, 1, -1, 2, 1.5, "0", "1", "1/2", "x", "1/0"])
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["lattice", "cells", "metadata",
+                                                      "apices", "halfspaces",
+                                                      "normal", "offset"]),
+                                     inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(JSON_VALUES,
+                 st.fixed_dictionaries({"lattice": JSON_VALUES, "cells": JSON_VALUES})))
+def test_domain_shapes_end_in_a_documented_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "domain.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["measure", "--domain", path])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_gap_domain_exits_three(capsys, tmp_path):

@@ -254,3 +254,28 @@ def test_measured_equals_derived_summary_everywhere(built):
     assert m.mean_adjacencies == summary.mean_adjacencies
     assert m.corners_per_cell_side == summary.corners_per_cell_side
     assert m.corners_per_plate == summary.corners_per_plate
+
+
+def test_formula_comparison_names_every_shared_quantity(built):
+    import dataclasses
+
+    from tesstopo.complexes.measure import _compare_to_formulas
+    from tesstopo.params import derive
+
+    measured = measure(built("cubic_lattice"))
+    summary = derive(measured.params)
+    assert _compare_to_formulas(measured, summary) == []
+    corrupted = dataclasses.replace(
+        measured,
+        intensities={**measured.intensities, "cells": measured.intensities["cells"] + 1},
+        mean_adjacencies={key: value + 1 if key == ("cell", "vertex") else value
+                          for key, value in measured.mean_adjacencies.items()},
+        apices_per_cell=measured.apices_per_cell + 1,
+        pi_edges_per_vertex=measured.pi_edges_per_vertex + 1,
+    )
+    assert _compare_to_formulas(corrupted, summary) == [
+        "intensity cells: measured 2, formula 1",
+        "adjacency cell->vertex: measured 9, formula 8",
+        "apices per cell: measured 9, formula 8",
+        "pi edges per vertex: measured 1, formula 0",
+    ]

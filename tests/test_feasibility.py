@@ -225,7 +225,7 @@ def test_sampled_points_always_classify_feasible(seed):
 
 def test_report_json_shape():
     rep = classify(TessParams.create(6, 4, 4))
-    j = rep.to_json()
+    j = rep.as_doc()
     assert j["feasible"] is True
     assert j["branch"] == "face_to_face"
     names = [b["name"] for b in j["bounds"]]

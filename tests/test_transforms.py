@@ -261,7 +261,7 @@ class TestMixtureCurve:
         assert mixture_curve(CUBIC, CUBIC).kind == "point"
 
     def test_json_shape(self):
-        data = mixture_curve(CUBIC, STIT).to_json()
+        data = mixture_curve(CUBIC, STIT).as_doc()
         assert data["kind"] == "curve"
         assert len(data["endpoints"]) == 2
 

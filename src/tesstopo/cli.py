@@ -54,6 +54,8 @@ from .transforms import PlanarParams, central_point, central_point_orbit, column
 
 DEFAULT_DIGITS = 50
 MIN_DIGITS = 15
+# points per region polyline; time, output and memory grow linearly with it
+MAX_RESOLUTION = 1000
 PRECISION_ENV = "TESSTOPO_PRECISION"
 
 
@@ -163,8 +165,8 @@ def polyline_series(name: str, points, digits: int) -> dict:
 
 def cmd_region(args) -> int:
     digits = resolve_digits(args)
-    if args.resolution < 2:
-        raise UsageError("--resolution must be at least 2")
+    if not 2 <= args.resolution <= MAX_RESOLUTION:
+        raise UsageError(f"--resolution must lie between 2 and {MAX_RESOLUTION}")
     if args.type == "pv-ep":
         if args.ve is None:
             raise UsageError("region --type pv-ep needs --ve")
@@ -389,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     region_p.add_argument("--ep-max",
                           help="plates-per-edge ceiling for the plot window")
     region_p.add_argument("--resolution", type=int, default=64,
-                          help="target points per boundary polyline")
+                          help="target points per boundary polyline "
+                               f"(2 to {MAX_RESOLUTION})")
     add_source_arguments(region_p)
     add_output_arguments(region_p)
     region_p.set_defaults(handler=cmd_region)

@@ -181,7 +181,10 @@ def make_domain(lattice_rows, cell_entries, metadata: dict | None = None) -> Fun
 
 def domain_from_json(data) -> FundamentalDomain:
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except ValueError as exc:
+            raise UsageError(f"domain text is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "lattice" not in data or "cells" not in data:
         raise NotATessellationError("domain file needs 'lattice' and 'cells'")
     return make_domain(data["lattice"], data["cells"], data.get("metadata"))

@@ -67,11 +67,6 @@ def transpose(m: Mat) -> Mat:
             (m[0][2], m[1][2], m[2][2]))
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)  # type: ignore[return-value]
-
-
 def inverse(m: Mat) -> Mat:
     d = det3(m)
     if d == 0:
@@ -83,11 +78,6 @@ def inverse(m: Mat) -> Mat:
     return ((c0[0] / d, c1[0] / d, c2[0] / d),
             (c0[1] / d, c1[1] / d, c2[1] / d),
             (c0[2] / d, c1[2] / d, c2[2] / d))
-
-
-def identity3() -> Mat:
-    one, zero = _F(1), _F(0)
-    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
 
 
 def orient3d(a: Vec, b: Vec, c: Vec, d: Vec) -> Fraction:

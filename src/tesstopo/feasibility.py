@@ -15,15 +15,16 @@ tuple (8, 4, 16/5), although the diagonal-pyramid construction has
 (11, 48/11, 16/5); on that catalog row only the ``adjacency_checks`` tell
 the two apart.
 
-The staged helpers expose the same system as nested regions: an interval of
-ridge rates for a plate profile, an interval of side rates once the ridge
-rate is chosen, and finally a convex polygon of (hemi share, pi share)
-pairs. All geometry is exact.
+The general branch's interior inequalities are one table of linear forms in
+the four interior rates. :func:`classify` solves each row for its rate; the
+staged helpers (ridge and side rate intervals, the rate and share polygons)
+and the sampler are projections of the same rows. All geometry is exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,49 +57,113 @@ def plate_cap(edges_per_vertex: ScalarLike) -> Scalar:
     return 6 * (1 - 2 / ve)
 
 
-# interior bound expressions; each is the exact content of one Bound row
+# ---- the interior constraint table ----
+
+PSI, TAU, KAPPA, XI = ("ridge_interior_rate", "side_interior_rate",
+                       "hemi_vertex_share", "pi_edge_share")
+
+
+@functools.lru_cache(maxsize=8)  # classify and the staged calls on a profile share it
+def _interior_rows(ve: Scalar, ep: Scalar, pv: Scalar) -> tuple:
+    """The interior inequalities of the general branch in report order: rows
+    (name, rate, relation, form), read as ``form relation 0``, where a form
+    maps rates to coefficients and "" to the constant. The bounded rate's
+    coefficient is 1 or ve; the coefficients depend on the profile alone."""
+    incidences = ve * ep / 2  # plate-edge incidences per vertex
+    corners = incidences * (1 - 3 / pv)  # keeps the typical plate at least triangular
+    # keeps the typical cell's apex count at least 4 (with zero hemi share)
+    apices = ve - 2 + incidences * (1 - 4 / pv)
+    excess = ve / 4 * (ep - plate_cap(ve))
+    rows = (
+        ("pi_edge_share_positive", XI, ">", {XI: 1}),
+        ("ridge_rate_cap_apices", PSI, "<=", {PSI: 1, "": -apices}),
+        ("ridge_rate_cap_combined", PSI, "<=", {PSI: 1, "": -ve / 4 - corners}),
+        ("hemi_share_cap", KAPPA, "<=", {KAPPA: 1, PSI: 1, "": -apices}),
+        ("side_rate_max_ridge", TAU, "<=", {TAU: 1, PSI: -1}),
+        ("side_rate_max_plate_corners", TAU, "<=", {TAU: 1, "": -corners}),
+        ("side_rate_min_ridge_gap", TAU, ">=", {TAU: 1, PSI: -1, "": ve / 2}),
+        ("side_rate_min_excess", TAU, ">=", {TAU: 1, PSI: Fraction(-1, 2), "": -excess}),
+        # averaged per-vertex budget: pi-edges pay for interior incidences
+        ("pi_share_min_vertex_budget", XI, ">=", {XI: ve, KAPPA: -3, PSI: -2, TAU: 2}),
+        # keeps cell sides at least triangular
+        ("pi_share_min_side_corners", XI, ">=",
+         {XI: ve, KAPPA: -6, PSI: -4, "": 4 * corners}),
+        # keeps the typical cell's ridge count at least 6
+        ("pi_share_cap_cell_ridges", XI, "<=",
+         {XI: ve, PSI: 2, "": -6 * (ve - 2) - ve * ep * (1 - 6 / pv)}),
+        # keeps the typical cell's side count at least 4
+        ("pi_share_cap_cell_sides", XI, "<=",
+         {XI: ve, KAPPA: -2, "": 8 - 4 * ve + 2 * ve * ep / pv}),
+        # keeps at least three ridges meeting at the typical apex
+        ("pi_share_cap_apex_degree", XI, "<=",
+         {XI: ve, KAPPA: -3, PSI: -1, "": 6 + incidences - 3 * ve}),
+    )
+    return tuple((name, rate, relation, {k: as_scalar(v) for k, v in form.items()})
+                 for name, rate, relation, form in rows)
+
+
+def _offset(form: dict[str, Scalar], values: dict[str, Scalar]) -> Scalar:
+    """The form's constant with the given rates moved into it."""
+    return sum((c * values[k] for k, c in form.items() if k in values), form.get("", ZERO))
+
+
+def _limit(form: dict[str, Scalar], rate: str, values: dict[str, Scalar]) -> Scalar:
+    """The form solved for ``rate``, the other rates taken from values."""
+    return _offset(form, {k: v for k, v in values.items() if k != rate}) / -form[rate]
+
+
+def _rate_bounds(rows, rate: str, values: dict[str, Scalar]) -> tuple[Scalar, Scalar]:
+    """Floor and ceiling of ``rate`` from the rows left on it alone once
+    ``values`` fix their other rates. Every rate is at least 0, and a
+    share is at most 1."""
+    floors, ceilings = [ZERO], [ONE] if rate in (KAPPA, XI) else []
+    for _, _, relation, form in rows:
+        if form.keys() - values.keys() - {""} == {rate}:
+            floor = (relation[0] == ">") == (form[rate].sign() > 0)
+            (floors if floor else ceilings).append(_limit(form, rate, values))
+    return max(floors), min(ceilings)
+
+
+def _ridge_bounds(rows) -> tuple[Scalar, Scalar]:
+    """Ridge rates that leave some side rate: the rows on the ridge rate
+    alone, and ``ceiling - floor <= 0`` for each floor (0 included) and
+    ceiling row on the two rates (each has side-rate coefficient 1). Where
+    the ridge terms cancel, the cyclic rows ensure the difference holds."""
+    sides = [(rel[0], form) for _, rate, rel, form in rows
+             if rate == TAU and form.keys() <= {TAU, PSI, ""}] + [(">", {TAU: ONE})]
+    pairs = [("", PSI, "<=", {k: c.get(k, ZERO) - f.get(k, ZERO) for k in (PSI, "")})
+             for f_rel, f in sides if f_rel == ">" for c_rel, c in sides if c_rel == "<"]
+    return _rate_bounds([*rows, *(row for row in pairs if row[3][PSI])], PSI, {})
+
+
+def _solved(ve, ep, pv, name: str, values: dict[str, Scalar]) -> Scalar:
+    _, rate, _, form = next(r for r in _interior_rows(ve, ep, pv) if r[0] == name)
+    return _limit(form, rate, values)
+
 
 def _ridge_cap_apices(ve, ep, pv):
-    # keeps the typical cell's apex count at least 4 (with zero hemi share)
-    return ve - 2 + ve * ep / 2 * (1 - 4 / pv)
+    return _solved(ve, ep, pv, "ridge_rate_cap_apices", {})
 
 
 def _ridge_cap_combined(ve, ep, pv):
-    return ve / 4 + ve * ep / 2 * (1 - 3 / pv)
-
-
-def _plate_corner_cap(ve, ep, pv):
-    # keeps the typical plate at least triangular
-    return ve * ep / 2 * (1 - 3 / pv)
-
-
-def _excess(ve, ep):
-    return ve / 4 * (ep - plate_cap(ve))
-
-
-def _pi_lower_vertex(ve, psi, tau, kappa):
-    # averaged per-vertex budget: pi-edges pay for interior incidences
-    return (2 * (psi - tau) + 3 * kappa) / ve
+    return _solved(ve, ep, pv, "ridge_rate_cap_combined", {})
 
 
 def _pi_lower_corner(ve, ep, pv, psi, kappa):
-    # keeps cell sides at least triangular
-    return (4 * psi + 6 * kappa) / ve - 2 * ep * (1 - 3 / pv)
+    return _solved(ve, ep, pv, "pi_share_min_side_corners", {PSI: psi, KAPPA: kappa})
 
 
 def _pi_cap_ridges(ve, ep, pv, psi):
-    # keeps the typical cell's ridge count at least 6
-    return plate_cap(ve) + ep * (1 - 6 / pv) - 2 * psi / ve
+    return _solved(ve, ep, pv, "pi_share_cap_cell_ridges", {PSI: psi})
 
 
 def _pi_cap_sides(ve, ep, pv, kappa):
-    # keeps the typical cell's side count at least 4
-    return 4 * (1 - 2 / ve) - 2 * ep / pv + 2 * kappa / ve
+    return _solved(ve, ep, pv, "pi_share_cap_cell_sides", {KAPPA: kappa})
 
 
 def _pi_cap_apex(ve, ep, psi, kappa):
-    # keeps at least three ridges meeting at the typical apex
-    return 3 - ep / 2 + (psi - 6 + 3 * kappa) / ve
+    # the apex row does not involve vertices per plate; any value reads it
+    return _solved(ve, ep, ONE, "pi_share_cap_apex_degree", {PSI: psi, KAPPA: kappa})
 
 
 @dataclass(frozen=True)
@@ -182,8 +247,6 @@ def classify(params: TessParams) -> FeasibilityReport:
     classification and is caught only by its adjacency checks.
     """
     ve, ep, pv = params.edges_per_vertex, params.plates_per_edge, params.vertices_per_plate
-    xi, kappa = params.pi_edge_share, params.hemi_vertex_share
-    psi, tau = params.ridge_interior_rate, params.side_interior_rate
 
     if params.is_face_to_face:
         rows = _cyclic_rows(ve, ep, pv, "face_to_face")
@@ -191,30 +254,9 @@ def classify(params: TessParams) -> FeasibilityReport:
                                  all(b.satisfied for b in rows), tuple(rows))
 
     rows = _cyclic_rows(ve, ep, pv, "general")
-    r1 = _ridge_cap_apices(ve, ep, pv)
-    rows += [
-        _bound("pi_edge_share_positive", "pi_edge_share", xi, ">", ZERO),
-        _bound("ridge_rate_cap_apices", "ridge_interior_rate", psi, "<=", r1),
-        _bound("ridge_rate_cap_combined", "ridge_interior_rate", psi, "<=",
-               _ridge_cap_combined(ve, ep, pv)),
-        _bound("hemi_share_cap", "hemi_vertex_share", kappa, "<=", r1 - psi),
-        _bound("side_rate_max_ridge", "side_interior_rate", tau, "<=", psi),
-        _bound("side_rate_max_plate_corners", "side_interior_rate", tau, "<=",
-               _plate_corner_cap(ve, ep, pv)),
-        _bound("side_rate_min_ridge_gap", "side_interior_rate", tau, ">=", psi - ve / 2),
-        _bound("side_rate_min_excess", "side_interior_rate", tau, ">=",
-               psi / 2 + _excess(ve, ep)),
-        _bound("pi_share_min_vertex_budget", "pi_edge_share", xi, ">=",
-               _pi_lower_vertex(ve, psi, tau, kappa)),
-        _bound("pi_share_min_side_corners", "pi_edge_share", xi, ">=",
-               _pi_lower_corner(ve, ep, pv, psi, kappa)),
-        _bound("pi_share_cap_cell_ridges", "pi_edge_share", xi, "<=",
-               _pi_cap_ridges(ve, ep, pv, psi)),
-        _bound("pi_share_cap_cell_sides", "pi_edge_share", xi, "<=",
-               _pi_cap_sides(ve, ep, pv, kappa)),
-        _bound("pi_share_cap_apex_degree", "pi_edge_share", xi, "<=",
-               _pi_cap_apex(ve, ep, psi, kappa)),
-    ]
+    values = {rate: getattr(params, rate) for rate in (PSI, TAU, KAPPA, XI)}
+    rows += [_bound(name, rate, values[rate], relation, _limit(form, rate, values))
+             for name, rate, relation, form in _interior_rows(ve, ep, pv)]
     return FeasibilityReport(params, "general",
                              all(b.satisfied for b in rows), tuple(rows))
 
@@ -222,24 +264,22 @@ def classify(params: TessParams) -> FeasibilityReport:
 # ---- staged regions ----
 
 
-def _require_cyclic(ve: Scalar, ep: Scalar, pv: Scalar) -> None:
+def _staged_rows(*profile: ScalarLike) -> tuple:
+    """The interior rows of a plate profile that passes the cyclic rows."""
+    ve, ep, pv = map(as_scalar, profile)
     bad = [b.name for b in _cyclic_rows(ve, ep, pv, "general") if not b.satisfied]
     if bad:
         raise InfeasibleParametersError(
             f"plate profile is infeasible for the general branch: {', '.join(bad)}")
+    return _interior_rows(ve, ep, pv)
 
 
 def ridge_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
                         vertices_per_plate: ScalarLike) -> tuple[Scalar, Scalar]:
     """Ridge rates compatible with the side-rate constraints for this
     plate profile. Raises when the cyclic part is already infeasible."""
-    ve, ep, pv = map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate))
-    _require_cyclic(ve, ep, pv)
-    g = _excess(ve, ep)
-    t1 = _plate_corner_cap(ve, ep, pv)
-    lo = max(ZERO, 2 * g)
-    hi = min(_ridge_cap_apices(ve, ep, pv), _ridge_cap_combined(ve, ep, pv),
-             t1 + ve / 2, 2 * (t1 - g))
+    lo, hi = _ridge_bounds(_staged_rows(edges_per_vertex, plates_per_edge,
+                                        vertices_per_plate))
     if lo > hi:
         raise InfeasibleParametersError("empty ridge rate interval")
     return lo, hi
@@ -249,14 +289,13 @@ def side_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike
                        vertices_per_plate: ScalarLike,
                        ridge_interior_rate: ScalarLike) -> tuple[Scalar, Scalar]:
     """Side rates compatible with the given ridge rate."""
-    ve, ep, pv = map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate))
+    profile = tuple(map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate)))
     psi = as_scalar(ridge_interior_rate)
-    lo_psi, hi_psi = ridge_rate_interval(ve, ep, pv)
+    lo_psi, hi_psi = ridge_rate_interval(*profile)
     if psi < lo_psi or psi > hi_psi:
         raise InfeasibleParametersError(
             f"ridge rate outside its feasible interval [{lo_psi}, {hi_psi}]")
-    lo = max(ZERO, psi - ve / 2, psi / 2 + _excess(ve, ep))
-    hi = min(psi, _plate_corner_cap(ve, ep, pv))
+    lo, hi = _rate_bounds(_interior_rows(*profile), TAU, {PSI: psi})
     if lo > hi:
         raise InfeasibleParametersError("empty side rate interval")
     return lo, hi
@@ -275,22 +314,23 @@ class RegionPatch:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def _clip(poly: list[tuple[Scalar, Scalar]], a: Scalar, b: Scalar,
-          c: Scalar) -> list[tuple[Scalar, Scalar]]:
-    # keep the side a*x + b*y <= c
-    if not poly:
-        return poly
+def _clip(poly: list[tuple[Scalar, Scalar]], relation: str, form: dict[str, Scalar],
+          axes: tuple[str, str], values: dict[str, Scalar]) -> list[tuple[Scalar, Scalar]]:
+    """The part of a convex polygon where ``form relation 0`` holds (its
+    closure, if strict), the rates off the axes fixed by values."""
+    a, b, c = form.get(axes[0], ZERO), form.get(axes[1], ZERO), _offset(form, values)
+    side = 1 if relation[0] == "<" else -1  # keeps side * form <= 0
     out: list[tuple[Scalar, Scalar]] = []
     n = len(poly)
     for i in range(n):
         p, q = poly[i], poly[(i + 1) % n]
-        fp = a * p[0] + b * p[1]
-        fq = a * q[0] + b * q[1]
-        pin, qin = fp <= c, fq <= c
+        fp = a * p[0] + b * p[1] + c
+        fq = a * q[0] + b * q[1] + c
+        pin, qin = side * fp.sign() <= 0, side * fq.sign() <= 0
         if pin:
             out.append(p)
         if pin != qin:
-            t = (c - fp) / (fq - fp)
+            t = fp / (fp - fq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
 
@@ -331,38 +371,16 @@ def _polish(points: list[tuple[Scalar, Scalar]]
 def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
                          vertices_per_plate: ScalarLike) -> RegionPatch:
     """The (ridge rate, side rate) region for one plate profile."""
-    ve, ep, pv = map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate))
-    _require_cyclic(ve, ep, pv)
-    g = _excess(ve, ep)
-    t1 = _plate_corner_cap(ve, ep, pv)
-    psi_cap = min(_ridge_cap_apices(ve, ep, pv), _ridge_cap_combined(ve, ep, pv))
+    rows = _staged_rows(edges_per_vertex, plates_per_edge, vertices_per_plate)
+    _, psi_cap = _rate_bounds(rows, PSI, {})
     if psi_cap < 0:
-        return RegionPatch(("ridge_interior_rate", "side_interior_rate"), "empty", ())
+        return RegionPatch((PSI, TAU), "empty", ())
     poly = [(ZERO, ZERO), (psi_cap, ZERO), (psi_cap, psi_cap), (ZERO, psi_cap)]
-    # tau <= psi
-    poly = _clip(poly, -ONE, ONE, ZERO)
-    # tau <= plate corner cap
-    poly = _clip(poly, ZERO, ONE, t1)
-    # tau >= psi - ve/2
-    poly = _clip(poly, ONE, -ONE, ve / 2)
-    # tau >= psi/2 + excess
-    poly = _clip(poly, Scalar(Fraction(1, 2)), -ONE, -g)
+    for _, _, relation, form in rows:  # the rows on the ridge rate alone made the box
+        if TAU in form and form.keys() <= {PSI, TAU, ""}:
+            poly = _clip(poly, relation, form, (PSI, TAU), {})
     verts, kind = _polish(poly)
-    return RegionPatch(("ridge_interior_rate", "side_interior_rate"), kind, verts)
-
-
-def _rates_admissible(ve: Scalar, ep: Scalar, pv: Scalar,
-                      psi: Scalar, tau: Scalar) -> bool:
-    # the constraints on (psi, tau) that no choice of shares can repair
-    if psi < 0 or tau < 0 or tau > psi:
-        return False
-    if psi > _ridge_cap_combined(ve, ep, pv):
-        return False
-    if tau > _plate_corner_cap(ve, ep, pv):
-        return False
-    if tau < psi - ve / 2 or tau < psi / 2 + _excess(ve, ep):
-        return False
-    return True
+    return RegionPatch((PSI, TAU), kind, verts)
 
 
 def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -374,31 +392,22 @@ def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
     vertices describe the closure; points with zero pi share are excluded
     from the true region, which ``open_edges`` records.
     """
-    ve, ep, pv = map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate))
-    psi = as_scalar(ridge_interior_rate)
-    tau = as_scalar(side_interior_rate)
-    _require_cyclic(ve, ep, pv)
-    if not _rates_admissible(ve, ep, pv, psi, tau):
-        return RegionPatch(("hemi_vertex_share", "pi_edge_share"), "empty", ())
+    rows = _staged_rows(edges_per_vertex, plates_per_edge, vertices_per_plate)
+    psi, tau = as_scalar(ridge_interior_rate), as_scalar(side_interior_rate)
+    rates = {PSI: psi, TAU: tau}
+    # the rows on the rates alone, which no choice of shares can repair
+    psi_lo, psi_hi = _rate_bounds(rows, PSI, {})
+    tau_lo, tau_hi = _rate_bounds(rows, TAU, {PSI: psi})
+    if not (psi_lo <= psi <= psi_hi and tau_lo <= tau <= tau_hi):
+        return RegionPatch((KAPPA, XI), "empty", ())
 
     poly = [(ZERO, ZERO), (ONE, ZERO), (ONE, ONE), (ZERO, ONE)]
-    # kappa <= apex cap
-    poly = _clip(poly, ONE, ZERO, _ridge_cap_apices(ve, ep, pv) - psi)
-    # vertex budget: ve*xi - 3*kappa >= 2*(psi - tau)
-    poly = _clip(poly, Scalar(3), -ve, -2 * (psi - tau))
-    # side corners: ve*xi - 6*kappa >= 4*psi - 2*ve*ep*(1 - 3/pv)
-    poly = _clip(poly, Scalar(6), -ve, 2 * ve * ep * (1 - 3 / pv) - 4 * psi)
-    # ridge count cap (no kappa term)
-    poly = _clip(poly, ZERO, ONE, _pi_cap_ridges(ve, ep, pv, psi))
-    # side count cap: ve*xi - 2*kappa <= ve*(4*(1-2/ve) - 2*ep/pv)
-    poly = _clip(poly, Scalar(-2), ve, ve * (4 * (1 - 2 / ve) - 2 * ep / pv))
-    # apex degree cap: ve*xi - 3*kappa <= 3*ve - ve*ep/2 + psi - 6
-    poly = _clip(poly, Scalar(-3), ve, 3 * ve - ve * ep / 2 + psi - 6)
+    for _, _, relation, form in rows:
+        if form.keys() & {KAPPA, XI}:
+            poly = _clip(poly, relation, form, (KAPPA, XI), rates)
     verts, kind = _polish(poly)
-    open_edges = ()
-    if any(v[1] == 0 for v in verts):
-        open_edges = ("pi_edge_share_positive",)
-    return RegionPatch(("hemi_vertex_share", "pi_edge_share"), kind, verts, open_edges)
+    open_edges = ("pi_edge_share_positive",) if any(not xi for _, xi in verts) else ()
+    return RegionPatch((KAPPA, XI), kind, verts, open_edges)
 
 
 @dataclass(frozen=True)
@@ -501,33 +510,24 @@ def _sample_once(rng: random.Random, face_to_face: bool) -> TessParams | None:
     if pv <= pv_lo and ep >= cap:
         return None
 
-    g = _excess(ve, ep)
-    t1 = _plate_corner_cap(ve, ep, pv)
-    psi_lo = max(ZERO, 2 * g)
-    psi_hi = min(_ridge_cap_apices(ve, ep, pv), _ridge_cap_combined(ve, ep, pv),
-                 t1 + ve / 2, 2 * (t1 - g))
+    rows = _interior_rows(ve, ep, pv)
+    psi_lo, psi_hi = _ridge_bounds(rows)
     if psi_lo > psi_hi:
         return None
     psi = _rand_between(rng, psi_lo, psi_hi)
 
-    tau_lo = max(ZERO, psi - ve / 2, psi / 2 + g)
-    tau_hi = min(psi, t1)
+    tau_lo, tau_hi = _rate_bounds(rows, TAU, {PSI: psi})
     if tau_lo > tau_hi:
         return None
     tau = _rand_between(rng, tau_lo, tau_hi)
 
-    k_cap = min(ONE,
-                _ridge_cap_apices(ve, ep, pv) - psi,
-                (ve - 2 * (psi - tau)) / 3,
-                (ve + 2 * ve * ep * (1 - 3 / pv) - 4 * psi) / 6)
+    # the hemi share must leave room for a pi share of at most 1
+    _, k_cap = _rate_bounds(rows, KAPPA, {PSI: psi, TAU: tau, XI: ONE})
     if k_cap < 0:
         return None
     kappa = _rand_between(rng, ZERO, k_cap)
 
-    xi_lo = max(ZERO,
-                _pi_lower_vertex(ve, psi, tau, kappa),
-                _pi_lower_corner(ve, ep, pv, psi, kappa))
-    xi_hi = min(ONE, _pi_cap_apex(ve, ep, psi, kappa))
+    xi_lo, xi_hi = _rate_bounds(rows, XI, {PSI: psi, TAU: tau, KAPPA: kappa})
     if xi_lo > xi_hi or not xi_hi:
         return None
     xi = _rand_between(rng, xi_lo, xi_hi, include_lo=bool(xi_lo))

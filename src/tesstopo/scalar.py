@@ -183,6 +183,12 @@ def _mp_eval(c: Coeffs, x):
     return acc
 
 
+# the highest pi power scalar text may carry: above every parameter the
+# package prints (pi^8, in mixtures of the pi^2 catalog entries), and low
+# enough that work on seven such parameters stays short; the polynomial gcd
+# grows steeply with the degree
+MAX_PI_POWER = 10
+
 _TERM = re.compile(
     r"(?P<sign>[+-]?)"
     r"(?:(?P<coef>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?P<star>\*)?)?"
@@ -221,6 +227,8 @@ def _parse_poly(s: str) -> list[Fraction]:
             coef = -coef
         if m.group("exp") is not None:
             e = int(m.group("exp"))
+            if e > MAX_PI_POWER:
+                raise ValueError(f"pi powers above {MAX_PI_POWER} are not accepted")
             if e % 2:
                 raise ValueError("only even powers of pi are representable")
             k = e // 2
@@ -520,7 +528,8 @@ class Scalar:
     @classmethod
     def parse(cls, text: str) -> "Scalar":
         """Parse ``p``, ``p/q``, decimals, and forms like
-        ``(35+24*pi^2)/(7*pi^2)`` with arbitrary even pi powers."""
+        ``(35+24*pi^2)/(7*pi^2)`` with even pi powers up to
+        ``MAX_PI_POWER``."""
         s = "".join(text.split())
         if not s:
             raise ValueError("empty scalar text")

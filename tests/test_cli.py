@@ -281,11 +281,28 @@ def test_bad_precision_env_rejected(capsys, monkeypatch):
     ("region", "--type", "pv-ep", "--ve", "8", "--resolution", "-5"),
     ("region", "--type", "psi-tau", "--resolution", "1", "ve=4", "ep=7/2", "pv=28/5"),
     ("measure", "--generator", "prism_columns", "--arg", "offsets=a,b,c,d"),
+    # each would be huge without its cap
+    ("region", "--type", "pv-ep", "--ve", "8", "--resolution", "100000000"),
+    ("derive", "ve=6", "ep=4", "pv=4+pi^200000000"),
+    ("derive", "ve=6", "ep=4", "pv=(4+pi^2000000)/(1+pi^2000000)"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.strip()
+
+
+def test_pi_powers_at_the_cap_complete(capsys):
+    # seven parameters at the highest accepted pi power: derive and check finish
+    argv = ("ve=(6*pi^10+1)/(pi^10+1)", "ep=(5*pi^8+3)/(pi^8+2)", "pv=(5*pi^10+5)/(pi^10+7)",
+            "xi=pi^8/(3*pi^8+1)", "kappa=1/(pi^10+4)", "psi=(2*pi^10+1)/(pi^8+3)",
+            "tau=(pi^10+1)/(pi^8+5)")
+    code, out, _ = run(capsys, "derive", *argv)
+    assert code == 0
+    assert "pi^10" in out
+    code, out, _ = run(capsys, "check", *argv)
+    assert code in (0, 1)
+    assert "feasible" in out
 
 
 def test_unreadable_params_file_exits_two(capsys, tmp_path):

@@ -4,7 +4,8 @@ Each command below is run in-process and the SHA-256 of its stdout is
 compared with a pinned digest, so any change to what a document holds, the
 order of its keys, or how it is rendered shows up here. The argv list covers
 every subcommand, both output formats, a pi^2 entry, ``measure --validate``,
-all three region types and a three-component mixture.
+all three region types (the two staged ones also on sampled profiles), a
+longer general-branch sample and a three-component mixture.
 
 A deliberate change of output needs new digests. Print them with
 
@@ -58,6 +59,14 @@ COMMANDS = {
     "measure-csv": ["measure", "--generator", "parallel_pyramids", "--format", "csv"],
     "stats": ["stats", "--generator", "prism_columns", "--arg", "base=triangle"],
     "sample": ["sample", "--count", "3", "--seed", "7"],
+    "sample-longer": ["sample", "--count", "25", "--seed", "11"],
+    "region-psi-tau-sampled": ["region", "--type", "psi-tau", "ve=1195/256",
+                               "ep=4099863/1223680", "pv=623205597/179044352"],
+    # a sampled profile whose share polygon has six corners
+    "region-kappa-xi-sampled": ["region", "--type", "kappa-xi", "ve=505/64",
+                                "ep=2083953/517120", "pv=721657179/197656576",
+                                "psi=3169861581833119/1008949864169472",
+                                "tau=757238110365775069/516582330454769664"],
     "sample-face-to-face-csv": ["sample", "--count", "2", "--seed", "4",
                                 "--face-to-face", "--format", "csv"],
 }
@@ -75,11 +84,14 @@ DIGESTS = {
     "measure-csv": "108eec7991c8bac5628905bdc4c4d45a0c63b44fcb73947350db39da5c51cf81",
     "measure-validate": "9955c289678c237ddd4addccca5efeaefe57cd9393c9e8236eda714f1639afeb",
     "region-kappa-xi-csv": "5dfc0dfd65c4994d47af3cd6285ae23bb842dea71c7e6056b3a413771f01396e",
+    "region-kappa-xi-sampled": "7081eff71e07c3d0d42399a07a9e5575d35f3fa766a672c368b8d18bb41f81fe",
     "region-psi-tau": "9c61ca14a0dae139a8460e77169fac5b78e0e85513a4231cfc8076cab8cce91a",
+    "region-psi-tau-sampled": "3c5d425d3e393befaae5a0794ac8253b82133de61d38a2d09a92071517c86a0b",
     "region-pv-ep": "f415c477b341ae0b47219a9e443b06cf8e5c160d469c2dc40fe77cd810749949",
     "region-pv-ep-csv": "e02fc1a505fabc14113a72c58023bb6509f039f62fa274f69dd1fc4c3dc11ce0",
     "sample": "074157c46e05de43777348acbef4280c1e989e609750406bdb0043c9f39cd490",
     "sample-face-to-face-csv": "ad0c2bb70580ba912614a64d3055a0c61cf26d776713ee67e8f52c539a92ff50",
+    "sample-longer": "de13649c4fff397d6e089176f0104f7032d2f9b75b431ffb24f892050e6ae716",
     "stats": "73d51c2d823a2bbb578e9b38d3350f12b4e66b043451be814ef59acbc36e3292",
     "transform-central-point": "70480ea903a9f41a54bbe222c928908a614167a21298f9f111a82f16b55f626d",
     "transform-column-csv": "2b22800575d8aedd62a330b4b64288c6a06a3be8fb8bea6b013b26db779a8e92",

@@ -14,7 +14,7 @@ from tesstopo.complexes import (
     validate,
     vertex_stats,
 )
-from tesstopo.errors import GeneratorParameterError, NotATessellationError
+from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
 
 SEVEN = ("edges_per_vertex", "plates_per_edge", "vertices_per_plate",
          "pi_edge_share", "hemi_vertex_share", "ridge_interior_rate",
@@ -217,6 +217,11 @@ def test_domain_json_round_trip(built):
     m1 = measure(build_complex(dom))
     m2 = measure(build_complex(again))
     assert m1.params.as_dict() == m2.params.as_dict()
+
+
+def test_domain_text_that_is_not_json_is_a_usage_error():
+    with pytest.raises(UsageError, match="not valid JSON"):
+        domain_from_json("nope")
 
 
 def test_obj_dump_lists_all_cells():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tesstopo.catalog import entries
 from tesstopo.errors import InfeasibleParametersError
 from tesstopo.feasibility import (
     classify,
@@ -233,3 +234,22 @@ def test_report_json_shape():
     assert all(set(b) >= {"name", "parameter", "relation", "limit", "value",
                           "applicable", "satisfied", "on_boundary"}
                for b in j["bounds"])
+
+
+def test_staged_regions_agree_with_classify():
+    # the staged forms are projections of the classify rows: the ridge
+    # interval is the ridge extent of the rate polygon, and every corner of
+    # the share polygon with a positive pi share is a feasible tuple
+    tuples = [e.to_params() for e in entries() if e.is_complete]
+    tuples = [p for p in tuples if not p.is_face_to_face]
+    tuples += sample_feasible(count=60, seed=2)
+    for p in tuples:
+        ve, ep, pv = p.edges_per_vertex, p.plates_per_edge, p.vertices_per_plate
+        rates = interior_rate_region(ve, ep, pv)
+        ridges = [v[0] for v in rates.vertices]
+        assert ridge_rate_interval(ve, ep, pv) == (min(ridges), max(ridges))
+        shares = hemi_pi_region(ve, ep, pv, p.ridge_interior_rate, p.side_interior_rate)
+        for kappa, xi in shares.vertices:
+            if xi > 0:
+                corner = p.with_values(hemi_vertex_share=kappa, pi_edge_share=xi)
+                assert classify(corner).feasible, (p, kappa, xi)

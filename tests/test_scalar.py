@@ -120,6 +120,12 @@ def test_parse_rejects_garbage():
             Scalar.parse(bad)
 
 
+def test_pi_power_cap():
+    assert Scalar.parse("1+pi^10") == Scalar((1, 0, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match="pi powers above 10"):
+        Scalar.parse("1+pi^12")
+
+
 def test_float_rejection():
     with pytest.raises(TypeError):
         Scalar(0.5)

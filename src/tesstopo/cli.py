@@ -56,6 +56,12 @@ DEFAULT_DIGITS = 50
 MIN_DIGITS = 15
 # points per region polyline; time, output and memory grow linearly with it
 MAX_RESOLUTION = 1000
+# sampled tuples per call: linear in time and output, about 4.5 s at the cap
+MAX_SAMPLE_COUNT = 1000
+# central-point iterations: the exact values grow with each step, so the time
+# grows faster than linearly (about 1.7 s at the cap on a pi^2 entry, 31 s at
+# 1000 steps)
+MAX_STEPS = 100
 PRECISION_ENV = "TESSTOPO_PRECISION"
 
 
@@ -230,8 +236,8 @@ def cmd_transform(args) -> int:
         params = resolve_params(args)
         doc = {"operation": args.op, "input": params.as_dict()}
         if args.steps is not None:
-            if args.steps < 1:
-                raise UsageError("--steps must be at least 1")
+            if not 1 <= args.steps <= MAX_STEPS:
+                raise UsageError(f"--steps must lie between 1 and {MAX_STEPS}")
             orbit = central_point_orbit(params, args.steps)
             doc["steps"] = args.steps
             doc["orbit"] = [step.as_dict() for step in orbit]
@@ -351,8 +357,8 @@ def cmd_stats(args) -> int:
 
 def cmd_sample(args) -> int:
     digits = resolve_digits(args)
-    if args.count < 1:
-        raise UsageError("--count must be at least 1")
+    if not 1 <= args.count <= MAX_SAMPLE_COUNT:
+        raise UsageError(f"--count must lie between 1 and {MAX_SAMPLE_COUNT}")
     samples = sample_feasible(count=args.count, seed=args.seed,
                               face_to_face=args.face_to_face)
     doc = {
@@ -403,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--op", required=True,
         choices=("stratum", "column", "central-point", "mixture"))
     transform_p.add_argument("--steps", type=int, default=None,
-                             help="iterate central-point this many times")
+                             help="iterate central-point this many times "
+                                  f"(1 to {MAX_STEPS})")
     transform_p.add_argument("--component", action="append", default=[],
                              metavar="SOURCE=WEIGHT",
                              help="mixture component: catalog id or @file, "
@@ -446,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample_p = subs.add_parser(
         "sample", help="draw random feasible parameter tuples")
-    sample_p.add_argument("--count", type=int, default=1)
+    sample_p.add_argument("--count", type=int, default=1,
+                          help=f"tuples to draw (1 to {MAX_SAMPLE_COUNT})")
     sample_p.add_argument("--seed", type=int, default=0)
     sample_p.add_argument("--face-to-face", action="store_true",
                           help="sample from the face-to-face branch")

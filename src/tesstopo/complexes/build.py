@@ -9,21 +9,27 @@ lattice volume only at measurement time.
 
 Pipeline, in order:
 
-1. per-cell face lattices (exact convex hulls in torus coordinates), with the
+1. per-cell face lattices (exact convex hulls in torus coordinates, one hull
+   per translation class of cells, moved to the other members), with the
    volume certificate: cell volumes must sum to the lattice cell volume;
 2. plates: two-dimensional intersections of cell pairs across lattice
-   translates, found by matching coincident facet planes with opposite
-   orientations (a two-dimensional intersection of convex bodies with
-   disjoint interiors always lies on such a pair of planes); candidate
-   translates come from exact bounding-box windows, outside of which the
-   boxes themselves separate, so the enumeration is certified complete;
-3. pairwise interior-disjointness certificates: separated bounding boxes, a
-   shared plate plane, a separating facet plane, or an exact intersection
-   dimension computation as a last resort;
+   translates. Such an intersection of convex bodies with disjoint interiors
+   always lies on a pair of coincident facet planes with opposite
+   orientations, so facets are grouped by plane class (the primitive normal
+   with its sign fixed, and the offset modulo 1), and only opposite facets
+   of one class are clipped, at the integer shifts that put them on one
+   plane and make their projected boxes overlap in a rectangle;
+3. pairwise interior-disjointness certificates for every cell pair at every
+   translate in its exact bounding-box window (outside of which the boxes
+   themselves separate, so the enumeration is certified complete):
+   separated bounding boxes, a shared plate, a separating facet plane, or
+   an exact intersection dimension computation as a last resort;
 4. vertices: cell apices plus plate ring corners, deduplicated mod lattice;
 5. edges: the union of all cell ridges split at every vertex lying in a
    ridge's relative interior, deduplicated into translation classes (every
    tessellation edge is a subset of some cell ridge, so this is complete);
+   the vertices inside a segment are searched once per translation class of
+   segments and moved to each instance;
 6. incidence tallies between all classes by exact containment tests,
    including the interior-adjacency counters (facet-interior vertices,
    ridge-interior vertices, plate-side-interior vertices) and the marking of
@@ -40,8 +46,10 @@ from math import ceil, floor
 from ..errors import NotATessellationError
 from .domain import FundamentalDomain
 from .geometry import (
+    ZERO3,
     Polyhedron,
     Vec,
+    Vec2,
     add,
     convex_hull,
     convex_intersection2,
@@ -66,6 +74,11 @@ from .geometry import (
 
 _F = Fraction
 IVec = tuple[int, int, int]
+# the axes project2 keeps, in its order, for each dropped axis
+_PROJECTED_AXES = ((1, 2), (2, 0), (0, 1))
+# one facet seen along its dropped axis: that axis, the counterclockwise
+# projected ring, and the ring's 2-d box (low and high corners)
+_FacetView = tuple[int, list[Vec2], Vec2, Vec2]
 
 
 def _canon_point(p: Vec) -> Vec:
@@ -80,6 +93,41 @@ def _canon_segment(a: Vec, b: Vec) -> tuple[Vec, Vec]:
     p, q = sorted((a, b))
     t = (_F(floor(p[0])), _F(floor(p[1])), _F(floor(p[2])))
     return (sub(p, t), sub(q, t))
+
+
+def _hull_cells(point_sets: list[list[Vec]]) -> list[Polyhedron]:
+    """Hull each point set once per translation class. A translate of an
+    earlier set reuses that hull, moved; this is exact because the hull's
+    apex order and facet order do not change under translation."""
+    seen: dict[tuple[Vec, ...], tuple[Polyhedron, Vec]] = {}
+    cells: list[Polyhedron] = []
+    for points in point_sets:
+        least = min(points)
+        key = tuple(sorted(sub(p, least) for p in points))
+        known = seen.get(key)
+        if known is None:
+            hull = convex_hull(points)
+            seen[key] = (hull, least)
+        else:
+            hull = known[0].translate(sub(least, known[1]))
+        cells.append(hull)
+    return cells
+
+
+def _coplanar_shifts(m: Vec, r: int, view_a: _FacetView, view_b: _FacetView):
+    """Integer shifts t with m . t == r under which facet b, moved by t,
+    overlaps facet a's projected box in a rectangle."""
+    k, _, lo_a, hi_a = view_a
+    _, _, lo_b, hi_b = view_b
+    u, v = _PROJECTED_AXES[k]
+    mk, mu, mv = int(m[k]), int(m[u]), int(m[v])
+    for tu in range(floor(lo_a[0] - hi_b[0]) + 1, ceil(hi_a[0] - lo_b[0])):
+        for tv in range(floor(lo_a[1] - hi_b[1]) + 1, ceil(hi_a[1] - lo_b[1])):
+            rest = r - mu * tu - mv * tv
+            if rest % mk == 0:
+                t = [0, 0, 0]
+                t[k], t[u], t[v] = rest // mk, tu, tv
+                yield (t[0], t[1], t[2])
 
 
 @dataclass
@@ -163,23 +211,27 @@ class _Builder:
         self.domain = domain
         self.world_volume = abs(det3(domain.lattice))
         to_torus = inverse(transpose(domain.lattice))
-        self.cells: list[Polyhedron] = [
-            convex_hull([mat_vec(to_torus, p) for p in cell.apices])
-            for cell in domain.cells]
+        self.cells = _hull_cells(
+            [[mat_vec(to_torus, p) for p in cell.apices] for cell in domain.cells])
         total = sum(c.volume for c in self.cells)
         if total != 1:
             raise NotATessellationError(
                 f"cells fill {total} of the lattice cell instead of all of it")
         self.bounds = [c.bounds() for c in self.cells]
-        self.plane_index: list[dict[tuple[Vec, Fraction], int]] = []
+        self.facet_views: list[list[_FacetView]] = []
         for cell in self.cells:
-            index: dict[tuple[Vec, Fraction], int] = {}
+            views = []
             for fi, f in enumerate(cell.facets):
-                index[(f.normal, f.offset)] = fi
-            self.plane_index.append(index)
+                k = drop_axis(f.normal)
+                ring = ring_ccw2([project2(p, k) for p in cell.facet_ring_points(fi)])
+                lo = (min(x for x, _ in ring), min(y for _, y in ring))
+                hi = (max(x for x, _ in ring), max(y for _, y in ring))
+                views.append((k, ring, lo, hi))
+            self.facet_views.append(views)
         self.plates: list[PlateOrbit] = []
         self.vertex_ids: dict[Vec, int] = {}
         self.vertices: list[VertexRecord] = []
+        self.segment_hits: dict[tuple[Vec, Vec], list[tuple[int, Vec]]] = {}
         self.edge_ids: dict[tuple[Vec, Vec], int] = {}
         self.edges: list[EdgeRecord] = []
         self.cell_records: list[CellRecord] = []
@@ -207,30 +259,50 @@ class _Builder:
         return any(hi_j[k] + t[k] <= lo_i[k] or hi_i[k] <= lo_j[k] + t[k]
                    for k in range(3))
 
-    def _find_plate(self, i: int, j: int, t: IVec) -> bool:
-        cell_i, cell_j = self.cells[i], self.cells[j]
-        shift = _int_shift(t)
-        found = False
-        for fa, f in enumerate(cell_i.facets):
-            opposite = (neg(f.normal), dot(f.normal, shift) - f.offset)
-            fb = self.plane_index[j].get(opposite)
-            if fb is None:
-                continue
-            k = drop_axis(f.normal)
-            ring_a = ring_ccw2([project2(p, k)
-                                for p in cell_i.facet_ring_points(fa)])
-            ring_b = ring_ccw2([project2(add(p, shift), k)
-                                for p in cell_j.facet_ring_points(fb)])
-            cut = convex_intersection2(ring_a, ring_b)
-            if len(cut) < 3 or signed_area2(cut) == 0:
-                continue
-            if found:
-                raise NotATessellationError(
-                    "cell pair meets in two dimensions on two distinct planes")
-            found = True
-            ring3 = tuple(lift3(xy, k, f.normal, f.offset) for xy in cut)
-            self.plates.append(PlateOrbit(i, j, t, fa, fb, ring3))
-        return found
+    def _clip_plate(self, i: int, fa: int, j: int, fb: int,
+                    t: IVec) -> PlateOrbit | None:
+        k, ring_a, _, _ = self.facet_views[i][fa]
+        du, dv = project2(t, k)
+        ring_b = [(x + du, y + dv) for x, y in self.facet_views[j][fb][1]]
+        cut = convex_intersection2(ring_a, ring_b)
+        if len(cut) < 3 or signed_area2(cut) == 0:
+            return None
+        f = self.cells[i].facets[fa]
+        ring3 = tuple(lift3(xy, k, f.normal, f.offset) for xy in cut)
+        return PlateOrbit(i, j, t, fa, fb, ring3)
+
+    def _plate_table(self) -> dict[tuple[int, int, IVec], PlateOrbit]:
+        """Every plate, keyed by (cell_a, cell_b, shift) with cell_a <= cell_b.
+
+        With its normal m signed so that m > 0, a facet lies on m . x == d.
+        Facet b, moved by the integer shift t, lies on facet a's plane when
+        m . t == d_a - d_b, which needs d_a and d_b equal modulo 1; a plate
+        also needs the two outward normals to be opposite. So facets are
+        grouped by (m, d mod 1) and split by the sign of their normal, and
+        only pairs across the split are clipped.
+        """
+        groups: dict[tuple[Vec, Fraction], tuple[list, list]] = {}
+        for ci, cell in enumerate(self.cells):
+            for fi, f in enumerate(cell.facets):
+                if f.normal > ZERO3:
+                    m, d, side = f.normal, f.offset, 0
+                else:
+                    m, d, side = neg(f.normal), -f.offset, 1
+                groups.setdefault((m, d - floor(d)), ([], []))[side].append((ci, fi, d))
+        table: dict[tuple[int, int, IVec], PlateOrbit] = {}
+        for (m, _), (positive, negative) in groups.items():
+            for ci, fi, d_a in positive:
+                for cj, fj, d_b in negative:
+                    views = self.facet_views[ci][fi], self.facet_views[cj][fj]
+                    for t in _coplanar_shifts(m, int(d_a - d_b), *views):
+                        if ci < cj or (ci == cj and t > (0, 0, 0)):
+                            plate = self._clip_plate(ci, fi, cj, fj, t)
+                        else:
+                            plate = self._clip_plate(cj, fj, ci, fi,
+                                                     (-t[0], -t[1], -t[2]))
+                        if plate is not None:
+                            table[(plate.cell_a, plate.cell_b, plate.shift)] = plate
+        return table
 
     def _separating_facet(self, i: int, j: int, t: IVec) -> bool:
         shift = _int_shift(t)
@@ -280,6 +352,7 @@ class _Builder:
         return rank
 
     def find_plates_and_certify(self) -> None:
+        plates = self._plate_table()
         n = len(self.cells)
         for i in range(n):
             for j in range(i, n):
@@ -290,8 +363,11 @@ class _Builder:
                     if i == j and t <= (0, 0, 0):
                         # the reversed shift covers the same unordered pair
                         continue
-                    has_plate = self._find_plate(i, j, t)
-                    if has_plate or self._boxes_interior_disjoint(i, j, t):
+                    plate = plates.get((i, j, t))
+                    if plate is not None:
+                        self.plates.append(plate)
+                        continue
+                    if self._boxes_interior_disjoint(i, j, t):
                         continue
                     if self._separating_facet(i, j, t):
                         continue
@@ -348,13 +424,23 @@ class _Builder:
                 yield vid, (v[0] + t[0], v[1] + t[1], v[2] + t[2])
 
     def _interior_vertices(self, a: Vec, b: Vec) -> list[tuple[int, Vec]]:
-        lo = tuple(min(a[k], b[k]) for k in range(3))
-        hi = tuple(max(a[k], b[k]) for k in range(3))
-        d = sub(b, a)
-        hits = [(vid, p) for vid, p in self._instances_in_box(lo, hi)
-                if on_segment(p, a, b, strict=True)]
-        hits.sort(key=lambda item: dot(sub(item[1], a), d))
-        return hits
+        """Vertex instances inside segment ab, ordered from a to b. Each
+        translation class of segments is scanned once."""
+        key = _canon_segment(a, b)
+        hits = self.segment_hits.get(key)
+        if hits is None:
+            p, q = key
+            lo = tuple(min(p[k], q[k]) for k in range(3))
+            hi = tuple(max(p[k], q[k]) for k in range(3))
+            d = sub(q, p)
+            hits = [(vid, x) for vid, x in self._instances_in_box(lo, hi)
+                    if on_segment(x, p, q, strict=True)]
+            hits.sort(key=lambda item: dot(sub(item[1], p), d))
+            self.segment_hits[key] = hits
+        low = min(a, b)
+        t = sub(low, key[0])
+        moved = [(vid, add(x, t)) for vid, x in hits]
+        return moved if low == a else moved[::-1]
 
     # -- phase 5: edges ------------------------------------------------------
 
@@ -474,11 +560,7 @@ class _Builder:
     def mark_facet_interior_edges(self) -> None:
         pi_orbits: set[int] = set()
         for (ci, fi), entries in sorted(self.covering.items()):
-            cell = self.cells[ci]
-            f = cell.facets[fi]
-            k = drop_axis(f.normal)
-            facet_ring = ring_ccw2([project2(p, k)
-                                    for p in cell.facet_ring_points(fi)])
+            k, facet_ring, _, _ = self.facet_views[ci][fi]
             instances: dict[tuple[Vec, Vec], int] = {}
             for plate_idx, delta in entries:
                 plate = self.plates[plate_idx]

@@ -209,10 +209,19 @@ def _boundary_cycle(n: int) -> list[tuple[Fraction, Fraction]]:
     return cycle
 
 
+# the largest k and n that spoke_cube and core_prism_cube accept: at k = n = 8
+# either builds in about 8 s on a shared 2-core machine (spoke_cube has 360
+# cells there), and the build time grows faster than the cell count
+MAX_SIZE = 8
+
+
 def _check_size(name: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise GeneratorParameterError(
             f"{name} must be a non-negative integer, got {value!r}")
+    if value > MAX_SIZE:
+        raise GeneratorParameterError(
+            f"{name} must be at most {MAX_SIZE}, got {value}")
     return value
 
 
@@ -224,7 +233,8 @@ def spoke_cube(k: int = 0, n: int = 0) -> FundamentalDomain:
     consecutive axis points to consecutive cycle points, and the rest of the
     cube is filled by pyramids from the top axis point over vertical wall
     strips, ``4(n + 1)(k + 2)`` cells in all. Face-to-face for every size,
-    with adjacency means that sweep out a two-parameter family.
+    with adjacency means that sweep out a two-parameter family. ``k`` and
+    ``n`` run from 0 to ``MAX_SIZE`` (8).
     """
     k = _check_size("k", k)
     n = _check_size("n", n)
@@ -253,7 +263,8 @@ def core_prism_cube(k: int = 0, n: int = 0) -> FundamentalDomain:
     over it is cut into ``k + 1`` prisms; the ring between polygon and
     square boundary becomes ``4(n + 1)`` full-height wedge prisms. The cut
     heights meet the wedges only along their vertical ridges, keeping the
-    model face-to-face exactly on the plates-per-edge cap.
+    model face-to-face exactly on the plates-per-edge cap. ``k`` and ``n``
+    run from 0 to ``MAX_SIZE`` (8).
     """
     k = _check_size("k", k)
     n = _check_size("n", n)

@@ -188,10 +188,14 @@ def _mp_eval(c: Coeffs, x):
 # enough that work on seven such parameters stays short; the polynomial gcd
 # grows steeply with the degree
 MAX_PI_POWER = 10
+# the largest decimal exponent, of either sign, a coefficient may carry:
+# Fraction builds the whole power of ten, so "1e999999999" would take minutes
+# and hundreds of megabytes; the exact text the program prints carries none
+MAX_DECIMAL_EXPONENT = 1000
 
 _TERM = re.compile(
     r"(?P<sign>[+-]?)"
-    r"(?:(?P<coef>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?P<star>\*)?)?"
+    r"(?:(?P<coef>\d+(?:\.\d+)?(?:[eE](?P<dexp>[+-]?\d+))?)(?P<star>\*)?)?"
     r"(?:pi\^(?P<exp>\d+))?"
 )
 
@@ -222,6 +226,11 @@ def _parse_poly(s: str) -> list[Fraction]:
             raise ValueError(f"cannot parse scalar text at {s[pos:]!r}")
         if not first and not m.group("sign"):
             raise ValueError(f"missing operator before {s[pos:]!r}")
+        exponent = (m.group("dexp") or "").lstrip("+-0")
+        if (len(exponent) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(exponent or 0) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(
+                f"decimal exponents beyond {MAX_DECIMAL_EXPONENT} are not accepted")
         coef = Fraction(m.group("coef")) if m.group("coef") is not None else Fraction(1)
         if m.group("sign") == "-":
             coef = -coef
@@ -529,7 +538,8 @@ class Scalar:
     def parse(cls, text: str) -> "Scalar":
         """Parse ``p``, ``p/q``, decimals, and forms like
         ``(35+24*pi^2)/(7*pi^2)`` with even pi powers up to
-        ``MAX_PI_POWER``."""
+        ``MAX_PI_POWER`` and decimal exponents up to ``MAX_DECIMAL_EXPONENT``
+        in size."""
         s = "".join(text.split())
         if not s:
             raise ValueError("empty scalar text")

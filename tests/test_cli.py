@@ -285,6 +285,13 @@ def test_bad_precision_env_rejected(capsys, monkeypatch):
     ("region", "--type", "pv-ep", "--ve", "8", "--resolution", "100000000"),
     ("derive", "ve=6", "ep=4", "pv=4+pi^200000000"),
     ("derive", "ve=6", "ep=4", "pv=(4+pi^2000000)/(1+pi^2000000)"),
+    ("derive", "ve=6", "ep=4", "pv=4e999999999"),
+    ("derive", "ve=6", "ep=4", "pv=4+1e-999999999"),
+    ("measure", "--generator", "spoke_cube", "--arg", "k=1000000000"),
+    ("measure", "--generator", "core_prism_cube", "--arg", "n=1000000000"),
+    ("sample", "--count", "100000000"),
+    ("transform", "--op", "central-point", "--catalog", "ex01_voronoi",
+     "--steps", "100000000"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -1,11 +1,13 @@
 """Periodic complex engine: building, measuring, validating generators."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
 from tesstopo import catalog
 from tesstopo.complexes import (
+    GENERATORS,
     build_complex,
     domain_from_json,
     generate,
@@ -14,6 +16,7 @@ from tesstopo.complexes import (
     validate,
     vertex_stats,
 )
+from tesstopo.complexes.generators import MAX_SIZE
 from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
 
 SEVEN = ("edges_per_vertex", "plates_per_edge", "vertices_per_plate",
@@ -184,6 +187,14 @@ def test_unknown_generator_rejected():
         generate("spoke_cube", wrong_arg=2)
 
 
+def test_sized_generators_are_capped():
+    assert len(generate("spoke_cube", k=MAX_SIZE).cells) == 4 * (MAX_SIZE + 2)
+    for name in ("spoke_cube", "core_prism_cube"):
+        for kw in ({"k": MAX_SIZE + 1}, {"n": 10 ** 9}):
+            with pytest.raises(GeneratorParameterError, match=f"at most {MAX_SIZE}"):
+                generate(name, **kw)
+
+
 def test_overlapping_cells_rejected():
     unit = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
             (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -229,6 +240,89 @@ def test_obj_dump_lists_all_cells():
     obj = dom.obj_dump()
     assert obj.count("\ng ") == 3
     assert "v " in obj and "f " in obj
+
+
+# Unimodular maps (determinant +-1) with rational translations: they keep
+# every incidence but move the cells off the grid and tilt the facet planes.
+_UNIMODULAR = (
+    ((F(0), F(1), F(0)), (F(1), F(0), F(1)), (F(0), F(0), F(-1))),
+    ((F(1), F(-1), F(0)), (F(0), F(1), F(1)), (F(1), F(0), F(2))),
+    ((F(1), F(0), F(1)), (F(1), F(1), F(0)), (F(0), F(0), F(1))),
+)
+_TRIANGLE_OFFSETS = ("1/9", "13/11", "2/5", "4/7", "-1/3", "5/6", "7/8", "0")
+STRUCTURE_CASES = [(name, name, {}, None) for name in GENERATORS] + [
+    ("spoke_cube-k2-n1", "spoke_cube", {"k": 2, "n": 1}, None),
+    ("core_prism_cube-k1-n1", "core_prism_cube", {"k": 1, "n": 1}, None),
+    ("prism_columns-triangle-offsets", "prism_columns",
+     {"base": "triangle", "offsets": _TRIANGLE_OFFSETS}, None),
+    ("cubic_lattice-2x2x2", "cubic_lattice", {}, ("replicate", (2, 2, 2))),
+    ("parallel_pyramids-1x2x1", "parallel_pyramids", {}, ("replicate", (1, 2, 1))),
+    ("parallel_pyramids-image", "parallel_pyramids", {},
+     ("affine", (_UNIMODULAR[0], (F(1, 3), F(-2, 7), F(5))))),
+    ("divided_cube-image", "divided_cube", {},
+     ("affine", (_UNIMODULAR[1], (F(-1, 2), F(3, 8), F(0))))),
+    ("stratum_prism-image", "stratum_prism", {},
+     ("affine", (_UNIMODULAR[2], (F(2, 3), F(1, 5), F(-7, 4))))),
+]
+# SHA-256 of the repr of every structural field of the built complex,
+# recorded from the builder that clipped every facet pair at every shift,
+# split every segment instance and hulled every cell on its own.
+STRUCTURE_DIGESTS = {
+    "cubic_lattice":
+        "cc68cc534d7ec84f9a96793611717907e95bedf12b9afd10e3e13227dba519c6",
+    "parallel_pyramids":
+        "f47232918aafb7ac462cd00b8f6ab688be6c20494f4ab598a640067c64035f9e",
+    "divided_cube":
+        "736878ede80c3136c247c16f9d7c73e23668010b786dd8372f989afa8b25846d",
+    "split_prism":
+        "def52708889bc6da88aff05a05089864c2899e07d832e40c1d6632fe6fa08bd5",
+    "prism_columns":
+        "691937c633484fe953e63e96152987594b461b7bf49ad826953c751bc65775b9",
+    "stratum_prism":
+        "285f29ba037927d89bbd33af747e4d3556cbb8cdac197bba5f1fcd80c138ed50",
+    "spoke_cube":
+        "3ddb001ba7d1249a22b7dfb47632d96ac73e28db64f6c03321d8b7561059fadb",
+    "core_prism_cube":
+        "c2bb25a90a37efe355276766792e13c689f4c161d2a174027c3842cb9c69949a",
+    "spoke_cube-k2-n1":
+        "d35d936fdb409a7cd60311766180e06fe74c1d4a94f518675b3f1060d760494c",
+    "core_prism_cube-k1-n1":
+        "44ebdb2a43e76645d9b66b738e24233c7c8365a7f0d9a150e58d57022253c471",
+    "prism_columns-triangle-offsets":
+        "7d5d428ad46bcd332a0efa76896a35e50b546462f0cf682ed2af63eb2f7a54eb",
+    "cubic_lattice-2x2x2":
+        "e608f88cc094b08c7f6274b3cdcaba8b39335a877e672b439b5ddf5419ca2ae2",
+    "parallel_pyramids-1x2x1":
+        "2f7977fbb27bbe29e08280da015ee2a632428a3c8cabe39890c24eae993c366e",
+    "parallel_pyramids-image":
+        "d4756c6523faea45d26cf17bd071a517a5c8f7fc30bc7e8490adedb982a5cc94",
+    "divided_cube-image":
+        "fefc7ed2dfd9ad1738e014c31d2eaae8e74b10d3c2bdffb4447e7b759690f7eb",
+    "stratum_prism-image":
+        "1512d774e5d8a60cc1cea938fcbd9c8dfbc35cad4f10929e5851ba4efdac7c23",
+}
+
+
+def structure_digest(cx) -> str:
+    text = repr((cx.plates, cx.vertices, cx.edges, cx.cell_records,
+                 cx.face_to_face, cx.diagnostics))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def structure_case_complex(built, name, kw, change):
+    if change is None:
+        return built(name, **kw)
+    domain = generate(name, **kw)
+    if change[0] == "replicate":
+        return build_complex(domain.replicate(*change[1]))
+    return build_complex(domain.affine_image(*change[1]))
+
+
+@pytest.mark.parametrize("case_id,name,kw,change", STRUCTURE_CASES,
+                         ids=[case[0] for case in STRUCTURE_CASES])
+def test_build_structure_is_pinned(built, case_id, name, kw, change):
+    cx = structure_case_complex(built, name, kw, change)
+    assert structure_digest(cx) == STRUCTURE_DIGESTS[case_id]
 
 
 def test_supercell_measures_identically(built):

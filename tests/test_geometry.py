@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from tesstopo.errors import NonConvexCellError
+from tesstopo.complexes import GENERATORS, generate
 from tesstopo.complexes.geometry import (
+    add,
     convex_hull,
     convex_intersection2,
     det3,
@@ -55,6 +57,16 @@ def test_flat_point_set_rejected():
     flat = [(F(x), F(y), F(0)) for x in (0, 1) for y in (0, 1)]
     with pytest.raises(NonConvexCellError):
         convex_hull(flat)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_hull_commutes_with_translation(name):
+    # the builder hulls one cell per translation class and translates it
+    s = (F(-7, 3), F(5, 8), F(11, 2))
+    for cell in generate(name).cells:
+        points = list(cell.apices)
+        moved = convex_hull([add(p, s) for p in reversed(points)])
+        assert moved == convex_hull(points).translate(s)
 
 
 def test_facet_equalities_classification():

@@ -126,6 +126,14 @@ def test_pi_power_cap():
         Scalar.parse("1+pi^12")
 
 
+def test_decimal_exponent_cap():
+    assert Scalar.parse("1e1000") == Scalar(10 ** 1000)
+    assert Scalar.parse("25e-1000") == Scalar(Fraction(25, 10 ** 1000))
+    for text in ("1e1001", "2.5e-1001", "1e999999999", "1+1E-00000999999999"):
+        with pytest.raises(ValueError, match="decimal exponents beyond 1000"):
+            Scalar.parse(text)
+
+
 def test_float_rejection():
     with pytest.raises(TypeError):
         Scalar(0.5)

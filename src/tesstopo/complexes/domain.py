@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import NotATessellationError, UsageError
+from ..scalar import parse_fraction
 from .geometry import (
     Mat,
     Polyhedron,
@@ -24,8 +25,6 @@ from .geometry import (
     smul,
     vec3,
 )
-
-_F = Fraction
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,9 @@ def _parse_frac(text) -> Fraction:
         raise NotATessellationError("coordinates must be rational numbers")
     if isinstance(text, (int, str, Fraction)):
         try:
-            return _F(text)
+            return parse_fraction(text)
+        except UsageError:
+            raise
         except (ValueError, ZeroDivisionError) as exc:
             raise NotATessellationError(f"bad rational literal {text!r}") from exc
     raise NotATessellationError(f"bad rational literal {text!r}")

@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from ..errors import GeneratorParameterError
+from ..errors import GeneratorParameterError, UsageError
+from ..scalar import parse_fraction
 from .domain import FundamentalDomain, make_domain
 from .geometry import Vec, convex_hull, cross2, vec3
 
@@ -148,7 +149,9 @@ def prism_columns(base: str = "square",
             raise GeneratorParameterError(
                 f"{base} base has {count} columns, got {len(offsets)} offsets")
         try:
-            heights = [_F(o) for o in offsets]
+            heights = [parse_fraction(o) for o in offsets]
+        except UsageError:
+            raise
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise GeneratorParameterError(
                 f"offsets must be rational numbers, got {offsets!r}") from exc

@@ -218,7 +218,8 @@ class FeasibilityReport:
         }
 
 
-def _cyclic_rows(ve: Scalar, ep: Scalar, pv: Scalar, branch: str) -> list[Bound]:
+@functools.lru_cache(maxsize=8)  # classify and the staged calls on a profile share it
+def _cyclic_rows(ve: Scalar, ep: Scalar, pv: Scalar, branch: str) -> tuple[Bound, ...]:
     rows = [
         _bound("edges_per_vertex_min", "edges_per_vertex", ve, ">=", Scalar(4)),
         _bound("plates_per_edge_min", "plates_per_edge", ep, ">=", Scalar(3)),
@@ -235,7 +236,7 @@ def _cyclic_rows(ve: Scalar, ep: Scalar, pv: Scalar, branch: str) -> list[Bound]
         rows.append(_bound("vertices_per_plate_high_regime_min", "vertices_per_plate",
                            pv, ">", ve * ep / (2 * (ve - 2)) if high else ZERO,
                            applicable=high))
-    return rows
+    return tuple(rows)
 
 
 def classify(params: TessParams) -> FeasibilityReport:
@@ -251,14 +252,14 @@ def classify(params: TessParams) -> FeasibilityReport:
     if params.is_face_to_face:
         rows = _cyclic_rows(ve, ep, pv, "face_to_face")
         return FeasibilityReport(params, "face_to_face",
-                                 all(b.satisfied for b in rows), tuple(rows))
+                                 all(b.satisfied for b in rows), rows)
 
-    rows = _cyclic_rows(ve, ep, pv, "general")
     values = {rate: getattr(params, rate) for rate in (PSI, TAU, KAPPA, XI)}
-    rows += [_bound(name, rate, values[rate], relation, _limit(form, rate, values))
-             for name, rate, relation, form in _interior_rows(ve, ep, pv)]
+    rows = _cyclic_rows(ve, ep, pv, "general") + tuple(
+        _bound(name, rate, values[rate], relation, _limit(form, rate, values))
+        for name, rate, relation, form in _interior_rows(ve, ep, pv))
     return FeasibilityReport(params, "general",
-                             all(b.satisfied for b in rows), tuple(rows))
+                             all(b.satisfied for b in rows), rows)
 
 
 # ---- staged regions ----

@@ -10,18 +10,26 @@ sign of the difference is certain; this terminates for the same reason.
 
 Coefficient tuples are indexed by the power of pi^2, so ``(35, 24)``
 denotes ``35 + 24*pi^2``.
+
+Arithmetic and order between two rationals run on their two ints. Other
+values reach lowest terms through a polynomial gcd over ``int``: a primitive
+remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), whose remainders are kept
+small by dividing out their content.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Union
 
 import mpmath
 
-__all__ = ["Scalar", "as_scalar", "PI2", "ZERO", "ONE"]
+from .errors import UsageError
+
+__all__ = ["Scalar", "as_scalar", "parse_fraction", "PI2", "ZERO", "ONE"]
 
 Coeffs = tuple[int, ...]
 ScalarLike = Union["Scalar", int, Fraction, str]
@@ -40,7 +48,7 @@ def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
 
 
 def _pneg(a: Coeffs) -> Coeffs:
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -52,68 +60,48 @@ def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
     return _trim(out)
 
 
-def _fdeg(a: list[Fraction]) -> int:
-    for i in range(len(a) - 1, -1, -1):
-        if a[i]:
-            return i
-    return -1
+def _primpart(a: Coeffs) -> Coeffs:
+    g = math.gcd(*a)
+    return tuple(x // g for x in a) if g > 1 else a
 
 
-def _frem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db = _fdeg(b)
-    da = _fdeg(a)
-    while da >= db:
-        q = a[da] / b[db]
-        for i in range(db + 1):
-            a[da - db + i] -= q * b[i]
-        da = _fdeg(a)
-    return a
-
-
-def _primitive(fr: list[Fraction]) -> Coeffs:
-    # scale a nonzero rational polynomial to primitive integer form,
-    # leading coefficient positive
-    d = _fdeg(fr)
-    fr = fr[: d + 1]
-    scale = math.lcm(*(f.denominator for f in fr))
-    ints = [int(f * scale) for f in fr]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    if ints[-1] < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+def _prem(a: Coeffs, b: Coeffs) -> Coeffs:
+    # a scaled by a power of lc(b), reduced modulo b; () is zero
+    out, db, lb = list(a), len(b) - 1, b[-1]
+    while len(out) > db:
+        la, k = out[-1], len(out) - 1 - db
+        out = [lb * x for x in out]
+        for i, y in enumerate(b):
+            out[k + i] -= la * y
+        while out and out[-1] == 0:
+            out.pop()
+    return tuple(out)
 
 
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-    while _fdeg(fb) >= 0:
-        fa, fb = fb, _frem(fa, fb)
-    g = _primitive(fa)
-    # constant gcds are handled by integer content reduction instead
-    return g if len(g) > 1 else (1,)
+    # primitive remainder sequence over int: by Gauss's lemma its last
+    # nonzero term is the primitive gcd, up to sign
+    a, b = _primpart(a), _primpart(b)
+    r = _prem(a, b)
+    while len(r) > 1:
+        a, b = b, _primpart(r)
+        r = _prem(a, b)
+    if r:  # constant gcds are handled by integer content reduction instead
+        return (1,)
+    return b if b[-1] > 0 else _pneg(b)
 
 
 def _pdivexact(a: Coeffs, g: Coeffs) -> Coeffs:
-    fa = [Fraction(x) for x in a]
-    dg = _fdeg([Fraction(x) for x in g])
-    out = [Fraction(0)] * (len(fa) - dg)
-    da = _fdeg(fa)
-    while da >= dg:
-        q = fa[da] / g[dg]
-        out[da - dg] = q
-        for i in range(dg + 1):
-            fa[da - dg + i] -= q * g[i]
-        da = _fdeg(fa)
-    if _fdeg(fa) >= 0:
-        raise ArithmeticError("polynomial division left a remainder")
-    ints = []
-    for f in out:
-        if f.denominator != 1:
-            raise ArithmeticError("polynomial quotient is not integral")
-        ints.append(int(f))
-    return _trim(ints)
+    # exact over int, since g is primitive (Gauss's lemma)
+    rem, dg = list(a), len(g) - 1
+    out = [0] * (len(a) - dg)
+    for k in range(len(out) - 1, -1, -1):
+        q = out[k] = rem[k + dg] // g[-1]  # an inexact step leaves rem[k + dg] nonzero
+        for i, y in enumerate(g):
+            rem[k + i] -= q * y
+    if any(rem):
+        raise ArithmeticError("polynomial division is not exact")
+    return _trim(out)
 
 
 def _normalize(n: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs]:
@@ -139,10 +127,8 @@ def _normalize(n: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs]:
 def _side(x: object) -> list[Fraction]:
     if isinstance(x, bool):
         raise TypeError("bool is not a coefficient")
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return [Fraction(x)]
-    if isinstance(x, Fraction):
-        return [x]
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, Fraction or str")
     if isinstance(x, Scalar):
@@ -161,8 +147,8 @@ def _side(x: object) -> list[Fraction]:
     return out
 
 
-def _iv_eval(c: Coeffs, x):
-    acc = mpmath.iv.mpf(c[-1])
+def _horner(c: Coeffs, x, mpf):
+    acc = mpf(c[-1])
     for k in reversed(c[:-1]):
         acc = acc * x + k
     return acc
@@ -176,18 +162,11 @@ def _iv_sign(v) -> int:
     return 0
 
 
-def _mp_eval(c: Coeffs, x):
-    acc = mpmath.mpf(c[-1])
-    for k in reversed(c[:-1]):
-        acc = acc * x + k
-    return acc
-
-
 # the highest pi power scalar text may carry: above every parameter the
-# package prints (pi^8, in mixtures of the pi^2 catalog entries), and low
-# enough that work on seven such parameters stays short; the polynomial gcd
-# grows steeply with the degree
-MAX_PI_POWER = 10
+# package prints (pi^8, in mixtures of the pi^2 catalog entries), and the
+# highest even one at which `derive` on seven parameters dense in every even
+# power stays under 3 s: 1.6-1.9 s at pi^22, 2.4-3.1 s at pi^24 (shared 2-core machine)
+MAX_PI_POWER = 22
 # the largest decimal exponent, of either sign, a coefficient may carry:
 # Fraction builds the whole power of ten, so "1e999999999" would take minutes
 # and hundreds of megabytes; the exact text the program prints carries none
@@ -195,9 +174,23 @@ MAX_DECIMAL_EXPONENT = 1000
 
 _TERM = re.compile(
     r"(?P<sign>[+-]?)"
-    r"(?:(?P<coef>\d+(?:\.\d+)?(?:[eE](?P<dexp>[+-]?\d+))?)(?P<star>\*)?)?"
+    r"(?:(?P<coef>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?P<star>\*)?)?"
     r"(?:pi\^(?P<exp>\d+))?"
 )
+_DECIMAL_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)")
+
+
+def parse_fraction(text: object) -> Fraction:
+    """``Fraction(text)``, refusing text whose decimal exponent exceeds
+    ``MAX_DECIMAL_EXPONENT`` in size before Fraction builds its power of ten."""
+    m = _DECIMAL_EXPONENT.search(text) if isinstance(text, str) else None
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+            raise UsageError(
+                f"decimal exponents beyond {MAX_DECIMAL_EXPONENT} are not accepted")
+    return Fraction(text)
 
 
 def _balanced(s: str) -> bool:
@@ -226,12 +219,7 @@ def _parse_poly(s: str) -> list[Fraction]:
             raise ValueError(f"cannot parse scalar text at {s[pos:]!r}")
         if not first and not m.group("sign"):
             raise ValueError(f"missing operator before {s[pos:]!r}")
-        exponent = (m.group("dexp") or "").lstrip("+-0")
-        if (len(exponent) > len(str(MAX_DECIMAL_EXPONENT))
-                or int(exponent or 0) > MAX_DECIMAL_EXPONENT):
-            raise ValueError(
-                f"decimal exponents beyond {MAX_DECIMAL_EXPONENT} are not accepted")
-        coef = Fraction(m.group("coef")) if m.group("coef") is not None else Fraction(1)
+        coef = parse_fraction(m.group("coef")) if m.group("coef") is not None else Fraction(1)
         if m.group("sign") == "-":
             coef = -coef
         if m.group("exp") is not None:
@@ -279,6 +267,14 @@ def _nterms(c: Coeffs) -> int:
     return sum(1 for k in c if k)
 
 
+def _order(test):
+    # an order operator read from the sign that Scalar._compare gives
+    def method(self, other):
+        c = self._compare(other)
+        return NotImplemented if c is None else test(c, 0)
+    return method
+
+
 class Scalar:
     """An exact value ``num(pi^2) / den(pi^2)`` in canonical lowest terms.
 
@@ -294,21 +290,29 @@ class Scalar:
             if not (isinstance(den, int) and den == 1):
                 raise TypeError("string form carries its own denominator")
             s = Scalar.parse(num)
-            self._num, self._den = s._num, s._den
-            return
-        nf = _side(num)
-        df = _side(den)
-        scale = math.lcm(*(f.denominator for f in nf + df))
-        n = _trim(int(f * scale) for f in nf)
-        d = _trim(int(f * scale) for f in df)
-        self._num, self._den = _normalize(n, d)
+        elif type(num) is int and type(den) is int:
+            s = Scalar._rat(num, den)
+        else:
+            nf = _side(num)
+            df = _side(den)
+            scale = math.lcm(*(f.denominator for f in nf + df))
+            s = Scalar._raw([int(f * scale) for f in nf], [int(f * scale) for f in df])
+        self._num, self._den = s._num, s._den
 
     @classmethod
     def _raw(cls, n: Coeffs, d: Coeffs) -> "Scalar":
         obj = object.__new__(cls)
-        num, den = _normalize(_trim(n), _trim(d))
-        object.__setattr__(obj, "_num", num)
-        object.__setattr__(obj, "_den", den)
+        obj._num, obj._den = _normalize(_trim(n), _trim(d))
+        return obj
+
+    @classmethod
+    def _rat(cls, n: int, d: int) -> "Scalar":
+        """The canonical form of the rational n/d, from two ints."""
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)  # gcd(0, d) = |d|: zero is 0/1
+        obj = object.__new__(cls)
+        obj._num, obj._den = (n // g,), (d // g,)
         return obj
 
     # ---- structure ----
@@ -336,6 +340,9 @@ class Scalar:
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        if _rationals(self, o):
+            return Scalar._rat(self._num[0] * o._den[0] + o._num[0] * self._den[0],
+                               self._den[0] * o._den[0])
         return Scalar._raw(
             _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)),
             _pmul(self._den, o._den),
@@ -347,21 +354,21 @@ class Scalar:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar._raw(
-            _padd(_pmul(self._num, o._den), _pneg(_pmul(o._num, self._den))),
-            _pmul(self._den, o._den),
-        )
+        if _rationals(self, o):
+            return Scalar._rat(self._num[0] * o._den[0] - o._num[0] * self._den[0],
+                               self._den[0] * o._den[0])
+        return self + -o
 
     def __rsub__(self, other):
         o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
+        return NotImplemented if o is None else o + -self
 
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        if _rationals(self, o):
+            return Scalar._rat(self._num[0] * o._num[0], self._den[0] * o._den[0])
         return Scalar._raw(_pmul(self._num, o._num), _pmul(self._den, o._den))
 
     __rmul__ = __mul__
@@ -372,13 +379,13 @@ class Scalar:
             return NotImplemented
         if o._num == (0,):
             raise ZeroDivisionError("division by zero scalar")
+        if _rationals(self, o):
+            return Scalar._rat(self._num[0] * o._den[0], self._den[0] * o._num[0])
         return Scalar._raw(_pmul(self._num, o._den), _pmul(self._den, o._num))
 
     def __rtruediv__(self, other):
         o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, n):
         if not isinstance(n, int) or isinstance(n, bool):
@@ -394,7 +401,9 @@ class Scalar:
         return out
 
     def __neg__(self):
-        return Scalar._raw(_pneg(self._num), self._den)
+        obj = object.__new__(Scalar)  # negating a canonical form keeps it canonical
+        obj._num, obj._den = _pneg(self._num), self._den
+        return obj
 
     def __pos__(self):
         return self
@@ -419,8 +428,8 @@ class Scalar:
             try:
                 mpmath.iv.prec = prec
                 x = mpmath.iv.pi * mpmath.iv.pi
-                ns = _iv_sign(_iv_eval(self._num, x))
-                ds = _iv_sign(_iv_eval(self._den, x))
+                ns = _iv_sign(_horner(self._num, x, mpmath.iv.mpf))
+                ds = _iv_sign(_horner(self._den, x, mpmath.iv.mpf))
             finally:
                 mpmath.iv.prec = old
             if ns and ds:
@@ -435,33 +444,20 @@ class Scalar:
             return NotImplemented
         return self._num == o._num and self._den == o._den
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
-    def __lt__(self, other):
+    def _compare(self, other) -> int | None:
+        """The sign of ``self - other``; rationals compare by cross products."""
         o = _coerce(other)
         if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+            return None
+        if _rationals(self, o):
+            lhs, rhs = self._num[0] * o._den[0], o._num[0] * self._den[0]
+            return (lhs > rhs) - (lhs < rhs)
+        return (self - o).sign()
 
-    def __le__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def __hash__(self):
         if self.is_rational:
@@ -476,13 +472,13 @@ class Scalar:
             raise ValueError("digits must be positive")
         with mpmath.workdps(digits + 20):
             x = mpmath.pi * mpmath.pi
-            v = _mp_eval(self._num, x) / _mp_eval(self._den, x)
+            v = _horner(self._num, x, mpmath.mpf) / _horner(self._den, x, mpmath.mpf)
             return mpmath.nstr(v, digits, strip_zeros=False)
 
     def __float__(self) -> float:
         with mpmath.workdps(30):
             x = mpmath.pi * mpmath.pi
-            return float(_mp_eval(self._num, x) / _mp_eval(self._den, x))
+            return float(_horner(self._num, x, mpmath.mpf) / _horner(self._den, x, mpmath.mpf))
 
     def render(self) -> str:
         num_s = _poly_str(self._num)
@@ -568,21 +564,25 @@ def _coerce(x: object) -> Scalar | None:
         return x
     if isinstance(x, bool):
         return None
-    if isinstance(x, (int, Fraction)):
-        return Scalar(x)
+    if isinstance(x, int):
+        return Scalar._rat(x, 1)
+    if isinstance(x, Fraction):
+        return Scalar._rat(x.numerator, x.denominator)
     return None
+
+
+def _rationals(a: Scalar, b: Scalar) -> bool:
+    # canonical tuples are never empty, so four lengths sum to 4 only when all are 1
+    return len(a._num) + len(a._den) + len(b._num) + len(b._den) == 4
 
 
 def as_scalar(x: ScalarLike) -> Scalar:
     """Coerce an exact value (Scalar, int, Fraction, or parseable str)."""
-    if isinstance(x, Scalar):
-        return x
+    s = Scalar.parse(x) if isinstance(x, str) else _coerce(x)
+    if s is not None:
+        return s
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
-    if isinstance(x, (int, Fraction)):
-        return Scalar(x)
-    if isinstance(x, str):
-        return Scalar.parse(x)
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass str, int or Fraction")
     raise TypeError(f"cannot interpret {type(x).__name__} as a scalar")

@@ -289,11 +289,16 @@ def test_bad_precision_env_rejected(capsys, monkeypatch):
     ("derive", "ve=6", "ep=4", "pv=4+1e-999999999"),
     ("measure", "--generator", "spoke_cube", "--arg", "k=1000000000"),
     ("measure", "--generator", "core_prism_cube", "--arg", "n=1000000000"),
+    ("measure", "--generator", "prism_columns", "--arg", "offsets=1e999999999,0,1/4,1/2"),
+    ("measure", "--domain", {"lattice": [["1e2000000", "0", "0"], ["0", "1", "0"],
+                                         ["0", "0", "1"]], "cells": []}),
     ("sample", "--count", "100000000"),
     ("transform", "--op", "central-point", "--catalog", "ex01_voronoi",
      "--steps", "100000000"),
 ])
-def test_usage_errors_exit_two(capsys, argv):
+def test_usage_errors_exit_two(capsys, tmp_path, argv):
+    # a dict stands for a domain file holding it
+    argv = [domain_file(tmp_path, json.dumps(a)) if isinstance(a, dict) else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.strip()
@@ -301,12 +306,12 @@ def test_usage_errors_exit_two(capsys, argv):
 
 def test_pi_powers_at_the_cap_complete(capsys):
     # seven parameters at the highest accepted pi power: derive and check finish
-    argv = ("ve=(6*pi^10+1)/(pi^10+1)", "ep=(5*pi^8+3)/(pi^8+2)", "pv=(5*pi^10+5)/(pi^10+7)",
-            "xi=pi^8/(3*pi^8+1)", "kappa=1/(pi^10+4)", "psi=(2*pi^10+1)/(pi^8+3)",
-            "tau=(pi^10+1)/(pi^8+5)")
+    argv = ("ve=(6*pi^22+1)/(pi^22+1)", "ep=(5*pi^20+3)/(pi^20+2)", "pv=(5*pi^22+5)/(pi^22+7)",
+            "xi=pi^20/(3*pi^20+1)", "kappa=1/(pi^22+4)", "psi=(2*pi^22+1)/(pi^20+3)",
+            "tau=(pi^22+1)/(pi^20+5)")
     code, out, _ = run(capsys, "derive", *argv)
     assert code == 0
-    assert "pi^10" in out
+    assert "pi^22" in out
     code, out, _ = run(capsys, "check", *argv)
     assert code in (0, 1)
     assert "feasible" in out

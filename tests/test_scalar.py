@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from tesstopo.scalar import Scalar, as_scalar, PI2, ZERO, ONE
+from tesstopo.scalar import Scalar, as_scalar, PI2, ZERO, ONE, _normalize, _pmul
 
 
 coeff_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
@@ -121,9 +121,9 @@ def test_parse_rejects_garbage():
 
 
 def test_pi_power_cap():
-    assert Scalar.parse("1+pi^10") == Scalar((1, 0, 0, 0, 0, 1))
-    with pytest.raises(ValueError, match="pi powers above 10"):
-        Scalar.parse("1+pi^12")
+    assert Scalar.parse("1+pi^22") == Scalar((1,) + (0,) * 10 + (1,))
+    with pytest.raises(ValueError, match="pi powers above 22"):
+        Scalar.parse("1+pi^24")
 
 
 def test_decimal_exponent_cap():
@@ -207,3 +207,84 @@ def test_mixed_operand_arithmetic():
 def test_sum_builtin():
     vals = [Scalar(1), PI2, Scalar(Fraction(1, 2))]
     assert sum(vals) == Scalar((3, 2), (2,))
+
+
+# ---- differential checks against Fraction and a reference gcd ----
+
+fractions = st.fractions(max_denominator=10 ** 12).filter(lambda f: abs(f) < 10 ** 12)
+
+
+@given(fractions, fractions)
+def test_rational_arithmetic_matches_fraction(a, b):
+    sa, sb = Scalar(a), Scalar(b)
+    results = [(sa + sb, a + b), (sa - sb, a - b), (sa * sb, a * b)]
+    if b:
+        results.append((sa / sb, a / b))
+    for got, want in results:
+        assert got.num_coeffs == (want.numerator,)
+        assert got.den_coeffs == (want.denominator,)
+        assert hash(got) == hash(want)
+    assert (sa < sb, sa <= sb, sa > sb, sa >= sb, sa == sb) == (
+        a < b, a <= b, a > b, a >= b, a == b)
+    # mixed operands coerce the same way
+    assert (sa + b, a - sb, sa * b, sa < b, a >= sb) == (
+        Scalar(a + b), Scalar(a - b), Scalar(a * b), a < b, a >= b)
+
+
+def _ref_deg(a):
+    return max((i for i, x in enumerate(a) if x), default=-1)
+
+
+def _ref_rem(a, b):
+    a = list(a)
+    db, da = _ref_deg(b), _ref_deg(a)
+    while da >= db:
+        q = a[da] / b[db]
+        for i in range(db + 1):
+            a[da - db + i] -= q * b[i]
+        da = _ref_deg(a)
+    return a
+
+
+def _ref_normalize(n, d):
+    """Canonical form by Euclid over Fraction: the definition the integer
+    gcd must reproduce tuple for tuple."""
+    if not any(n):
+        return (0,), (1,)
+    c = math.gcd(*n, *d)
+    n, d = [Fraction(x, c) for x in n], [Fraction(x, c) for x in d]
+    a, b = n, d
+    while _ref_deg(b) >= 0:
+        a, b = b, _ref_rem(a, b)
+    g = a[: _ref_deg(a) + 1]
+    if len(g) > 1:  # divide out the gcd, then clear denominators
+        quotients = []
+        for p in (n, d):
+            p, q = list(p), [Fraction(0)] * (_ref_deg(p) - len(g) + 2)
+            for k in range(len(q) - 1, -1, -1):
+                q[k] = p[k + len(g) - 1] / g[-1]
+                for i, y in enumerate(g):
+                    p[k + i] -= q[k] * y
+            assert not any(p)
+            quotients.append(q)
+        scale = math.lcm(*(x.denominator for x in quotients[0] + quotients[1]))
+        n, d = ([int(x * scale) for x in q] for q in quotients)
+        content = math.gcd(*n, *d)
+        n, d = [x // content for x in n], [x // content for x in d]
+    n, d = [int(x) for x in n], [int(x) for x in d]
+    while len(n) > 1 and n[-1] == 0:
+        n.pop()
+    if d[-1] < 0:
+        n, d = [-x for x in n], [-x for x in d]
+    return tuple(n), tuple(d)
+
+
+int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(
+    lambda c: c[-1] != 0)
+
+
+@settings(max_examples=300)
+@given(int_polys, int_polys, int_polys)
+def test_normalize_matches_fraction_euclid(g, a, b):
+    n, d = _pmul(g, a), _pmul(g, b)
+    assert _normalize(n, d) == _ref_normalize(n, d)

@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .errors import UnknownEntryError
-from .feasibility import classify, plate_cap
+from .feasibility import classify, classify_partial, plate_cap
 from .params import TessParams, derive
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, as_scalar
 from . import transforms as _tr
 
 __all__ = ["CatalogEntry", "get", "list_ids", "entries", "verify_catalog",
@@ -103,18 +103,14 @@ class CatalogEntry:
         }
 
 
-def _s(v) -> Scalar:
-    return Scalar(v) if not isinstance(v, Scalar) else v
-
-
 def _entry(entry_id: str, title: str, construction: str, ftf: bool,
            ve, ep, pv=None, xi=None, kappa=None, psi=None, tau=None,
            **kw) -> CatalogEntry:
-    conv = lambda v: None if v is None else _s(v)
+    conv = lambda v: None if v is None else as_scalar(v)
     return CatalogEntry(
         entry_id=entry_id, title=title, construction=construction,
         face_to_face=ftf,
-        edges_per_vertex=_s(ve), plates_per_edge=_s(ep),
+        edges_per_vertex=as_scalar(ve), plates_per_edge=as_scalar(ep),
         vertices_per_plate=conv(pv), pi_edge_share=conv(xi),
         hemi_vertex_share=conv(kappa), ridge_interior_rate=conv(psi),
         side_interior_rate=conv(tau), **kw)
@@ -133,8 +129,8 @@ _FIXED: tuple[CatalogEntry, ...] = (
         "ex02_delaunay", "Poisson-Delaunay",
         "Delaunay tetrahedra spanned by a stationary Poisson point process.",
         True, Scalar((70, 48), 35), Scalar((0, 144), (35, 24)), 3, 0, 0, 0, 0,
-        adjacency_checks=(("cell", "vertex", _s(4)), ("cell", "edge", _s(6)),
-                          ("cell", "plate", _s(4))),
+        adjacency_checks=(("cell", "vertex", as_scalar(4)), ("cell", "edge", as_scalar(6)),
+                          ("cell", "plate", as_scalar(4))),
         notes="All cells are tetrahedra, hence on the ceiling curve.",
     ),
     _entry(
@@ -188,7 +184,7 @@ _FIXED: tuple[CatalogEntry, ...] = (
         "cube diagonal; diagonals in every 2x2x2 block point at the block "
         "centre so no added plate shows on the block surface.",
         True, 11, F(48, 11), F(16, 5), 0, 0, 0, 0,
-        adjacency_checks=(("vertex", "cell", _s(15)), ("cell", "vertex", _s(5))),
+        adjacency_checks=(("vertex", "cell", as_scalar(15)), ("cell", "vertex", as_scalar(5))),
         generator="divided_cube",
         notes="Vertices are lattice points with three pyramids each. Shares "
               "its tuple with ex10d_coned_cubic, a different construction.",
@@ -354,7 +350,7 @@ def spoke_cube_entry(k: int, n: int) -> CatalogEntry:
         "Cubic lattice with a subdivided centre line and boundary spokes in "
         "every cube; unbounded vertex degree.",
         True, ve, ep, pv, 0, 0, 0, 0,
-        adjacency_checks=(("vertex", "plate", _s(vp)), ("vertex", "cell", _s(vz))),
+        adjacency_checks=(("vertex", "plate", as_scalar(vp)), ("vertex", "cell", as_scalar(vz))),
         generator="spoke_cube", generator_args={"k": k, "n": n},
     )
 
@@ -377,8 +373,8 @@ def core_prism_cube_entry(k: int, n: int) -> CatalogEntry:
         "Cubic lattice with a central stack of k+1 prisms over a 4(n+1)-gon "
         "in every cube; unbounded vertex count per cell.",
         ftf, ve, ep, pv,
-        adjacency_checks=(("cell", "vertex", _s(zv)), ("cell", "edge", _s(ze)),
-                          ("cell", "plate", _s(zp))),
+        adjacency_checks=(("cell", "vertex", as_scalar(zv)), ("cell", "edge", as_scalar(ze)),
+                          ("cell", "plate", as_scalar(zp))),
         generator="core_prism_cube", generator_args={"k": k, "n": n},
         notes="" if ftf else ("Stacked core prisms break the face-to-face "
                               "property for k >= 1; the interior rates are "
@@ -511,8 +507,6 @@ def _rebuild(entry: CatalogEntry) -> TessParams | None:
 
 
 def _check_entry(entry: CatalogEntry, complain) -> None:
-    ve, ep, pv = entry.edges_per_vertex, entry.plates_per_edge, entry.vertices_per_plate
-
     if entry.is_complete or entry.face_to_face:
         params = entry.to_params()
         report = classify(params)
@@ -528,22 +522,15 @@ def _check_entry(entry: CatalogEntry, complain) -> None:
                 complain(f"mean {of}->{to} adjacency is {got.render()}, "
                          f"entry says {value.render()}")
         if entry.side_interior_rate is not None and entry.side_interior_rate > 0:
-            if ep < plate_cap(ve):
+            if entry.plates_per_edge < plate_cap(entry.edges_per_vertex):
                 complain("positive side rate below the ceiling curve")
     else:
-        # partial data: run only the bound checks the fields allow
-        if ve < 4:
-            complain("vertex degree below 4")
-        if ep < 3:
-            complain("plate count per edge below 3")
-        if pv is not None:
-            if pv < 3 or pv * (ve - 2) >= ve * ep:
-                complain("plate corner count out of range")
-        if entry.face_to_face and ep > plate_cap(ve):
-            complain("face-to-face entry above the ceiling curve")
-        if not entry.face_to_face and pv is not None and ep >= plate_cap(ve):
-            if 2 * pv * (ve - 2) <= ve * ep:
-                complain("plate corner count too small on or above the curve")
+        # partial data: only the rows whose fields are present
+        present = {f: getattr(entry, f) for f in _CYCLIC + _INTERIOR
+                   if getattr(entry, f) is not None}
+        failed = [b.name for b in classify_partial(present) if not b.satisfied]
+        if failed:
+            complain(f"infeasible: {sorted(failed)}")
 
     if entry.entry_id in _ON_CURVE and not entry.on_cap_curve:
         complain("expected exactly on the ceiling curve")

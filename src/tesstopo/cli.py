@@ -183,8 +183,7 @@ def cmd_region(args) -> int:
             ep_max = as_scalar(args.ep_max) if args.ep_max is not None else None
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad scalar: {exc}") from exc
-        region = (plate_profile_region(ve) if ep_max is None
-                  else plate_profile_region(ve, ep_max))
+        region = plate_profile_region(ve, ep_max)
         # the boundaries are resampled to --resolution, so they are built here
         boundaries = []
         series = []

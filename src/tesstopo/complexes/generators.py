@@ -87,6 +87,8 @@ def split_prism(aligned: bool = False) -> FundamentalDomain:
     every cube is cut the same way and the model degenerates to a
     face-to-face prism lattice.
     """
+    if not isinstance(aligned, bool):
+        raise GeneratorParameterError(f"aligned must be true or false, got {aligned!r}")
     if aligned:
         cube = _box(0, 0, 0, 1, 1, 1)
         lower = [p for p in cube if p[0] >= p[1]]

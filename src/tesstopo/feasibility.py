@@ -15,10 +15,11 @@ tuple (8, 4, 16/5), although the diagonal-pyramid construction has
 (11, 48/11, 16/5); on that catalog row only the ``adjacency_checks`` tell
 the two apart.
 
-The general branch's interior inequalities are one table of linear forms in
-the four interior rates. :func:`classify` solves each row for its rate; the
-staged helpers (ridge and side rate intervals, the rate and share polygons)
-and the sampler are projections of the same rows. All geometry is exact.
+Each branch is one table of linear inequalities: five cyclic rows on the
+plate profile (ve, ep, pv), and in the general branch the interior rows on
+the four interior rates. :func:`classify`, the staged helpers, the sampler,
+the plate-profile region and the catalog self-check all solve the same rows,
+and :func:`row_limit` solves any one of them. All geometry is exact.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ __all__ = [
     "PlateProfileRegion",
     "plate_cap",
     "classify",
+    "classify_partial",
+    "row_limit",
     "ridge_rate_interval",
     "side_rate_interval",
     "interior_rate_region",
@@ -57,10 +60,33 @@ def plate_cap(edges_per_vertex: ScalarLike) -> Scalar:
     return 6 * (1 - 2 / ve)
 
 
-# ---- the interior constraint table ----
+# ---- the constraint tables ----
 
+VE, EP, PV = "edges_per_vertex", "plates_per_edge", "vertices_per_plate"
 PSI, TAU, KAPPA, XI = ("ridge_interior_rate", "side_interior_rate",
                        "hemi_vertex_share", "pi_edge_share")
+_HIGH_REGIME = "vertices_per_plate_high_regime_min"
+
+
+# the cyclic floors, which no profile value enters
+_FLOOR_ROWS = (
+    ("edges_per_vertex_min", VE, ">=", {VE: ONE, "": Scalar(-4)}),
+    ("plates_per_edge_min", EP, ">=", {EP: ONE, "": Scalar(-3)}),
+    ("vertices_per_plate_min", PV, ">=", {PV: ONE, "": Scalar(-3)}),
+)
+
+
+def _cyclic_rows(ve: Scalar, branch: str) -> tuple:
+    """The cyclic rows of a branch in report order, as in :func:`_interior_rows`
+    over the plate profile, with coefficients set by ve."""
+    return (
+        *_FLOOR_ROWS,
+        # keeps the cell intensity positive
+        ("vertices_per_plate_max", PV, "<", {PV: ve - 2, EP: -ve}),
+        ("plates_per_edge_cap", EP, "<=", {EP: ONE, "": -plate_cap(ve)})
+        if branch == "face_to_face" else
+        (_HIGH_REGIME, PV, ">", {PV: 2 * (ve - 2), EP: -ve}),
+    )
 
 
 @functools.lru_cache(maxsize=8)  # classify and the staged calls on a profile share it
@@ -102,14 +128,37 @@ def _interior_rows(ve: Scalar, ep: Scalar, pv: Scalar) -> tuple:
                  for name, rate, relation, form in rows)
 
 
-def _offset(form: dict[str, Scalar], values: dict[str, Scalar]) -> Scalar:
-    """The form's constant with the given rates moved into it."""
-    return sum((c * values[k] for k, c in form.items() if k in values), form.get("", ZERO))
+def _rows(profile: tuple[Scalar, ...]):
+    """The rows of both branches that a (ve, ep, pv) profile, or its start, sets."""
+    yield from _FLOOR_ROWS
+    if len(profile) == 3:
+        yield from _interior_rows(*profile)
+    if profile:
+        yield from _cyclic_rows(profile[0], "general")
+        yield from _cyclic_rows(profile[0], "face_to_face")
+
+
+def _offset(form: dict[str, Scalar], values: dict[str, Scalar], rate: str = "") -> Scalar:
+    """The form's constant with the given rates, but ``rate``, moved into it."""
+    return sum((c * values[k] for k, c in form.items() if k != rate and k in values),
+               form.get("", ZERO))
 
 
 def _limit(form: dict[str, Scalar], rate: str, values: dict[str, Scalar]) -> Scalar:
     """The form solved for ``rate``, the other rates taken from values."""
-    return _offset(form, {k: v for k, v in values.items() if k != rate}) / -form[rate]
+    return _offset(form, values, rate) / -form[rate]
+
+
+def row_limit(name: str, profile: tuple[ScalarLike, ...] = (),
+              values: dict[str, ScalarLike] | None = None) -> Scalar:
+    """Row ``name`` of either branch solved for its rate at the plate profile
+    (ve, ep, pv) and the other ``values``. A row reads only the start of the
+    profile it needs: the floors none of it, the other cyclic rows no pv."""
+    profile = tuple(map(as_scalar, profile))
+    for row_name, rate, _, form in _rows(profile):
+        if row_name == name:
+            return _limit(form, rate, {**dict(zip((VE, EP, PV), profile)), **(values or {})})
+    raise KeyError(f"no row {name!r} reads only a profile of length {len(profile)}")
 
 
 def _rate_bounds(rows, rate: str, values: dict[str, Scalar]) -> tuple[Scalar, Scalar]:
@@ -136,36 +185,6 @@ def _ridge_bounds(rows) -> tuple[Scalar, Scalar]:
     return _rate_bounds([*rows, *(row for row in pairs if row[3][PSI])], PSI, {})
 
 
-def _solved(ve, ep, pv, name: str, values: dict[str, Scalar]) -> Scalar:
-    _, rate, _, form = next(r for r in _interior_rows(ve, ep, pv) if r[0] == name)
-    return _limit(form, rate, values)
-
-
-def _ridge_cap_apices(ve, ep, pv):
-    return _solved(ve, ep, pv, "ridge_rate_cap_apices", {})
-
-
-def _ridge_cap_combined(ve, ep, pv):
-    return _solved(ve, ep, pv, "ridge_rate_cap_combined", {})
-
-
-def _pi_lower_corner(ve, ep, pv, psi, kappa):
-    return _solved(ve, ep, pv, "pi_share_min_side_corners", {PSI: psi, KAPPA: kappa})
-
-
-def _pi_cap_ridges(ve, ep, pv, psi):
-    return _solved(ve, ep, pv, "pi_share_cap_cell_ridges", {PSI: psi})
-
-
-def _pi_cap_sides(ve, ep, pv, kappa):
-    return _solved(ve, ep, pv, "pi_share_cap_cell_sides", {KAPPA: kappa})
-
-
-def _pi_cap_apex(ve, ep, psi, kappa):
-    # the apex row does not involve vertices per plate; any value reads it
-    return _solved(ve, ep, ONE, "pi_share_cap_apex_degree", {PSI: psi, KAPPA: kappa})
-
-
 @dataclass(frozen=True)
 class Bound:
     """One evaluated inequality of the feasibility system."""
@@ -183,13 +202,15 @@ class Bound:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def _bound(name: str, parameter: str, value: Scalar, relation: str,
-           limit: Scalar, applicable: bool = True) -> Bound:
-    if not applicable:
-        return Bound(name, parameter, relation, limit, value, False, True, False)
-    diff = (value - limit).sign()
+def _bound(row: tuple, values: dict[str, Scalar], applies: bool = True) -> Bound:
+    """A row evaluated at values; one that does not apply reports limit 0."""
+    name, rate, relation, form = row
+    if not applies:
+        return Bound(name, rate, relation, ZERO, values[rate], False, True, False)
+    limit = _limit(form, rate, values)
+    diff = (values[rate] - limit).sign()
     sat = {"<=": diff <= 0, "<": diff < 0, ">=": diff >= 0, ">": diff > 0}[relation]
-    return Bound(name, parameter, relation, limit, value, True, sat, diff == 0)
+    return Bound(name, rate, relation, limit, values[rate], True, sat, diff == 0)
 
 
 @dataclass(frozen=True)
@@ -219,24 +240,24 @@ class FeasibilityReport:
 
 
 @functools.lru_cache(maxsize=8)  # classify and the staged calls on a profile share it
-def _cyclic_rows(ve: Scalar, ep: Scalar, pv: Scalar, branch: str) -> tuple[Bound, ...]:
-    rows = [
-        _bound("edges_per_vertex_min", "edges_per_vertex", ve, ">=", Scalar(4)),
-        _bound("plates_per_edge_min", "plates_per_edge", ep, ">=", Scalar(3)),
-        _bound("vertices_per_plate_min", "vertices_per_plate", pv, ">=", Scalar(3)),
-    ]
-    tame = ve > 2  # below that the cell intensity form cannot vanish
-    rows.append(_bound("vertices_per_plate_max", "vertices_per_plate", pv, "<",
-                       ve * ep / (ve - 2) if tame else ZERO, applicable=tame))
-    cap = plate_cap(ve)
-    if branch == "face_to_face":
-        rows.append(_bound("plates_per_edge_cap", "plates_per_edge", ep, "<=", cap))
-    else:
-        high = bool(tame) and ep >= cap
-        rows.append(_bound("vertices_per_plate_high_regime_min", "vertices_per_plate",
-                           pv, ">", ve * ep / (2 * (ve - 2)) if high else ZERO,
-                           applicable=high))
-    return tuple(rows)
+def _cyclic_bounds(ve: Scalar, ep: Scalar, pv: Scalar | None,
+                   branch: str) -> tuple[Bound, ...]:
+    """The cyclic rows of a branch at the profile, less those on pv when it
+    is None. A row applies where its rate has a positive coefficient (ve
+    above 2), and the high-regime floor only on or above the plate cap."""
+    values = {VE: ve, EP: ep, PV: pv}
+    return tuple(_bound(row, values, row[3][row[1]].sign() > 0
+                        and (row[0] != _HIGH_REGIME or ep >= plate_cap(ve)))
+                 for row in _cyclic_rows(ve, branch) if pv is not None or PV not in row[3])
+
+
+def classify_partial(values: dict[str, Scalar], branch: str = "general") -> tuple[Bound, ...]:
+    """The rows of a branch whose rates ``values`` all give, evaluated there;
+    ve and ep must be given. :func:`classify` is this on all seven."""
+    ve, ep, pv = values[VE], values[EP], values.get(PV)
+    interior = _interior_rows(ve, ep, pv) if branch == "general" and pv is not None else ()
+    return _cyclic_bounds(ve, ep, pv, branch) + tuple(
+        _bound(row, values) for row in interior if row[3].keys() - {""} <= values.keys())
 
 
 def classify(params: TessParams) -> FeasibilityReport:
@@ -247,19 +268,9 @@ def classify(params: TessParams) -> FeasibilityReport:
     why a diagonal-pyramid catalog row recording that tuple passes
     classification and is caught only by its adjacency checks.
     """
-    ve, ep, pv = params.edges_per_vertex, params.plates_per_edge, params.vertices_per_plate
-
-    if params.is_face_to_face:
-        rows = _cyclic_rows(ve, ep, pv, "face_to_face")
-        return FeasibilityReport(params, "face_to_face",
-                                 all(b.satisfied for b in rows), rows)
-
-    values = {rate: getattr(params, rate) for rate in (PSI, TAU, KAPPA, XI)}
-    rows = _cyclic_rows(ve, ep, pv, "general") + tuple(
-        _bound(name, rate, values[rate], relation, _limit(form, rate, values))
-        for name, rate, relation, form in _interior_rows(ve, ep, pv))
-    return FeasibilityReport(params, "general",
-                             all(b.satisfied for b in rows), rows)
+    branch = "face_to_face" if params.is_face_to_face else "general"
+    bounds = classify_partial(params.as_dict(), branch)
+    return FeasibilityReport(params, branch, all(b.satisfied for b in bounds), bounds)
 
 
 # ---- staged regions ----
@@ -268,7 +279,7 @@ def classify(params: TessParams) -> FeasibilityReport:
 def _staged_rows(*profile: ScalarLike) -> tuple:
     """The interior rows of a plate profile that passes the cyclic rows."""
     ve, ep, pv = map(as_scalar, profile)
-    bad = [b.name for b in _cyclic_rows(ve, ep, pv, "general") if not b.satisfied]
+    bad = [b.name for b in _cyclic_bounds(ve, ep, pv, "general") if not b.satisfied]
     if bad:
         raise InfeasibleParametersError(
             f"plate profile is infeasible for the general branch: {', '.join(bad)}")
@@ -449,40 +460,40 @@ def plate_profile_region(edges_per_vertex: ScalarLike,
                          plates_per_edge_max: ScalarLike | None = None) -> PlateProfileRegion:
     """Describe both branches' feasible sets in the plate-profile plane."""
     ve = as_scalar(edges_per_vertex)
-    if ve < 4:
+    if ve < row_limit("edges_per_vertex_min"):
         raise InfeasibleParametersError(
             "no feasible plate profile below four edges per vertex")
     cap = plate_cap(ve)
+    ep_floor = row_limit("plates_per_edge_min")
     ep_max = as_scalar(plates_per_edge_max) if plates_per_edge_max is not None else cap + 3
-    if ep_max <= 3:
+    if ep_max <= ep_floor:
         raise InfeasibleParametersError("plotting window must extend past 3")
-    pv_max = ve * ep_max / (ve - 2)
-    three = Scalar(3)
 
-    b = 3 * ve / (ve - 2)  # where the intensity edge meets plates-per-edge 3
-    ftf_pts = [(three, three), (b, three), (Scalar(6), cap), (three, cap)]
-    verts, kind = _polish(ftf_pts)
-    ftf = RegionPatch(("vertices_per_plate", "plates_per_edge"), kind, verts,
-                      open_edges=("vertices_per_plate_max",))
+    def at(name: str, ep: Scalar) -> tuple[Scalar, Scalar]:  # a row's line at ep
+        return row_limit(name, (ve, ep)), ep
+
+    low, top = "vertices_per_plate_min", "vertices_per_plate_max"
+    corner, foot = at(low, ep_floor), at(top, ep_floor)
+    shoulder, peak = at(low, cap), at(top, cap)
+    far = at(top, ep_max)
+    verts, kind = _polish([corner, foot, peak, shoulder])
+    ftf = RegionPatch((PV, EP), kind, verts, open_edges=(top,))
 
     lines = [
-        RegionPolyline("plate_floor", ((three, three), (b, three)), True, "boundary"),
-        RegionPolyline("vertex_floor", ((three, three), (three, cap)), True, "boundary"),
-        RegionPolyline(
-            "high_regime_edge",
-            ((three, cap), (ve * ep_max / (2 * (ve - 2)), ep_max)),
-            False, "boundary"),
-        RegionPolyline(
-            "intensity_edge", ((b, three), (pv_max, ep_max)), False, "boundary"),
-        RegionPolyline(
-            "cap_line", ((three, cap), (Scalar(6), cap)), True, "regime"),
+        RegionPolyline("plate_floor", (corner, foot), True, "boundary"),
+        RegionPolyline("vertex_floor", (corner, shoulder), True, "boundary"),
+        RegionPolyline("high_regime_edge", (at(_HIGH_REGIME, cap), at(_HIGH_REGIME, ep_max)),
+                       False, "boundary"),
+        RegionPolyline("intensity_edge", (foot, far), False, "boundary"),
+        RegionPolyline("cap_line", (shoulder, peak), True, "regime"),
     ]
-    s = (3 * ve - 8) / (2 * ve)  # ridge-cap regime slope
+    # where ridge_rate_cap_apices meets ridge_rate_cap_combined: pv = ep / s
+    s = (3 * ve - 8) / (2 * ve)
     if s != (ve - 2) / ve:  # degenerate exactly at four edges per vertex
-        start = (3 / s, three) if s <= 1 else (three, 3 * s)
+        start = (ep_floor / s, ep_floor) if s <= 1 else (corner[0], corner[0] * s)
         lines.append(RegionPolyline(
             "ridge_cap_crossover", (start, (ep_max / s, ep_max)), True, "regime"))
-    return PlateProfileRegion(ve, cap, ftf, tuple(lines), (pv_max, ep_max))
+    return PlateProfileRegion(ve, cap, ftf, tuple(lines), (far[0], ep_max))
 
 
 # ---- sampling ----
@@ -498,15 +509,15 @@ def _rand_between(rng: random.Random, lo: Scalar, hi: Scalar,
 
 
 def _sample_once(rng: random.Random, face_to_face: bool) -> TessParams | None:
-    ve = _rand_between(rng, Scalar(4), Scalar(10))
+    ve = _rand_between(rng, row_limit("edges_per_vertex_min"), Scalar(10))
     cap = plate_cap(ve)
+    rows = _cyclic_rows(ve, "face_to_face" if face_to_face else "general")
+    # the general branch draws plates per edge up to 3/2 past the cap
+    window = ("", EP, "<=", {EP: ONE, "": -cap - Fraction(3, 2)})
+    ep = _rand_between(rng, *_rate_bounds((*rows, window), EP, {VE: ve}))
+    pv_lo, pv_hi = _rate_bounds(rows, PV, {VE: ve, EP: ep})
     if face_to_face:
-        ep = _rand_between(rng, Scalar(3), cap)
-        pv = _rand_between(rng, Scalar(3), ve * ep / (ve - 2), include_hi=False)
-        return TessParams.create(ve, ep, pv)
-    ep = _rand_between(rng, Scalar(3), cap + Scalar(Fraction(3, 2)))
-    pv_hi = ve * ep / (ve - 2)
-    pv_lo = max(Scalar(3), ve * ep / (2 * (ve - 2)))
+        return TessParams.create(ve, ep, _rand_between(rng, pv_lo, pv_hi, include_hi=False))
     pv = _rand_between(rng, pv_lo, pv_hi, include_lo=(ep < cap), include_hi=False)
     if pv <= pv_lo and ep >= cap:
         return None

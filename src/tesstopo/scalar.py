@@ -466,19 +466,19 @@ class Scalar:
 
     # ---- evaluation and rendering ----
 
+    def _mpf(self, dps: int):  # pi^2 is built only for a pi^2 value
+        with mpmath.workdps(dps):
+            x = None if self.is_rational else mpmath.pi * mpmath.pi
+            return _horner(self._num, x, mpmath.mpf) / _horner(self._den, x, mpmath.mpf)
+
     def evaluate(self, digits: int = 50) -> str:
         """Decimal string with ``digits`` significant digits."""
         if digits < 1:
             raise ValueError("digits must be positive")
-        with mpmath.workdps(digits + 20):
-            x = mpmath.pi * mpmath.pi
-            v = _horner(self._num, x, mpmath.mpf) / _horner(self._den, x, mpmath.mpf)
-            return mpmath.nstr(v, digits, strip_zeros=False)
+        return mpmath.nstr(self._mpf(digits + 20), digits, strip_zeros=False)
 
     def __float__(self) -> float:
-        with mpmath.workdps(30):
-            x = mpmath.pi * mpmath.pi
-            return float(_horner(self._num, x, mpmath.mpf) / _horner(self._den, x, mpmath.mpf))
+        return float(self._mpf(30))
 
     def render(self) -> str:
         num_s = _poly_str(self._num)

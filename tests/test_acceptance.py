@@ -17,18 +17,15 @@ import pytest
 from tesstopo import catalog
 from tesstopo.complexes import build_complex, generate, measure, vertex_stats
 from tesstopo.feasibility import (
-    _pi_cap_apex,
-    _pi_cap_ridges,
-    _pi_cap_sides,
-    _pi_lower_corner,
-    _ridge_cap_apices,
-    _ridge_cap_combined,
+    KAPPA,
+    PSI,
     classify,
     hemi_pi_region,
     interior_rate_region,
     plate_cap,
     ridge_rate_interval,
     sample_feasible,
+    row_limit,
     side_rate_interval,
 )
 from tesstopo.params import TessParams, check_identities, derive
@@ -293,29 +290,33 @@ def test_criterion_09(samples):
         ve, ep, pv = (params.edges_per_vertex, params.plates_per_edge,
                       params.vertices_per_plate)
         psi = params.ridge_interior_rate
-        hemi_cap = _ridge_cap_apices(ve, ep, pv) - psi
+        hemi_cap = row_limit("ridge_rate_cap_apices", (ve, ep, pv)) - psi
         kappa_top = hemi_cap if (hemi_cap - 1).sign() < 0 else ONE
-        ridge_line = _pi_cap_ridges(ve, ep, pv, psi)
+        ridge_line = row_limit("pi_share_cap_cell_ridges", (ve, ep, pv), {PSI: psi})
         # the two sloped caps stay above the apex-degree cap over the
         # admissible hemi range, and the lower corner line stays below it
         for kappa in (ZERO, kappa_top):
-            sides_line = _pi_cap_sides(ve, ep, pv, kappa)
-            apex_line = _pi_cap_apex(ve, ep, psi, kappa)
-            corner_line = _pi_lower_corner(ve, ep, pv, psi, kappa)
+            sides_line = row_limit("pi_share_cap_cell_sides", (ve, ep, pv), {KAPPA: kappa})
+            apex_line = row_limit("pi_share_cap_apex_degree", (ve, ep, pv),
+                                  {PSI: psi, KAPPA: kappa})
+            corner_line = row_limit("pi_share_min_side_corners", (ve, ep, pv),
+                                    {PSI: psi, KAPPA: kappa})
             assert (ridge_line - apex_line).sign() >= 0
             assert (sides_line - apex_line).sign() >= 0
             assert (corner_line - apex_line).sign() <= 0
         # all four lines meet the hemi cap at one point
-        assert _pi_cap_sides(ve, ep, pv, hemi_cap) == ridge_line
-        assert _pi_cap_apex(ve, ep, psi, hemi_cap) == ridge_line
-        assert _pi_lower_corner(ve, ep, pv, psi, hemi_cap) == ridge_line
+        assert row_limit("pi_share_cap_cell_sides", (ve, ep, pv), {KAPPA: hemi_cap}) == ridge_line
+        assert row_limit("pi_share_cap_apex_degree", (ve, ep, pv),
+                         {PSI: psi, KAPPA: hemi_cap}) == ridge_line
+        assert row_limit("pi_share_min_side_corners", (ve, ep, pv),
+                         {PSI: psi, KAPPA: hemi_cap}) == ridge_line
         # interior activity is forced strictly above the face-to-face ceiling
         if (ep - plate_cap(ve)).sign() > 0 and params.pi_edge_share.sign() > 0:
             assert params.side_interior_rate.sign() > 0
         # the two ridge caps cross exactly where predicted
         crossover = 2 * ve * ep / (3 * ve - 8)
-        assert _ridge_cap_apices(ve, ep, crossover) \
-            == _ridge_cap_combined(ve, ep, crossover)
+        assert row_limit("ridge_rate_cap_apices", (ve, ep, crossover)) \
+            == row_limit("ridge_rate_cap_combined", (ve, ep, crossover))
 
 
 @verdict(10, "null zones reproduce")
@@ -342,8 +343,8 @@ def test_criterion_11(samples):
                       params.vertices_per_plate)
         patch = interior_rate_region(ve, ep, pv)
         assert patch.kind != "empty"
-        apices = _ridge_cap_apices(ve, ep, pv)
-        combined = _ridge_cap_combined(ve, ep, pv)
+        apices = row_limit("ridge_rate_cap_apices", (ve, ep, pv))
+        combined = row_limit("ridge_rate_cap_combined", (ve, ep, pv))
         ridge_top = apices if (apices - combined).sign() <= 0 else combined
         low, high = ridge_rate_interval(ve, ep, pv)
         assert high == ridge_top

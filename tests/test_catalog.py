@@ -1,5 +1,6 @@
 """Catalog contents, lookup, and the self-check."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -160,3 +161,15 @@ def test_verify_catalog_catches_bad_data(monkeypatch):
         assert any("ex01_voronoi" in f for f in report.failures)
     finally:
         object.__setattr__(broken, "plates_per_edge", Scalar(3))
+
+
+def test_verify_catalog_names_the_rows_a_partial_entry_fails(monkeypatch):
+    import tesstopo.catalog as cat
+
+    # a partial entry (no interior fields) whose plate count per edge is too low
+    doctored = dataclasses.replace(get("ex12_core_prism_cube(k=2,n=0)"),
+                                   plates_per_edge=Scalar(5, 2))
+    monkeypatch.setattr(cat, "entries", lambda: iter([doctored]))
+    failures = [f for f in verify_catalog().failures if f.startswith(doctored.entry_id)]
+    assert failures == [f"{doctored.entry_id}: infeasible: "
+                        "['plates_per_edge_min', 'vertices_per_plate_max']"]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tesstopo.cli import main
+from tesstopo.complexes.generators import GENERATORS
 from tesstopo.scalar import as_scalar
 
 
@@ -281,6 +282,8 @@ def test_bad_precision_env_rejected(capsys, monkeypatch):
     ("region", "--type", "pv-ep", "--ve", "8", "--resolution", "-5"),
     ("region", "--type", "psi-tau", "--resolution", "1", "ve=4", "ep=7/2", "pv=28/5"),
     ("measure", "--generator", "prism_columns", "--arg", "offsets=a,b,c,d"),
+    ("measure", "--generator", "split_prism", "--arg", "aligned=no"),
+    ("measure", "--generator", "split_prism", "--arg", "aligned=3"),
     # each would be huge without its cap
     ("region", "--type", "pv-ep", "--ve", "8", "--resolution", "100000000"),
     ("derive", "ve=6", "ep=4", "pv=4+pi^200000000"),
@@ -401,6 +404,41 @@ def test_domain_shapes_end_in_a_documented_exit_code(data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["measure", "--domain", path])
     assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+SIZE_KEYS = st.sampled_from(["k", "n"])
+GENERATOR_ARGS = st.one_of(
+    # sizes in range, kept small so each build is quick
+    st.builds("{}={}".format, SIZE_KEYS, st.integers(0, 1)),
+    # sizes out of range or not integers
+    st.builds("{}={}".format, SIZE_KEYS,
+              st.integers(9, 10**12) | st.integers(-10**12, -1)
+              | st.sampled_from(["1/2", "x", "true", "1e9"])),
+    # keys no generator takes
+    st.builds("{}={}".format, st.sampled_from(["size", "K", "depth", "zz"]),
+              st.sampled_from(["1", "x", "true"])),
+    # offsets, rational or not, in any count
+    st.lists(st.sampled_from(["0", "1/4", "1/2", "3/4", "1/3", "a", "1/0", "1e999999999",
+                              "nan", ""]), max_size=9).map(",".join).map("offsets={}".format),
+    st.builds("aligned={}".format, st.sampled_from(["true", "false", "no", "3"])),
+    st.builds("base={}".format, st.sampled_from(["square", "triangle", "hexagon"])),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["measure", "stats"]), st.sampled_from(sorted(GENERATORS)),
+       st.lists(GENERATOR_ARGS, max_size=3), st.booleans())
+def test_generator_arguments_end_in_a_documented_exit_code(command, name, tokens, repeat):
+    if repeat and tokens:
+        tokens = [*tokens, tokens[0]]  # a key given twice
+    argv = [command, "--generator", name]
+    for token in tokens:
+        argv += ["--arg", token]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
     assert "Traceback" not in err.getvalue()
 
 

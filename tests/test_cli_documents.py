@@ -5,7 +5,10 @@ compared with a pinned digest, so any change to what a document holds, the
 order of its keys, or how it is rendered shows up here. The argv list covers
 every subcommand, both output formats, a pi^2 entry, ``measure --validate``,
 all three region types (the two staged ones also on sampled profiles), a
-longer general-branch sample and a three-component mixture.
+longer general-branch sample, a three-component mixture, and the bounds
+that do not apply (two edges per vertex; the high-regime floor below the
+plate cap; the plate-profile region at four edges per vertex, which has no
+crossover line).
 
 A deliberate change of output needs new digests. Print them with
 
@@ -28,10 +31,13 @@ from tesstopo.cli import PRECISION_ENV, main
 COMMANDS = {
     "derive-rational": ["derive", "ve=6", "ep=4", "pv=4"],
     "derive-pi2": ["derive", "--catalog", "ex08_divided_delaunay"],
+    "check-ve-two": "7d8cfb825ae8ca3fc4cef828b56099822eefc8b68bcf2d2588f5419a2242c051",
     "derive-csv": ["derive", "--catalog", "ex04_stit", "--format", "csv"],
     "check-feasible": ["check", "--catalog", "ex15_split_prism"],
+    "check-below-cap": "bd4b253a281d3033a52fac459cdaa2555a2b86194b47352922f79b2567fe629c",
     "check-infeasible-csv": ["check", "ve=4", "ep=3", "pv=100", "--format", "csv"],
     "region-pv-ep": ["region", "--type", "pv-ep", "--ve", "24/5", "--resolution", "9"],
+    "region-pv-ep-degenerate": "f8ab8a667fea69926783023658c4b9c7c23cd8fd3606eb1e70893bd68ade418c",
     "region-pv-ep-csv": ["region", "--type", "pv-ep", "--ve", "8", "--resolution", "5",
                          "--format", "csv"],
     "region-psi-tau": ["region", "--type", "psi-tau", "ve=4", "ep=7/2", "pv=28/5"],
@@ -69,6 +75,12 @@ COMMANDS = {
                                 "tau=757238110365775069/516582330454769664"],
     "sample-face-to-face-csv": ["sample", "--count", "2", "--seed", "4",
                                 "--face-to-face", "--format", "csv"],
+    # rows that do not apply: the plate-corner ceiling at ve = 2, the
+    # high-regime floor below the plate cap, and no crossover line at ve = 4
+    "check-ve-two": ["check", "ve=2", "ep=3", "pv=3"],
+    "check-below-cap": ["check", "ve=6", "ep=7/2", "pv=4", "xi=1/4", "kappa=0",
+                        "psi=1", "tau=1/2"],
+    "region-pv-ep-degenerate": ["region", "--type", "pv-ep", "--ve", "4"],
 }
 
 DIGESTS = {
@@ -77,7 +89,9 @@ DIGESTS = {
     "catalog-show-csv": "98186a0d8a4e0cba2bf97254f1d8f142f912b9a80ccc1aa7708c64ab0867f81a",
     "catalog-verify": "1c604dba1b6adec718541028fcc71f141136048f64585a98d842673e90e72522",
     "check-feasible": "f6fe607435d061c4545498facfa6916e30f6535918b11da3c5286d5ddc247b50",
+    "check-below-cap": "bd4b253a281d3033a52fac459cdaa2555a2b86194b47352922f79b2567fe629c",
     "check-infeasible-csv": "d3179611837a8190afd893e6512aca650aac6651981312ca58d0e598698b631a",
+    "check-ve-two": "7d8cfb825ae8ca3fc4cef828b56099822eefc8b68bcf2d2588f5419a2242c051",
     "derive-csv": "d736d6bba5a35008448b8a45ad0c445cdcb7fe6254f8899cebb6d048abb86647",
     "derive-pi2": "39e0f55f0b81189f34dd17820d78b5f38d4f20bba96e444c3b51fe29c3d21246",
     "derive-rational": "41e52f24756fbe5b7510cea307176f6661b5e1f1a7620932ff3846e4a1bbed6b",
@@ -88,6 +102,7 @@ DIGESTS = {
     "region-psi-tau": "9c61ca14a0dae139a8460e77169fac5b78e0e85513a4231cfc8076cab8cce91a",
     "region-psi-tau-sampled": "3c5d425d3e393befaae5a0794ac8253b82133de61d38a2d09a92071517c86a0b",
     "region-pv-ep": "f415c477b341ae0b47219a9e443b06cf8e5c160d469c2dc40fe77cd810749949",
+    "region-pv-ep-degenerate": "f8ab8a667fea69926783023658c4b9c7c23cd8fd3606eb1e70893bd68ade418c",
     "region-pv-ep-csv": "e02fc1a505fabc14113a72c58023bb6509f039f62fa274f69dd1fc4c3dc11ce0",
     "sample": "074157c46e05de43777348acbef4280c1e989e609750406bdb0043c9f39cd490",
     "sample-face-to-face-csv": "ad0c2bb70580ba912614a64d3055a0c61cf26d776713ee67e8f52c539a92ff50",

@@ -12,6 +12,7 @@ from tesstopo.feasibility import (
     plate_cap,
     plate_profile_region,
     ridge_rate_interval,
+    row_limit,
     sample_feasible,
     side_rate_interval,
 )
@@ -191,6 +192,41 @@ def test_plate_profile_region_degenerates_at_four():
     assert reg.face_to_face.kind == "segment"
     assert reg.face_to_face.vertices == ((Scalar(3), Scalar(3)), (Scalar(6), Scalar(3)))
     assert all(p.name != "ridge_cap_crossover" for p in reg.boundaries)
+
+
+@pytest.mark.parametrize("ve", [Fraction(24, 5), 6, 8, 10, Fraction(121, 8)])
+def test_ridge_cap_crossover_is_where_the_ridge_caps_meet(ve):
+    # the line keeps a closed form; both ridge-cap rows must agree along it
+    reg = plate_profile_region(ve, 9)
+    cross = {p.name: p for p in reg.boundaries}["ridge_cap_crossover"]
+    (pv0, ep0), (pv1, ep1) = cross.points
+    for t in (0, Fraction(1, 3), 1):
+        pv, ep = pv0 + t * (pv1 - pv0), ep0 + t * (ep1 - ep0)
+        assert row_limit("ridge_rate_cap_apices", (ve, ep, pv)) \
+            == row_limit("ridge_rate_cap_combined", (ve, ep, pv))
+
+
+def test_row_limit_reads_only_the_profile_a_row_needs():
+    assert row_limit("edges_per_vertex_min") == 4
+    assert row_limit("vertices_per_plate_max", (6, 4)) == 6
+    assert row_limit("vertices_per_plate_high_regime_min", (8, 5)) == Fraction(10, 3)
+    assert row_limit("plates_per_edge_cap", (6,)) == plate_cap(6)
+    # the apex-degree cap has no pv term
+    rates = {"ridge_interior_rate": S(1), "hemi_vertex_share": S(0)}
+    assert row_limit("pi_share_cap_apex_degree", (6, 5, 4), rates) \
+        == row_limit("pi_share_cap_apex_degree", (6, 5, 9), rates)
+    with pytest.raises(KeyError):
+        row_limit("pi_share_cap_apex_degree", (6, 5))
+    with pytest.raises(KeyError):
+        row_limit("no_such_row", (6, 5, 4))
+
+
+def test_row_limit_agrees_with_classify():
+    for p in sample_feasible(count=5, seed=2):
+        profile = (p.edges_per_vertex, p.plates_per_edge, p.vertices_per_plate)
+        for b in classify(p).bounds:
+            if b.applicable:
+                assert row_limit(b.name, profile, p.as_dict()) == b.limit, b.name
 
 
 def test_plate_profile_region_rejects_low_degree():

@@ -2,22 +2,31 @@
 
 The construction works in lattice-fraction coordinates: world points map
 through the inverse lattice so the translation group becomes the integer
-lattice and the quotient is the unit 3-torus. Translation classes of points
-and segments then canonicalize by taking fractional parts. All counting
-happens on canonical class representatives; intensities divide by the world
-lattice volume only at measurement time.
+lattice and the quotient is the unit 3-torus. These torus coordinates are
+then multiplied by one common denominator D, the lcm of the denominators of
+every cell apex, so that every apex is an ``int`` point and the geometry
+runs on Python ``int``: the lattice is D Z^3, a shift t moves a point by
+D t, a translation class of points canonicalizes to ``x % D`` and a plane
+class is its normal with the offset modulo D. A point whose scaled
+coordinates are not whole, such as a plate corner where two ridges cross,
+is a ``Fraction`` and flows through the same code. The last step divides
+every coordinate by D again, so the complex is reported in torus units with
+every coordinate a ``Fraction`` in [0, 1) where it is canonical. All
+counting happens on canonical class representatives; intensities divide by
+the world lattice volume only at measurement time.
 
 Pipeline, in order:
 
 1. per-cell face lattices (exact convex hulls in torus coordinates, one hull
    per translation class of cells, moved to the other members), with the
-   volume certificate: cell volumes must sum to the lattice cell volume;
+   volume certificate: cell volumes must sum to the lattice cell volume,
+   D^3 in scaled coordinates;
 2. plates: two-dimensional intersections of cell pairs across lattice
    translates. Such an intersection of convex bodies with disjoint interiors
    always lies on a pair of coincident facet planes with opposite
    orientations, so facets are grouped by plane class (the primitive normal
-   with its sign fixed, and the offset modulo 1), and only opposite facets
-   of one class are clipped, at the integer shifts that put them on one
+   with its sign fixed, and the offset modulo D), and only opposite facets
+   of one class are clipped, at the lattice shifts that put them on one
    plane and make their projected boxes overlap in a rectangle;
 3. pairwise interior-disjointness certificates for every cell pair at every
    translate in its exact bounding-box window (outside of which the boxes
@@ -41,12 +50,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import gcd, lcm
 
 from ..errors import NotATessellationError
 from .domain import FundamentalDomain
 from .geometry import (
     ZERO3,
+    Facet,
+    Mat,
     Polyhedron,
     Vec,
     Vec2,
@@ -66,7 +77,6 @@ from .geometry import (
     project2,
     ring_ccw2,
     signed_area2,
-    smul,
     solve3,
     sub,
     transpose,
@@ -81,18 +91,34 @@ _PROJECTED_AXES = ((1, 2), (2, 0), (0, 1))
 _FacetView = tuple[int, list[Vec2], Vec2, Vec2]
 
 
-def _canon_point(p: Vec) -> Vec:
-    return (p[0] - floor(p[0]), p[1] - floor(p[1]), p[2] - floor(p[2]))
+def _canon_point(p: Vec, d: int) -> Vec:
+    return (p[0] % d, p[1] % d, p[2] % d)
 
 
-def _int_shift(t: IVec) -> Vec:
-    return (_F(t[0]), _F(t[1]), _F(t[2]))
+def _canon_segment(a: Vec, b: Vec, d: int) -> tuple[Vec, Vec]:
+    p, q = (a, b) if a <= b else (b, a)
+    low = _canon_point(p, d)
+    return (low, sub(q, sub(p, low)))
 
 
-def _canon_segment(a: Vec, b: Vec) -> tuple[Vec, Vec]:
-    p, q = sorted((a, b))
-    t = (_F(floor(p[0])), _F(floor(p[1])), _F(floor(p[2])))
-    return (sub(p, t), sub(q, t))
+def _scaled_torus_points(lattice: Mat, point_sets) -> tuple[int, list[list[Vec]]]:
+    """D, the lcm of the denominators of every torus coordinate, and each
+    point in torus coordinates times D, as int points.
+
+    With M the inverse of the transposed lattice and q, r the lcms of the
+    denominators of M and of the points, N = (q M)(r p) is an int point and
+    each N_i / (q r) reduces to denominator q r / gcd(N_i, q r); their lcm
+    is D = q r / g with g = gcd(q r, N_1, N_2, ...), and D M p = N / g.
+    """
+    to_torus = inverse(transpose(lattice))
+    q = lcm(*(x.denominator for row in to_torus for x in row))
+    m = tuple(tuple(x.numerator * (q // x.denominator) for x in row) for row in to_torus)
+    r = lcm(*(x.denominator for points in point_sets for p in points for x in p))
+    nums = [[mat_vec(m, tuple(x.numerator * (r // x.denominator) for x in p))
+             for p in points] for points in point_sets]
+    g = gcd(q * r, *(x for points in nums for p in points for x in p))
+    return q * r // g, [[(p[0] // g, p[1] // g, p[2] // g) for p in points]
+                        for points in nums]
 
 
 def _hull_cells(point_sets: list[list[Vec]]) -> list[Polyhedron]:
@@ -114,15 +140,17 @@ def _hull_cells(point_sets: list[list[Vec]]) -> list[Polyhedron]:
     return cells
 
 
-def _coplanar_shifts(m: Vec, r: int, view_a: _FacetView, view_b: _FacetView):
-    """Integer shifts t with m . t == r under which facet b, moved by t,
+def _coplanar_shifts(m: Vec, r: int, view_a: _FacetView, view_b: _FacetView,
+                     d: int):
+    """Lattice shifts t with m . t == r under which facet b, moved by d t,
     overlaps facet a's projected box in a rectangle."""
     k, _, lo_a, hi_a = view_a
     _, _, lo_b, hi_b = view_b
     u, v = _PROJECTED_AXES[k]
-    mk, mu, mv = int(m[k]), int(m[u]), int(m[v])
-    for tu in range(floor(lo_a[0] - hi_b[0]) + 1, ceil(hi_a[0] - lo_b[0])):
-        for tv in range(floor(lo_a[1] - hi_b[1]) + 1, ceil(hi_a[1] - lo_b[1])):
+    mk, mu, mv = m[k], m[u], m[v]
+    # d t strictly between lo_a - hi_b and hi_a - lo_b on each projected axis
+    for tu in range((lo_a[0] - hi_b[0]) // d + 1, -((lo_b[0] - hi_a[0]) // d)):
+        for tv in range((lo_a[1] - hi_b[1]) // d + 1, -((lo_b[1] - hi_a[1]) // d)):
             rest = r - mu * tu - mv * tv
             if rest % mk == 0:
                 t = [0, 0, 0]
@@ -133,7 +161,8 @@ def _coplanar_shifts(m: Vec, r: int, view_a: _FacetView, view_b: _FacetView):
 @dataclass
 class PlateOrbit:
     """One translation class of plates: the polygon where cell ``cell_a``
-    meets cell ``cell_b`` shifted by ``shift``, stored in cell_a's frame."""
+    meets cell ``cell_b`` shifted by the lattice vector ``shift``, stored in
+    cell_a's frame."""
 
     cell_a: int
     cell_b: int
@@ -149,7 +178,7 @@ class PlateOrbit:
 
 @dataclass
 class VertexRecord:
-    position: Vec  # canonical, all coordinates in [0, 1)
+    position: Vec  # canonical, all coordinates in [0, 1) (in [0, D) while building)
     edge_count: int = 0
     pi_edge_count: int = 0
     hemi_count: int = 0            # cells with this point inside a facet
@@ -210,13 +239,15 @@ class _Builder:
     def __init__(self, domain: FundamentalDomain):
         self.domain = domain
         self.world_volume = abs(det3(domain.lattice))
-        to_torus = inverse(transpose(domain.lattice))
-        self.cells = _hull_cells(
-            [[mat_vec(to_torus, p) for p in cell.apices] for cell in domain.cells])
+        self.scale, scaled = _scaled_torus_points(
+            domain.lattice, [cell.apices for cell in domain.cells])
+        d = self.scale
+        self.cells = _hull_cells(scaled)
         total = sum(c.volume for c in self.cells)
-        if total != 1:
+        if total != d ** 3:
             raise NotATessellationError(
-                f"cells fill {total} of the lattice cell instead of all of it")
+                f"cells fill {_F(total, d ** 3)} of the lattice cell "
+                "instead of all of it")
         self.bounds = [c.bounds() for c in self.cells]
         self.facet_views: list[list[_FacetView]] = []
         for cell in self.cells:
@@ -238,16 +269,32 @@ class _Builder:
         self.covering: dict[tuple[int, int], list[tuple[int, IVec]]] = {}
         self.ridge_pieces: list[list[list[int]]] = []
         self.diagnostics: list[str] = []
+        self._torus_units: dict = {}
+
+    def _shift(self, t: IVec) -> Vec:
+        """The scaled vector of the lattice shift t."""
+        d = self.scale
+        return (d * t[0], d * t[1], d * t[2])
+
+    def _unscale(self, p: Vec) -> Vec:
+        """A scaled point in torus units, every coordinate a Fraction."""
+        memo = self._torus_units
+        for x in p:
+            if x not in memo:
+                memo[x] = _F(x, self.scale)
+        return (memo[p[0]], memo[p[1]], memo[p[2]])
 
     # -- phase 2/3: plates and disjointness ---------------------------------
 
     def _shift_window(self, i: int, j: int) -> list[IVec] | None:
         lo_i, hi_i = self.bounds[i]
         lo_j, hi_j = self.bounds[j]
+        d = self.scale
         axes: list[range] = []
         for k in range(3):
-            lo = ceil(lo_i[k] - hi_j[k])
-            hi = floor(hi_i[k] - lo_j[k])
+            # d t between lo_i - hi_j and hi_i - lo_j
+            lo = -((hi_j[k] - lo_i[k]) // d)
+            hi = (hi_i[k] - lo_j[k]) // d
             if lo > hi:
                 return None
             axes.append(range(lo, hi + 1))
@@ -256,13 +303,14 @@ class _Builder:
     def _boxes_interior_disjoint(self, i: int, j: int, t: IVec) -> bool:
         lo_i, hi_i = self.bounds[i]
         lo_j, hi_j = self.bounds[j]
-        return any(hi_j[k] + t[k] <= lo_i[k] or hi_i[k] <= lo_j[k] + t[k]
+        s = self._shift(t)
+        return any(hi_j[k] + s[k] <= lo_i[k] or hi_i[k] <= lo_j[k] + s[k]
                    for k in range(3))
 
     def _clip_plate(self, i: int, fa: int, j: int, fb: int,
                     t: IVec) -> PlateOrbit | None:
         k, ring_a, _, _ = self.facet_views[i][fa]
-        du, dv = project2(t, k)
+        du, dv = project2(self._shift(t), k)
         ring_b = [(x + du, y + dv) for x, y in self.facet_views[j][fb][1]]
         cut = convex_intersection2(ring_a, ring_b)
         if len(cut) < 3 or signed_area2(cut) == 0:
@@ -274,27 +322,28 @@ class _Builder:
     def _plate_table(self) -> dict[tuple[int, int, IVec], PlateOrbit]:
         """Every plate, keyed by (cell_a, cell_b, shift) with cell_a <= cell_b.
 
-        With its normal m signed so that m > 0, a facet lies on m . x == d.
-        Facet b, moved by the integer shift t, lies on facet a's plane when
-        m . t == d_a - d_b, which needs d_a and d_b equal modulo 1; a plate
-        also needs the two outward normals to be opposite. So facets are
-        grouped by (m, d mod 1) and split by the sign of their normal, and
-        only pairs across the split are clipped.
+        With its normal m signed so that m > 0, a facet lies on m . x == c.
+        Facet b, moved by the lattice shift t (by D t in scaled coordinates),
+        lies on facet a's plane when D (m . t) == c_a - c_b, which needs c_a
+        and c_b equal modulo D; a plate also needs the two outward normals to
+        be opposite. So facets are grouped by (m, c mod D) and split by the
+        sign of their normal, and only pairs across the split are clipped.
         """
-        groups: dict[tuple[Vec, Fraction], tuple[list, list]] = {}
+        d = self.scale
+        groups: dict[tuple[Vec, int], tuple[list, list]] = {}
         for ci, cell in enumerate(self.cells):
             for fi, f in enumerate(cell.facets):
                 if f.normal > ZERO3:
-                    m, d, side = f.normal, f.offset, 0
+                    m, c, side = f.normal, f.offset, 0
                 else:
-                    m, d, side = neg(f.normal), -f.offset, 1
-                groups.setdefault((m, d - floor(d)), ([], []))[side].append((ci, fi, d))
+                    m, c, side = neg(f.normal), -f.offset, 1
+                groups.setdefault((m, c % d), ([], []))[side].append((ci, fi, c))
         table: dict[tuple[int, int, IVec], PlateOrbit] = {}
         for (m, _), (positive, negative) in groups.items():
-            for ci, fi, d_a in positive:
-                for cj, fj, d_b in negative:
+            for ci, fi, c_a in positive:
+                for cj, fj, c_b in negative:
                     views = self.facet_views[ci][fi], self.facet_views[cj][fj]
-                    for t in _coplanar_shifts(m, int(d_a - d_b), *views):
+                    for t in _coplanar_shifts(m, (c_a - c_b) // d, *views, d):
                         if ci < cj or (ci == cj and t > (0, 0, 0)):
                             plate = self._clip_plate(ci, fi, cj, fj, t)
                         else:
@@ -305,7 +354,7 @@ class _Builder:
         return table
 
     def _separating_facet(self, i: int, j: int, t: IVec) -> bool:
-        shift = _int_shift(t)
+        shift = self._shift(t)
         cell_i, cell_j = self.cells[i], self.cells[j]
         apices_j = [add(p, shift) for p in cell_j.apices]
         for f in cell_i.facets:
@@ -319,7 +368,7 @@ class _Builder:
 
     def _intersection_dimension(self, i: int, j: int, t: IVec) -> int:
         """Affine dimension of cell_i meet (cell_j + t), decided exactly."""
-        shift = _int_shift(t)
+        shift = self._shift(t)
         planes = [(f.normal, f.offset) for f in self.cells[i].facets]
         planes += [(f.normal, f.offset + dot(f.normal, shift))
                    for f in self.cells[j].facets]
@@ -339,11 +388,11 @@ class _Builder:
         for p in pts[1:]:
             d = sub(p, base)
             if rank == 0:
-                if d != (0, 0, 0):
+                if d != ZERO3:
                     dirs.append(d)
                     rank = 1
             elif rank == 1:
-                if cross(dirs[0], d) != (_F(0), _F(0), _F(0)):
+                if cross(dirs[0], d) != ZERO3:
                     dirs.append(d)
                     rank = 2
             elif rank == 2 and det3((dirs[0], dirs[1], d)) != 0:
@@ -384,10 +433,11 @@ class _Builder:
     # -- phase 4: vertices ---------------------------------------------------
 
     def register_vertices(self) -> None:
+        d = self.scale
         apex_keys: set[Vec] = set()
         for cell in self.cells:
             for p in cell.apices:
-                key = _canon_point(p)
+                key = _canon_point(p, d)
                 apex_keys.add(key)
                 if key not in self.vertex_ids:
                     self.vertex_ids[key] = len(self.vertices)
@@ -395,7 +445,7 @@ class _Builder:
         for idx, plate in enumerate(self.plates):
             ids = []
             for p in plate.ring:
-                key = _canon_point(p)
+                key = _canon_point(p, d)
                 vid = self.vertex_ids.get(key)
                 if vid is None:
                     self.vertex_ids[key] = vid = len(self.vertices)
@@ -403,17 +453,20 @@ class _Builder:
                 ids.append(vid)
                 if key not in apex_keys:
                     self.diagnostics.append(
-                        f"plate {idx} corner {key} is not an apex of any cell")
+                        f"plate {idx} corner {self._unscale(key)} "
+                        "is not an apex of any cell")
             plate.corner_vertex_ids = tuple(ids)
 
     def _instances_in_box(self, lo: Vec, hi: Vec):
+        d = self.scale
         for vid, rec in enumerate(self.vertices):
             v = rec.position
             axes = []
             empty = False
             for k in range(3):
-                t_lo = ceil(lo[k] - v[k])
-                t_hi = floor(hi[k] - v[k])
+                # v + d t between lo and hi
+                t_lo = -((v[k] - lo[k]) // d)
+                t_hi = (hi[k] - v[k]) // d
                 if t_lo > t_hi:
                     empty = True
                     break
@@ -421,12 +474,12 @@ class _Builder:
             if empty:
                 continue
             for t in product(*axes):
-                yield vid, (v[0] + t[0], v[1] + t[1], v[2] + t[2])
+                yield vid, (v[0] + d * t[0], v[1] + d * t[1], v[2] + d * t[2])
 
     def _interior_vertices(self, a: Vec, b: Vec) -> list[tuple[int, Vec]]:
         """Vertex instances inside segment ab, ordered from a to b. Each
         translation class of segments is scanned once."""
-        key = _canon_segment(a, b)
+        key = _canon_segment(a, b, self.scale)
         hits = self.segment_hits.get(key)
         if hits is None:
             p, q = key
@@ -445,11 +498,11 @@ class _Builder:
     # -- phase 5: edges ------------------------------------------------------
 
     def _register_edge(self, a: Vec, b: Vec) -> int:
-        key = _canon_segment(a, b)
+        key = _canon_segment(a, b, self.scale)
         eid = self.edge_ids.get(key)
         if eid is None:
-            va = self.vertex_ids.get(_canon_point(key[0]))
-            vb = self.vertex_ids.get(_canon_point(key[1]))
+            va = self.vertex_ids.get(key[0])
+            vb = self.vertex_ids.get(_canon_point(key[1], self.scale))
             if va is None or vb is None:
                 raise NotATessellationError(
                     "edge endpoint is not a vertex of the complex")
@@ -471,8 +524,7 @@ class _Builder:
             if register:
                 ids.append(self._register_edge(p, q))
             else:
-                key = _canon_segment(p, q)
-                eid = self.edge_ids.get(key)
+                eid = self.edge_ids.get(_canon_segment(p, q, self.scale))
                 if eid is None:
                     raise NotATessellationError(
                         "plate side piece is not an edge of the complex")
@@ -530,7 +582,8 @@ class _Builder:
                     continue
                 if not eq:
                     raise NotATessellationError(
-                        f"vertex {self.vertices[vid].position} lies inside cell {ci}")
+                        f"vertex {self._unscale(self.vertices[vid].position)} "
+                        f"lies inside cell {ci}")
                 if len(eq) == 1:
                     self.vertices[vid].hemi_count += 1
                     continue
@@ -561,13 +614,15 @@ class _Builder:
         pi_orbits: set[int] = set()
         for (ci, fi), entries in sorted(self.covering.items()):
             k, facet_ring, _, _ = self.facet_views[ci][fi]
+            # the midpoint of pq lies in the facet iff p + q lies in it doubled
+            doubled = [(2 * x, 2 * y) for x, y in facet_ring]
             instances: dict[tuple[Vec, Vec], int] = {}
             for plate_idx, delta in entries:
                 plate = self.plates[plate_idx]
-                shift = _int_shift(delta)
+                shift = self._shift(delta)
                 for (p, q), eid in zip(plate.side_pieces, plate.piece_edge_ids):
-                    mid = smul(_F(1, 2), add(add(p, shift), add(q, shift)))
-                    if point_in_ring2(project2(mid, k), facet_ring, strict=True):
+                    twice = add(add(p, shift), add(q, shift))
+                    if point_in_ring2(project2(twice, k), doubled, strict=True):
                         inst = tuple(sorted((add(p, shift), add(q, shift))))
                         instances[inst] = eid  # type: ignore[index]
             for eid in instances.values():
@@ -584,6 +639,22 @@ class _Builder:
                 self.vertices[vid].pi_edge_count += 1
 
     def finish(self) -> PeriodicComplex:
+        """Divide every coordinate by D again and assemble the complex."""
+        unscale, d = self._unscale, self.scale
+        cells = tuple(
+            Polyhedron(tuple(unscale(p) for p in cell.apices),
+                       tuple(Facet(f.normal, _F(f.offset, d), f.ring)
+                             for f in cell.facets),
+                       cell.ridges, _F(cell.volume, d ** 3))
+            for cell in self.cells)
+        for plate in self.plates:
+            plate.ring = tuple(unscale(p) for p in plate.ring)
+            plate.side_pieces = tuple((unscale(p), unscale(q))
+                                      for p, q in plate.side_pieces)
+        for rec in self.vertices:
+            rec.position = unscale(rec.position)
+        for edge in self.edges:
+            edge.endpoints = (unscale(edge.endpoints[0]), unscale(edge.endpoints[1]))
         for rec in self.vertices:
             if rec.hemi_count > 1:
                 raise NotATessellationError(
@@ -593,7 +664,7 @@ class _Builder:
         return PeriodicComplex(
             domain=self.domain,
             world_volume=self.world_volume,
-            cells=tuple(self.cells),
+            cells=cells,
             plates=tuple(self.plates),
             vertices=tuple(self.vertices),
             edges=tuple(self.edges),

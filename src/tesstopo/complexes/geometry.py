@@ -1,8 +1,12 @@
 """Exact rational geometry: vectors, convex polyhedra, polygon clipping.
 
-Everything works over plain :class:`~fractions.Fraction` values. There is no
-floating point and no epsilon anywhere in this module; every incidence,
-containment, and degeneracy question is decided exactly.
+Coordinates are exact rationals: Python ``int`` or
+:class:`~fractions.Fraction`, mixed freely. Every division goes through
+:func:`exact_div`, so integer input stays on ``int`` wherever a quotient is
+whole and becomes a ``Fraction`` only where it is not; normals are primitive
+``int`` vectors. There is no floating point and no epsilon anywhere in this
+module; every incidence, containment, and degeneracy question is decided
+exactly.
 """
 
 from __future__ import annotations
@@ -10,16 +14,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import NonConvexCellError
 
-Vec = tuple[Fraction, Fraction, Fraction]
-Vec2 = tuple[Fraction, Fraction]
+Num = int | Fraction
+Vec = tuple[Num, Num, Num]
+Vec2 = tuple[Num, Num]
 Mat = tuple[Vec, Vec, Vec]
 
 _F = Fraction
-ZERO3: Vec = (_F(0), _F(0), _F(0))
+ZERO3: Vec = (0, 0, 0)
+
+
+def exact_div(a: Num, b: Num) -> Num:
+    """a / b exactly: an ``int`` when the quotient is whole, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def vec3(x, y, z) -> Vec:
@@ -38,12 +52,11 @@ def neg(a: Vec) -> Vec:
     return (-a[0], -a[1], -a[2])
 
 
-def smul(t, a: Vec) -> Vec:
-    t = _F(t)
+def smul(t: Num, a: Vec) -> Vec:
     return (t * a[0], t * a[1], t * a[2])
 
 
-def dot(a: Vec, b: Vec) -> Fraction:
+def dot(a: Vec, b: Vec) -> Num:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
@@ -53,7 +66,7 @@ def cross(a: Vec, b: Vec) -> Vec:
             a[0] * b[1] - a[1] * b[0])
 
 
-def det3(m: Mat) -> Fraction:
+def det3(m: Mat) -> Num:
     return dot(m[0], cross(m[1], m[2]))
 
 
@@ -75,27 +88,24 @@ def inverse(m: Mat) -> Mat:
     c1 = cross(m[2], m[0])
     c2 = cross(m[0], m[1])
     # rows of the adjugate are the cofactor columns
-    return ((c0[0] / d, c1[0] / d, c2[0] / d),
-            (c0[1] / d, c1[1] / d, c2[1] / d),
-            (c0[2] / d, c1[2] / d, c2[2] / d))
+    return tuple(tuple(exact_div(c[i], d) for c in (c0, c1, c2))
+                 for i in range(3))  # type: ignore[return-value]
 
 
-def orient3d(a: Vec, b: Vec, c: Vec, d: Vec) -> Fraction:
+def orient3d(a: Vec, b: Vec, c: Vec, d: Vec) -> Num:
     """Signed volume form: positive iff d lies on the side of plane(a,b,c)
     pointed to by cross(b-a, c-a)."""
     return det3((sub(b, a), sub(c, a), sub(d, a)))
 
 
 def primitive(v: Vec) -> Vec:
-    """Scale a nonzero rational vector to coprime integers, keeping direction."""
+    """Scale a nonzero rational vector to coprime ints, keeping direction."""
     if v == ZERO3:
         raise ValueError("zero vector has no primitive form")
-    scale = 1
-    for comp in v:
-        scale = scale * comp.denominator // gcd(scale, comp.denominator)
-    ints = [int(comp * scale) for comp in v]
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    return (_F(ints[0] // g), _F(ints[1] // g), _F(ints[2] // g))
+    scale = lcm(v[0].denominator, v[1].denominator, v[2].denominator)
+    a, b, c = (comp.numerator * (scale // comp.denominator) for comp in v)
+    g = gcd(a, b, c)
+    return (a // g, b // g, c // g)
 
 
 def on_segment(p: Vec, a: Vec, b: Vec, *, strict: bool) -> bool:
@@ -114,16 +124,16 @@ def on_segment(p: Vec, a: Vec, b: Vec, *, strict: bool) -> bool:
 # ---------------------------------------------------------------------------
 # 2d helpers (used for plate computation inside a shared facet plane)
 
-def cross2(o: Vec2, a: Vec2, b: Vec2) -> Fraction:
+def cross2(o: Vec2, a: Vec2, b: Vec2) -> Num:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def signed_area2(ring: list[Vec2]) -> Fraction:
-    total = _F(0)
+def signed_area2(ring: list[Vec2]) -> Num:
+    total = 0
     for i, p in enumerate(ring):
         q = ring[(i + 1) % len(ring)]
         total += p[0] * q[1] - q[0] * p[1]
-    return total / 2
+    return exact_div(total, 2)
 
 
 def clean_ring2(ring: list[Vec2]) -> list[Vec2]:
@@ -159,8 +169,10 @@ def clip_keep_left(ring: list[Vec2], a: Vec2, b: Vec2) -> list[Vec2]:
         if sp >= 0:
             out.append(p)
         if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-            t = sp / (sp - sq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            # p + sp/(sp - sq) * (q - p), as one division
+            den = sp - sq
+            out.append((exact_div(sp * q[0] - sq * p[0], den),
+                        exact_div(sp * q[1] - sq * p[1], den)))
     return out
 
 
@@ -207,18 +219,18 @@ def project2(p: Vec, k: int) -> Vec2:
     return (p[0], p[1])
 
 
-def lift3(xy: Vec2, k: int, normal: Vec, offset: Fraction) -> Vec:
+def lift3(xy: Vec2, k: int, normal: Vec, offset: Num) -> Vec:
     """Inverse of project2 for points on the plane normal . x == offset."""
     if k == 0:
         y, z = xy
-        x = (offset - normal[1] * y - normal[2] * z) / normal[0]
+        x = exact_div(offset - normal[1] * y - normal[2] * z, normal[0])
         return (x, y, z)
     if k == 1:
         z, x = xy
-        y = (offset - normal[2] * z - normal[0] * x) / normal[1]
+        y = exact_div(offset - normal[2] * z - normal[0] * x, normal[1])
         return (x, y, z)
     x, y = xy
-    z = (offset - normal[0] * x - normal[1] * y) / normal[2]
+    z = exact_div(offset - normal[0] * x - normal[1] * y, normal[2])
     return (x, y, z)
 
 
@@ -235,8 +247,8 @@ class Facet:
     exactly on this facet; the ring lists apex indices counterclockwise as
     seen from outside."""
 
-    normal: Vec  # primitive integer vector
-    offset: Fraction
+    normal: Vec  # primitive int vector
+    offset: Num
     ring: tuple[int, ...]
 
 
@@ -245,7 +257,7 @@ class Polyhedron:
     apices: tuple[Vec, ...]
     facets: tuple[Facet, ...]
     ridges: tuple[tuple[int, int], ...]
-    volume: Fraction
+    volume: Num
 
     def bounds(self) -> tuple[Vec, Vec]:
         lo = tuple(min(p[i] for p in self.apices) for i in range(3))
@@ -365,13 +377,13 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
         tris.update((u, v, idx) for u, v in horizon)
 
     # merge coplanar triangles into facets
-    groups: dict[tuple[Vec, Fraction], list[tuple[int, int, int]]] = {}
+    groups: dict[tuple[Vec, Num], list[tuple[int, int, int]]] = {}
     for t in tris:
         n = cross(sub(points[t[1]], points[t[0]]), sub(points[t[2]], points[t[0]]))
         np_ = primitive(n)
         groups.setdefault((np_, dot(np_, points[t[0]])), []).append(t)
 
-    facet_rings: list[tuple[Vec, Fraction, list[int]]] = []
+    facet_rings: list[tuple[Vec, Num, list[int]]] = []
     for (n, c), group in groups.items():
         edges: set[tuple[int, int]] = set()
         for a, b, cc in group:
@@ -408,12 +420,12 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
         raise NonConvexCellError("hull surface is not closed")
     ridges = tuple(sorted(edge_count))
 
-    volume = _F(0)
+    volume = 0
     for f in facets:
         q0 = apices[f.ring[0]]
         for i in range(1, len(f.ring) - 1):
             volume += dot(q0, cross(apices[f.ring[i]], apices[f.ring[i + 1]]))
-    volume /= 6
+    volume = exact_div(volume, 6)
     if volume <= 0:
         raise NonConvexCellError("cell volume is not positive")
     return Polyhedron(apices, tuple(facets), ridges, volume)
@@ -445,7 +457,7 @@ def _recession_ray_exists(normals: list[Vec]) -> bool:
     return any(all(dot(n, d) <= 0 for n in base) for d in candidates)
 
 
-def hull_from_halfspaces(planes: list[tuple[Vec, Fraction]]) -> Polyhedron:
+def hull_from_halfspaces(planes: list[tuple[Vec, Num]]) -> Polyhedron:
     """Bounded intersection of halfspaces normal . x <= offset."""
     if len(planes) < 4:
         raise NonConvexCellError("fewer than four halfspaces cannot bound a cell")
@@ -477,4 +489,4 @@ def solve3(m: Mat, rhs: Vec) -> Vec:
     x2 = det3(((m[0][0], m[0][1], rhs[0]),
                (m[1][0], m[1][1], rhs[1]),
                (m[2][0], m[2][1], rhs[2])))
-    return (x0 / d, x1 / d, x2 / d)
+    return (exact_div(x0, d), exact_div(x1, d), exact_div(x2, d))

@@ -16,6 +16,7 @@ from tesstopo.complexes import (
     validate,
     vertex_stats,
 )
+from tesstopo.complexes import build
 from tesstopo.complexes.generators import MAX_SIZE
 from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
 
@@ -195,13 +196,21 @@ def test_sized_generators_are_capped():
                 generate(name, **kw)
 
 
+# The builder's messages print torus units, whatever scale it works in; the
+# texts below were recorded from the builder that worked on Fraction values.
+def _rejection(dom) -> str:
+    with pytest.raises(NotATessellationError) as info:
+        build_complex(dom)
+    return str(info.value)
+
+
 def test_overlapping_cells_rejected():
     unit = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
             (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
     shifted = [(F(x) + F(1, 2), y, z) for x, y, z in unit]
     dom = make_domain(((1, 0, 0), (0, 1, 0), (0, 0, 1)), [unit, shifted])
-    with pytest.raises(NotATessellationError):
-        build_complex(dom)
+    assert _rejection(dom) == \
+        "cells fill 2 of the lattice cell instead of all of it"
 
 
 def test_overlap_detected_even_when_volumes_sum_right():
@@ -210,16 +219,40 @@ def test_overlap_detected_even_when_volumes_sum_right():
     inner = [("1/2", 0, 0), ("3/4", 0, 0), ("1/2", 1, 0), ("1/2", 0, 1),
              ("3/4", 1, 0), ("3/4", 0, 1), ("1/2", 1, 1), ("3/4", 1, 1)]
     dom = make_domain(((1, 0, 0), (0, 1, 0), (0, 0, 1)), [slab, inner])
-    with pytest.raises(NotATessellationError, match="overlap"):
-        build_complex(dom)
+    assert _rejection(dom) == "cells 0 and 1 (shift (0, 0, 0)) overlap"
 
 
 def test_gap_rejected():
     unit = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
             (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
     dom = make_domain(((2, 0, 0), (0, 1, 0), (0, 0, 1)), [unit])
-    with pytest.raises(NotATessellationError, match="fill"):
-        build_complex(dom)
+    assert _rejection(dom) == \
+        "cells fill 1/2 of the lattice cell instead of all of it"
+
+
+def _box(x0, y0, z0, x1, y1, z1):
+    return [(x, y, z) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)]
+
+
+# A slab and a post whose apex (1/4, 1/4, 1/2) lies inside the slab, with
+# volumes that sum to the lattice cell.
+_POST_IN_SLAB = (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                 [_box(0, 0, 0, 1, 1, "3/4"),
+                  _box("1/4", "1/4", "1/2", "3/4", "3/4", "3/2")])
+
+
+def test_overlap_across_a_lattice_shift_is_named_with_its_shift():
+    assert _rejection(make_domain(*_POST_IN_SLAB)) == \
+        "cells 0 and 1 (shift (0, 0, -1)) overlap"
+
+
+def test_vertex_inside_a_cell_is_named_in_torus_units(monkeypatch):
+    # certification catches every overlap first, so skip it to reach the check
+    # that classifies vertices against cells
+    monkeypatch.setattr(build._Builder, "find_plates_and_certify", lambda self: None)
+    assert _rejection(make_domain(*_POST_IN_SLAB)) == (
+        "vertex (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)) "
+        "lies inside cell 0")
 
 
 def test_domain_json_round_trip(built):
@@ -378,3 +411,95 @@ def test_formula_comparison_names_every_shared_quantity(built):
         "apices per cell: measured 9, formula 8",
         "pi edges per vertex: measured 1, formula 0",
     ]
+
+
+def _torus_coordinates(cx):
+    """Every coordinate of the complex, tagged with whether it is canonical."""
+    for plate in cx.plates:
+        for p in plate.ring:
+            yield False, p
+        for piece in plate.side_pieces:
+            for p in piece:
+                yield False, p
+    for v in cx.vertices:
+        yield True, v.position
+    for e in cx.edges:
+        yield True, e.endpoints[0]
+        yield False, e.endpoints[1]
+    for cell in cx.cells:
+        for p in cell.apices:
+            yield False, p
+        yield False, [f.offset for f in cell.facets] + [cell.volume]
+
+
+@pytest.mark.parametrize("case_id,name,kw,change", STRUCTURE_CASES,
+                         ids=[case[0] for case in STRUCTURE_CASES])
+def test_complex_coordinates_are_fractions_in_torus_units(built, case_id, name, kw,
+                                                          change):
+    cx = structure_case_complex(built, name, kw, change)
+    for canonical, values in _torus_coordinates(cx):
+        assert all(type(x) is F for x in values), (case_id, values)
+        if canonical:
+            assert all(0 <= x < 1 for x in values), (case_id, values)
+    assert sum(cell.volume for cell in cx.cells) == 1
+
+
+# Lattices and offsets with coprime denominators 997 and 991 make the
+# builder's common denominator D large; the digests and parameters were
+# recorded from the builder that worked on Fraction values.
+_UNIT_CUBE = _box(0, 0, 0, 1, 1, 1)
+LARGE_SCALE_CASES = [
+    ("sheared-cube-stack", lambda: make_domain(
+        ((1, 0, 0), (0, 1, 0), ("1/997", "1/991", 1)), [_UNIT_CUBE]),
+     997 * 991,
+     "166e717a96121a2fd133df4f5ea6c015d0c9ad115cc2f9fc360b95337c26dc00",
+     ("9/2", "28/9", "14/3", "8/9", "1/2", "2", "1", "4"),
+     {"vertices": 4, "edges": 9, "plates": 6, "cells": 1, "pi_edges": 8}),
+    ("prism_columns-square-offsets", lambda: generate(
+        "prism_columns", base="square", offsets=("1/997", "1/991", "0", "1/2")),
+     2 * 997 * 991,
+     "d38ca9b58250fef1b9120865371e8241cfd56e37e85455bb6ed5c12d6427d1fd",
+     ("4", "7/2", "28/5", "1/2", "0", "3", "2", "4"),
+     {"vertices": 16, "edges": 32, "plates": 20, "cells": 4, "pi_edges": 16}),
+]
+
+
+@pytest.mark.parametrize("case_id,make,scale,digest,params,counts", LARGE_SCALE_CASES,
+                         ids=[case[0] for case in LARGE_SCALE_CASES])
+def test_large_common_denominator_builds_exactly(case_id, make, scale, digest,
+                                                 params, counts):
+    dom = make()
+    assert build._Builder(dom).scale == scale
+    cx = build_complex(dom)
+    assert structure_digest(cx) == digest
+    m = measure(cx)
+    assert tuple(str(v) for v in m.params.as_dict().values()) == params
+    assert m.counts == counts
+    assert validate(cx).ok
+
+
+# Two layers of triangular prisms whose vertical walls cross at (2/3, 1/3)
+# on the plane between them, where no cell has an apex: with D = 2 that
+# plate corner is (4/3, 2/3, 1) in scaled coordinates, not an int point.
+_CROSSED_LAYERS = [
+    [(0, 0, 0), (1, 0, 0), (1, "1/2", 0), (0, 0, "1/2"), (1, 0, "1/2"), (1, "1/2", "1/2")],
+    [(0, 0, 0), (1, "1/2", 0), (1, 1, 0), (0, 1, 0),
+     (0, 0, "1/2"), (1, "1/2", "1/2"), (1, 1, "1/2"), (0, 1, "1/2")],
+    [(0, 0, "1/2"), (1, 0, "1/2"), (0, 1, "1/2"), (0, 0, 1), (1, 0, 1), (0, 1, 1)],
+    [(1, 0, "1/2"), (1, 1, "1/2"), (0, 1, "1/2"), (1, 0, 1), (1, 1, 1), (0, 1, 1)],
+]
+
+
+def test_plate_corner_off_the_scaled_grid_is_exact():
+    cx = build_complex(make_domain(((1, 0, 0), (0, 1, 0), (0, 0, 1)), _CROSSED_LAYERS))
+    assert structure_digest(cx) == \
+        "15f5053ee77e6008c881a22f11d42b194576a769301c72f232caacda8ca7d97d"
+    corner = ("(Fraction(2, 3), Fraction(1, 3), Fraction(0, 1))",
+              "(Fraction(2, 3), Fraction(1, 3), Fraction(1, 2))")
+    assert cx.diagnostics == tuple(
+        f"plate {idx} corner {at} is not an apex of any cell"
+        for idx, at in zip((3, 4, 5, 6, 8, 9, 10, 11), corner * 4))
+    m = measure(cx)
+    assert tuple(str(v) for v in m.params.as_dict().values()) == \
+        ("17/3", "62/17", "62/15", "9/17", "0", "7/3", "4/3", "6")
+    assert validate(cx).ok

@@ -1,22 +1,28 @@
 """Exact geometry kernel: hulls, 2d clipping, halfspaces."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tesstopo.errors import NonConvexCellError
 from tesstopo.complexes import GENERATORS, generate
 from tesstopo.complexes.geometry import (
     add,
+    clip_keep_left,
     convex_hull,
     convex_intersection2,
+    cross2,
     det3,
     hull_from_halfspaces,
     inverse,
+    lift3,
     on_segment,
     orient3d,
     point_in_ring2,
     primitive,
+    ring_ccw2,
     signed_area2,
     solve3,
 )
@@ -156,3 +162,127 @@ def test_inverse_and_solve():
     rhs = (F(5), F(1), F(10))
     x = solve3(m, rhs)
     assert tuple(sum(m[i][k] * x[k] for k in range(3)) for i in range(3)) == rhs
+
+
+def test_clip_keep_left_stays_exact_on_int_input():
+    square = [(0, 0), (3, 0), (3, 3), (0, 3)]
+    ring = clip_keep_left(square, (2, 3), (1, 0))
+    assert ring == [(1, 0), (3, 0), (3, 3), (2, 3)]
+    assert all(type(x) is int for p in ring for x in p)
+    half = clip_keep_left(square, (0, 1), (2, 2))  # crosses x = 3 at y = 5/2
+    assert half == [(3, F(5, 2)), (3, 3), (0, 3), (0, 1)]
+    assert type(half[0][1]) is F and type(half[0][0]) is int
+
+
+# Integer-scaled input against its Fraction original: every function of the
+# kernel must give the Fraction result times the scale, and never a float.
+_COORD = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_POINT3 = st.tuples(_COORD, _COORD, _COORD)
+_POINT2 = st.tuples(_COORD, _COORD)
+
+
+def _numbers(obj):
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _numbers(item)
+    elif hasattr(obj, "apices"):
+        yield from _numbers((obj.apices, obj.volume,
+                             [(f.normal, f.offset) for f in obj.facets]))
+    else:
+        yield obj
+
+
+def _exact(obj) -> bool:
+    return all(type(x) in (int, F) for x in _numbers(obj))
+
+
+def _common_scale(*objs) -> int:
+    return lcm(*(F(x).denominator for obj in objs for x in _numbers(obj)))
+
+
+def _scaled(obj, d):
+    """Each number of obj times d, as an int (d clears every denominator)."""
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_scaled(item, d) for item in obj)
+    return int(obj * d)
+
+
+def _times(obj, d):
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_times(item, d) for item in obj)
+    return obj * d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_POINT3, min_size=4, max_size=9), st.integers(1, 3))
+def test_hull_on_scaled_ints_is_the_scaled_hull(points, extra):
+    d = _common_scale(points) * extra
+    try:
+        want = convex_hull(points)
+    except NonConvexCellError:
+        with pytest.raises(NonConvexCellError):
+            convex_hull(_scaled(points, d))
+        return
+    got = convex_hull(_scaled(points, d))
+    assert _exact(got) and all(type(x) is int for p in got.apices for x in p)
+    assert got.apices == _times(want.apices, d)
+    assert got.volume == want.volume * d ** 3
+    assert got.ridges == want.ridges
+    assert [(f.normal, f.ring) for f in got.facets] == \
+        [(f.normal, f.ring) for f in want.facets]
+    assert [f.offset for f in got.facets] == [f.offset * d for f in want.facets]
+    assert all(type(x) is int for f in got.facets for x in f.normal)
+
+
+def _triangle(points):
+    a, b, c = points
+    return ring_ccw2([a, b, c]) if cross2(a, b, c) != 0 else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_POINT2, min_size=3, max_size=3),
+       st.lists(_POINT2, min_size=3, max_size=3),
+       st.tuples(_POINT2, _POINT2))
+def test_planar_clipping_on_scaled_ints_is_scaled(tri_p, tri_q, line):
+    p_ring, q_ring = _triangle(tri_p), _triangle(tri_q)
+    if p_ring is None or q_ring is None or line[0] == line[1]:
+        return
+    d = _common_scale(p_ring, q_ring, line)
+    p_int, q_int = _scaled(p_ring, d), _scaled(q_ring, d)
+    cut = convex_intersection2(p_int, q_int)
+    assert _exact(cut)
+    assert cut == _times(convex_intersection2(p_ring, q_ring), d)
+    clipped = clip_keep_left(p_int, *_scaled(line, d))
+    assert _exact(clipped)
+    assert clipped == _times(clip_keep_left(p_ring, *line), d)
+    area = signed_area2(p_int)
+    assert _exact([area]) and area == signed_area2(p_ring) * d * d
+
+
+@settings(max_examples=80, deadline=None)
+@given(_POINT2, st.integers(0, 2),
+       st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)), _COORD)
+def test_lift_on_scaled_ints_is_scaled(xy, k, normal, offset):
+    if normal[k] == 0:
+        return
+    d = _common_scale(xy, [offset])
+    got = lift3(_scaled(xy, d), k, normal, int(offset * d))
+    assert _exact(got)
+    assert got == _times(lift3(xy, k, normal, offset), d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_POINT3, min_size=3, max_size=3), _POINT3)
+def test_solve_and_inverse_on_scaled_ints_are_scaled(rows, rhs):
+    m = tuple(rows)
+    if det3(m) == 0:
+        return
+    e = _common_scale(m)
+    d = _common_scale(rhs) * e
+    m_int = _scaled(m, e)
+    x = solve3(m_int, _scaled(rhs, d))
+    assert _exact(x)
+    assert x == _times(solve3(m, rhs), d // e)
+    inv = inverse(m_int)
+    assert _exact(inv)
+    assert _times(inv, e) == inverse(m)

@@ -27,6 +27,14 @@ from .geometry import (
 )
 
 
+# the most halfspaces a cell of a domain file may list: the cell is built by
+# solving every triple of planes and testing each solution against every
+# plane, so the cost grows about as n^3.5; 64 planes in general position
+# take about 11 s on a shared 2-core machine, and the largest cell the
+# generators make (the 38-facet core prism of core_prism_cube(8, 8)) 0.4 s
+MAX_HALFSPACES = 64
+
+
 @dataclass(frozen=True)
 class FundamentalDomain:
     """Three independent period vectors (rows of ``lattice``) and the convex
@@ -111,6 +119,8 @@ def _decimal(x: Fraction, places: int = 40) -> str:
 
 
 def _parse_frac(text) -> Fraction:
+    if type(text) is Fraction:  # the generators' coordinates: nothing to parse
+        return text
     if isinstance(text, bool):
         raise NotATessellationError("coordinates must be rational numbers")
     if isinstance(text, (int, str, Fraction)):
@@ -134,8 +144,12 @@ def _parse_cell(entry) -> Polyhedron:
         if "apices" in entry:
             return _parse_cell(entry["apices"])
         if "halfspaces" in entry:
+            rows = _rows(entry["halfspaces"], "halfspaces")
+            if len(rows) > MAX_HALFSPACES:
+                raise UsageError(f"a cell may list at most {MAX_HALFSPACES} "
+                                 f"halfspaces, got {len(rows)}")
             planes = []
-            for hs in _rows(entry["halfspaces"], "halfspaces"):
+            for hs in rows:
                 if isinstance(hs, dict):
                     n = tuple(_parse_frac(v) for v in _rows(hs.get("normal"), "normal"))
                     c = _parse_frac(hs.get("offset"))

@@ -215,8 +215,10 @@ def _boundary_cycle(n: int) -> list[tuple[Fraction, Fraction]]:
 
 
 # the largest k and n that spoke_cube and core_prism_cube accept: at k = n = 8
-# either builds in about 8 s on a shared 2-core machine (spoke_cube has 360
-# cells there), and the build time grows faster than the cell count
+# generate and build_complex together take about 1.0-1.2 s for spoke_cube (360
+# cells, nearly all of it the build) and 0.5-0.6 s for core_prism_cube (45
+# cells) on a shared 2-core machine, and the build time grows faster than the
+# cell count
 MAX_SIZE = 8
 
 

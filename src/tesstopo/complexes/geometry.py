@@ -4,9 +4,11 @@ Coordinates are exact rationals: Python ``int`` or
 :class:`~fractions.Fraction`, mixed freely. Every division goes through
 :func:`exact_div`, so integer input stays on ``int`` wherever a quotient is
 whole and becomes a ``Fraction`` only where it is not; normals are primitive
-``int`` vectors. There is no floating point and no epsilon anywhere in this
-module; every incidence, containment, and degeneracy question is decided
-exactly.
+``int`` vectors. :func:`convex_hull` multiplies its points by the lcm of
+their denominators and runs on ``int`` whatever it is given, then reads its
+apices, facet offsets and volume back in the caller's coordinates. There is
+no floating point and no epsilon anywhere in this module; every incidence,
+containment, and degeneracy question is decided exactly.
 """
 
 from __future__ import annotations
@@ -349,13 +351,25 @@ def _strip_collinear(ring: list[int], points: list[Vec]) -> list[int]:
 
 def convex_hull(raw_points: list[Vec]) -> Polyhedron:
     """Exact incremental hull. Input points that are not extreme (interior,
-    on a facet, or in the relative interior of a ridge) are dropped."""
+    on a facet, or in the relative interior of a ridge) are dropped.
+
+    The hull runs on ``int``: the distinct points are multiplied by D, the
+    lcm of their coordinate denominators (1 for ``int`` input, which is then
+    unchanged), and a positive scale keeps every orientation sign, primitive
+    normal and lexicographic order. The result is read back from the
+    caller's points: apices are the input objects themselves, each facet
+    offset is the normal dotted with a corner of that facet, and the volume
+    is the scaled volume over D³."""
+    d = lcm(*(x.denominator for p in raw_points for x in p))
     points: list[Vec] = []
+    originals: list[Vec] = []
     seen: set[Vec] = set()
     for p in raw_points:
-        if p not in seen:
-            seen.add(p)
-            points.append(p)
+        q = tuple(x.numerator * (d // x.denominator) for x in p)
+        if q not in seen:
+            seen.add(q)
+            points.append(q)
+            originals.append(p)
     start = _initial_tetrahedron(points)
     if start is None:
         raise NonConvexCellError("cell is not three-dimensional")
@@ -377,14 +391,14 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
         tris.update((u, v, idx) for u, v in horizon)
 
     # merge coplanar triangles into facets
-    groups: dict[tuple[Vec, Num], list[tuple[int, int, int]]] = {}
+    groups: dict[tuple[Vec, int], list[tuple[int, int, int]]] = {}
     for t in tris:
         n = cross(sub(points[t[1]], points[t[0]]), sub(points[t[2]], points[t[0]]))
         np_ = primitive(n)
         groups.setdefault((np_, dot(np_, points[t[0]])), []).append(t)
 
     facet_rings: list[tuple[Vec, Num, list[int]]] = []
-    for (n, c), group in groups.items():
+    for (n, _), group in groups.items():
         edges: set[tuple[int, int]] = set()
         for a, b, cc in group:
             for e in ((a, b), (b, cc), (cc, a)):
@@ -396,12 +410,14 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
         ring = _strip_collinear(ring, points)
         if len(ring) < 3:
             raise NonConvexCellError("degenerate facet after merging")
-        facet_rings.append((n, c, ring))
+        # the offset from the corner the key was taken from, in the
+        # caller's coordinates
+        facet_rings.append((n, dot(n, originals[group[0][0]]), ring))
 
     hull_indices = sorted({i for _, _, ring in facet_rings for i in ring},
                           key=lambda i: points[i])
     remap = {old: new for new, old in enumerate(hull_indices)}
-    apices = tuple(points[i] for i in hull_indices)
+    apices = tuple(originals[i] for i in hull_indices)
 
     facets: list[Facet] = []
     for n, c, ring in facet_rings:
@@ -420,12 +436,13 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
         raise NonConvexCellError("hull surface is not closed")
     ridges = tuple(sorted(edge_count))
 
+    scaled = [points[i] for i in hull_indices]
     volume = 0
     for f in facets:
-        q0 = apices[f.ring[0]]
+        q0 = scaled[f.ring[0]]
         for i in range(1, len(f.ring) - 1):
-            volume += dot(q0, cross(apices[f.ring[i]], apices[f.ring[i + 1]]))
-    volume = exact_div(volume, 6)
+            volume += dot(q0, cross(scaled[f.ring[i]], scaled[f.ring[i + 1]]))
+    volume = exact_div(volume, 6 * d ** 3)
     if volume <= 0:
         raise NonConvexCellError("cell volume is not positive")
     return Polyhedron(apices, tuple(facets), ridges, volume)

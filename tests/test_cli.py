@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tesstopo.cli import main
+from tesstopo.complexes.domain import MAX_HALFSPACES
 from tesstopo.complexes.generators import GENERATORS
 from tesstopo.scalar import as_scalar
 
@@ -379,6 +380,17 @@ def test_domain_file_not_json_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "measure", "--domain", path)
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_domain_cell_with_too_many_halfspaces_exits_two(capsys, tmp_path):
+    # a cube whose top plane is listed again until the cell is over the cap
+    rows = [[-1, 0, 0, 0], [1, 0, 0, 1], [0, -1, 0, 0], [0, 1, 0, 1], [0, 0, -1, 0]]
+    rows += [[0, 0, 1, 1]] * (MAX_HALFSPACES + 1 - len(rows))
+    path = domain_file(tmp_path, json.dumps({
+        "lattice": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "cells": [{"halfspaces": rows}]}))
+    code, out, err = run(capsys, "measure", "--domain", path)
+    assert code == 2 and out == ""
+    assert f"at most {MAX_HALFSPACES} halfspaces, got {MAX_HALFSPACES + 1}" in err
 
 
 JSON_LEAVES = st.sampled_from([None, True, 0, 1, -1, 2, 1.5, "0", "1", "1/2", "x", "1/0"])

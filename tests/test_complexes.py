@@ -17,6 +17,7 @@ from tesstopo.complexes import (
     vertex_stats,
 )
 from tesstopo.complexes import build
+from tesstopo.complexes import domain as domain_module
 from tesstopo.complexes.generators import MAX_SIZE
 from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
 
@@ -268,6 +269,36 @@ def test_domain_text_that_is_not_json_is_a_usage_error():
         domain_from_json("nope")
 
 
+_UNIT_CUBE_HALFSPACES = [[-1, 0, 0, 0], [1, 0, 0, 1], [0, -1, 0, 0],
+                         [0, 1, 0, 1], [0, 0, -1, 0], [0, 0, 1, 1]]
+
+
+def test_halfspaces_per_cell_are_capped(monkeypatch):
+    lattice = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # refused on the count alone, before any row is read
+    rows = [["x"] * 4] * (domain_module.MAX_HALFSPACES + 1)
+    for cell in ({"halfspaces": rows}, rows):
+        with pytest.raises(UsageError, match=f"at most {domain_module.MAX_HALFSPACES} "
+                           f"halfspaces, got {len(rows)}"):
+            make_domain(lattice, [cell])
+    monkeypatch.setattr(domain_module, "MAX_HALFSPACES", 6)
+    cube = make_domain(lattice, [{"halfspaces": _UNIT_CUBE_HALFSPACES}])
+    assert cube.cells[0].volume == 1
+    with pytest.raises(UsageError, match="at most 6 halfspaces, got 7"):
+        make_domain(lattice, [_UNIT_CUBE_HALFSPACES + [[1, 1, 1, 3]]])
+
+
+def test_fraction_coordinates_are_taken_as_they_are():
+    value = F(1, 3)
+    assert domain_module._parse_frac(value) is value
+    assert domain_module._parse_frac("2/6") == value
+    assert type(domain_module._parse_frac(2)) is F
+    with pytest.raises(UsageError, match="decimal exponents"):
+        domain_module._parse_frac("1e1001")
+    with pytest.raises(NotATessellationError, match="rational numbers"):
+        domain_module._parse_frac(True)
+
+
 def test_obj_dump_lists_all_cells():
     dom = generate("parallel_pyramids")
     obj = dom.obj_dump()
@@ -342,13 +373,66 @@ def structure_digest(cx) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def structure_case_domain(name, kw, change):
+    domain = generate(name, **kw)
+    if change is None:
+        return domain
+    if change[0] == "replicate":
+        return domain.replicate(*change[1])
+    return domain.affine_image(*change[1])
+
+
 def structure_case_complex(built, name, kw, change):
     if change is None:
         return built(name, **kw)
-    domain = generate(name, **kw)
-    if change[0] == "replicate":
-        return build_complex(domain.replicate(*change[1]))
-    return build_complex(domain.affine_image(*change[1]))
+    return build_complex(structure_case_domain(name, kw, change))
+
+
+# SHA-256 of repr(domain.cells) of each case: every apex object, facet
+# normal, offset and ring and every volume, recorded from the hull that ran
+# on Fraction coordinates.
+DOMAIN_DIGESTS = {
+    "cubic_lattice":
+        "a0ca6979e74210527f5d0ec20a7985639424bd4798a417624a28c21cbdf0dc70",
+    "parallel_pyramids":
+        "029057310d7e51a0aac1d62af7bd77330d813b210606d1dcbc4b7db837ed5c82",
+    "divided_cube":
+        "38911fd6a94af15386a37f0d6847e4a0954c3c657693b0dd0b9cb71018226985",
+    "split_prism":
+        "20b682675a14874dabb8f0580ffe6f1077c57fb51899c807d151d6b2b319a4ab",
+    "prism_columns":
+        "d475e819b5c1f7a3227b60a5f1926af358c2a5588228a642e7a896b29e32c4bd",
+    "stratum_prism":
+        "f7496f9624d57c2e353511cafa8fec7bf4a9619a915d10cfe227a73f91f4a812",
+    "spoke_cube":
+        "efd28ab92137af298e3d381cab7c5494d2b817f6f54f0b049ec49d2f6e65d6cc",
+    "core_prism_cube":
+        "970ddc3e978e284c670151e647d3390afc37cee2ef242d998ed57995eca25f5b",
+    "spoke_cube-k2-n1":
+        "ba9bc73faaf4d6a8aed19f4cee60d226c3a78794fb0a0601d64bb6809afb5dbd",
+    "core_prism_cube-k1-n1":
+        "fab4b7e4b5f123ac8e4253fdea139951f1569a2d5e4a276c50cf62b98695912d",
+    "prism_columns-triangle-offsets":
+        "4208ddf3be8047d1400ec374af99431d1ae15682b8ae30240c0ce0f3f0929a4b",
+    "cubic_lattice-2x2x2":
+        "725fe26ae88efa6e60c1325baafe7826c243104c4b252d9fb1d59a42044a9698",
+    "parallel_pyramids-1x2x1":
+        "11d4e95018adefd327d6e643134a6ff9a990621cabe9db0ecd10612ba493c7e4",
+    "parallel_pyramids-image":
+        "9c15c18e1f6d32a8a3e27907312a2b01c775e188037d9275dba7190c63947c87",
+    "divided_cube-image":
+        "ff94acd82cb3919e134a453a3be32a22c349b52bdda9e6e19fb7b4fe55a2f482",
+    "stratum_prism-image":
+        "d2db8350e5f0e948b35959ca586c0678d10dded40bd8789bed5a050980f542b9",
+}
+
+
+@pytest.mark.parametrize("case_id,name,kw,change", STRUCTURE_CASES,
+                         ids=[case[0] for case in STRUCTURE_CASES])
+def test_domain_cells_are_pinned(case_id, name, kw, change):
+    domain = structure_case_domain(name, kw, change)
+    digest = hashlib.sha256(repr(domain.cells).encode()).hexdigest()
+    assert digest == DOMAIN_DIGESTS[case_id]
 
 
 @pytest.mark.parametrize("case_id,name,kw,change", STRUCTURE_CASES,

@@ -9,12 +9,20 @@ from hypothesis import given, settings, strategies as st
 from tesstopo.errors import NonConvexCellError
 from tesstopo.complexes import GENERATORS, generate
 from tesstopo.complexes.geometry import (
+    Facet,
+    Polyhedron,
+    _assemble_ring,
+    _initial_tetrahedron,
+    _strip_collinear,
     add,
+    cross,
     clip_keep_left,
     convex_hull,
     convex_intersection2,
     cross2,
     det3,
+    dot,
+    exact_div,
     hull_from_halfspaces,
     inverse,
     lift3,
@@ -25,6 +33,7 @@ from tesstopo.complexes.geometry import (
     ring_ccw2,
     signed_area2,
     solve3,
+    sub,
 )
 
 CUBE = [(F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
@@ -286,3 +295,129 @@ def test_solve_and_inverse_on_scaled_ints_are_scaled(rows, rhs):
     inv = inverse(m_int)
     assert _exact(inv)
     assert _times(inv, e) == inverse(m)
+
+
+def _reference_hull(raw_points):
+    """The hull as it ran before it scaled its points to int: every step on
+    the caller's coordinates. Kept as the reference of the test below."""
+    points = []
+    seen = set()
+    for p in raw_points:
+        if p not in seen:
+            seen.add(p)
+            points.append(p)
+    start = _initial_tetrahedron(points)
+    if start is None:
+        raise NonConvexCellError("cell is not three-dimensional")
+    corners, tris_list = start
+    tris = set(tris_list)
+    used = set(corners)
+    for idx, p in enumerate(points):
+        if idx in used:
+            continue
+        visible = [t for t in tris
+                   if orient3d(points[t[0]], points[t[1]], points[t[2]], p) > 0]
+        if not visible:
+            continue
+        vis_edges = set()
+        for a, b, c in visible:
+            vis_edges.update(((a, b), (b, c), (c, a)))
+        horizon = [(u, v) for (u, v) in vis_edges if (v, u) not in vis_edges]
+        tris.difference_update(visible)
+        tris.update((u, v, idx) for u, v in horizon)
+    groups = {}
+    for t in tris:
+        n = cross(sub(points[t[1]], points[t[0]]), sub(points[t[2]], points[t[0]]))
+        np_ = primitive(n)
+        groups.setdefault((np_, dot(np_, points[t[0]])), []).append(t)
+    facet_rings = []
+    for (n, c), group in groups.items():
+        edges = set()
+        for a, b, cc in group:
+            for e in ((a, b), (b, cc), (cc, a)):
+                if (e[1], e[0]) in edges:
+                    edges.remove((e[1], e[0]))
+                else:
+                    edges.add(e)
+        ring = _strip_collinear(_assemble_ring(sorted(edges)), points)
+        if len(ring) < 3:
+            raise NonConvexCellError("degenerate facet after merging")
+        facet_rings.append((n, c, ring))
+    hull_indices = sorted({i for _, _, ring in facet_rings for i in ring},
+                          key=lambda i: points[i])
+    remap = {old: new for new, old in enumerate(hull_indices)}
+    apices = tuple(points[i] for i in hull_indices)
+    facets = []
+    for n, c, ring in facet_rings:
+        mapped = [remap[i] for i in ring]
+        low = mapped.index(min(mapped))
+        facets.append(Facet(n, c, tuple(mapped[low:] + mapped[:low])))
+    facets.sort(key=lambda f: (f.normal, f.offset))
+    edge_count = {}
+    for f in facets:
+        for i in range(len(f.ring)):
+            a, b = f.ring[i], f.ring[(i + 1) % len(f.ring)]
+            key = (a, b) if a < b else (b, a)
+            edge_count[key] = edge_count.get(key, 0) + 1
+    if any(v != 2 for v in edge_count.values()):
+        raise NonConvexCellError("hull surface is not closed")
+    volume = 0
+    for f in facets:
+        q0 = apices[f.ring[0]]
+        for i in range(1, len(f.ring) - 1):
+            volume += dot(q0, cross(apices[f.ring[i]], apices[f.ring[i + 1]]))
+    volume = exact_div(volume, 6)
+    if volume <= 0:
+        raise NonConvexCellError("cell volume is not positive")
+    return Polyhedron(apices, tuple(facets), tuple(sorted(edge_count)), volume)
+
+
+_MIXED = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _hull_inputs(draw):
+    """Points with int and Fraction coordinates mixed, with repeats, points
+    inside segments of the set, and sometimes all in one plane."""
+    points = draw(st.lists(st.tuples(_MIXED, _MIXED, _MIXED), min_size=1, max_size=10))
+    if draw(st.booleans()):  # a point between two of them, a third of the way
+        a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        points.append(tuple(x + F(y - x) / 3 for x, y in zip(a, b)))
+    if draw(st.booleans()):
+        points = [(x, y, 0) for x, y, _ in points]
+    repeats = draw(st.lists(st.sampled_from(points), max_size=3))
+    if repeats:
+        # the same point again, with every int written as a Fraction
+        points += [tuple(F(x) for x in p) for p in repeats]
+    return draw(st.permutations(points))
+
+
+def _hull_text(points):
+    try:
+        return repr(convex_hull(points))
+    except NonConvexCellError as exc:
+        return f"NonConvexCellError: {exc}"
+
+
+def _reference_text(points):
+    try:
+        return repr(_reference_hull(points))
+    except NonConvexCellError as exc:
+        return f"NonConvexCellError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hull_inputs())
+def test_hull_matches_the_fraction_reference(points):
+    # same apex objects, facet offsets of the same type, same volume, same
+    # refusal, to the character
+    assert _hull_text(points) == _reference_text(points)
+
+
+def test_hull_keeps_the_callers_point_objects():
+    points = [(0, 0, 0), (F(1), 0, 0), (0, F(1, 2), 0), (0, 0, 3)]
+    hull = convex_hull(points)
+    assert repr(hull) == repr(_reference_hull(points))
+    assert all(any(a is p for p in points) for a in hull.apices)
+    # the type of an offset follows the corner it is taken from
+    assert [type(f.offset) for f in hull.facets] == [F, int, F, F]

@@ -5,8 +5,9 @@ quotients of integer-coefficient polynomials evaluated at pi squared.
 Keeping that structure explicit makes identity checks exact. Equality is
 decidable because pi is transcendental, so a nonzero integer polynomial
 cannot vanish at pi^2 and two values are equal iff their canonical forms
-coincide. Order comparisons refine interval enclosures of pi until the
-sign of the difference is certain; this terminates for the same reason.
+coincide. Order is decided on ints: integer bounds on pi^2, taken at
+doubling precision, enclose the difference until its sign is certain; this
+terminates for the same reason.
 
 Coefficient tuples are indexed by the power of pi^2, so ``(35, 24)``
 denotes ``35 + 24*pi^2``.
@@ -26,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 import mpmath
+from mpmath.libmp import mpf_shift, to_int
 
 from .errors import UsageError
 
@@ -154,18 +156,43 @@ def _horner(c: Coeffs, x, mpf):
     return acc
 
 
-def _iv_sign(v) -> int:
-    if v.a > 0:
-        return 1
-    if v.b < 0:
-        return -1
-    return 0
+_PI2_BOUNDS: dict[int, tuple[int, int]] = {}
+
+
+def _pi2_bounds(prec: int) -> tuple[int, int]:
+    """Ints ``lo, hi`` with ``lo <= pi^2 * 2**prec <= hi``, from an
+    interval pi^2 at ``prec`` bits."""
+    b = _PI2_BOUNDS.get(prec)
+    if b is None:
+        old = mpmath.iv.prec
+        try:
+            mpmath.iv.prec = prec
+            low, high = (mpmath.iv.pi * mpmath.iv.pi)._mpi_
+        finally:
+            mpmath.iv.prec = old
+        b = _PI2_BOUNDS[prec] = (to_int(mpf_shift(low, prec), "f"),
+                                 to_int(mpf_shift(high, prec), "c"))
+    return b
+
+
+def _poly_sign(c: Coeffs, prec: int) -> int:
+    # interval Horner on ints, with no rounding: after each step [a, b]
+    # encloses the partial value times 2**shift; 0 while it straddles zero
+    lo, hi = _pi2_bounds(prec)
+    a = b = c[-1]
+    shift = 0
+    for k in reversed(c[:-1]):
+        shift += prec
+        a, b = (a * (lo if a >= 0 else hi) + (k << shift),
+                b * (hi if b >= 0 else lo) + (k << shift))
+    return 1 if a > 0 else -1 if b < 0 else 0
 
 
 # the highest pi power scalar text may carry: above every parameter the
 # package prints (pi^8, in mixtures of the pi^2 catalog entries), and the
 # highest even one at which `derive` on seven parameters dense in every even
-# power stays under 3 s: 1.6-1.9 s at pi^22, 2.4-3.1 s at pi^24 (shared 2-core machine)
+# power stays under 3 s: 2.7-2.9 s at pi^22, 4.3-4.7 s at pi^24 (shared 2-core
+# x86-64 machine, CPython 3.11), nearly all of it in `_prem` and content gcds
 MAX_PI_POWER = 22
 # the largest decimal exponent, of either sign, a coefficient may carry:
 # Fraction builds the whole power of ten, so "1e999999999" would take minutes
@@ -417,21 +444,17 @@ class Scalar:
     # ---- comparison ----
 
     def sign(self) -> int:
-        """Exact sign: -1, 0 or +1."""
+        """Exact sign: -1, 0 or +1. A pi^2 value takes integer bounds on
+        pi^2 at 64, 128, ... bits until they fix the signs of numerator and
+        denominator."""
         if self._num == (0,):
             return 0
         if self.is_rational:
             return 1 if self._num[0] > 0 else -1
         prec = 64
         while prec <= 1 << 16:
-            old = mpmath.iv.prec
-            try:
-                mpmath.iv.prec = prec
-                x = mpmath.iv.pi * mpmath.iv.pi
-                ns = _iv_sign(_horner(self._num, x, mpmath.iv.mpf))
-                ds = _iv_sign(_horner(self._den, x, mpmath.iv.mpf))
-            finally:
-                mpmath.iv.prec = old
+            ns = _poly_sign(self._num, prec)
+            ds = _poly_sign(self._den, prec)
             if ns and ds:
                 return ns * ds
             prec *= 2

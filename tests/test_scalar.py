@@ -5,7 +5,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tesstopo.scalar import Scalar, as_scalar, PI2, ZERO, ONE, _normalize, _pmul
+from tesstopo import scalar
+from tesstopo.scalar import (
+    MAX_PI_POWER, Scalar, as_scalar, PI2, ZERO, ONE, _normalize, _pi2_bounds, _pmul, _poly_sign)
 
 
 coeff_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
@@ -288,3 +290,86 @@ int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(
 def test_normalize_matches_fraction_euclid(g, a, b):
     n, d = _pmul(g, a), _pmul(g, b)
     assert _normalize(n, d) == _ref_normalize(n, d)
+
+
+# ---- differential checks of the integer sign against mpmath intervals ----
+
+def _interval_sign(c, x):
+    acc = mpmath.iv.mpf(c[-1])
+    for k in reversed(c[:-1]):
+        acc = acc * x + k
+    return 1 if acc.a > 0 else -1 if acc.b < 0 else 0
+
+
+def _reference_sign(s):
+    """The sign by mpmath interval Horner at doubling precision: the
+    definition the integer bounds must reproduce."""
+    if s.is_rational:
+        return (s.num_coeffs[0] > 0) - (s.num_coeffs[0] < 0)
+    prec = 64
+    while prec <= 1 << 16:
+        old = mpmath.iv.prec
+        try:
+            mpmath.iv.prec = prec
+            x = mpmath.iv.pi * mpmath.iv.pi
+            ns, ds = _interval_sign(s.num_coeffs, x), _interval_sign(s.den_coeffs, x)
+        finally:
+            mpmath.iv.prec = old
+        if ns and ds:
+            return ns * ds
+        prec *= 2
+    raise ArithmeticError("reference refinement stalled")
+
+
+def _pi2_times_ten_to(e):
+    with mpmath.workdps(e + 50):
+        return int(mpmath.floor(mpmath.pi ** 2 * 10 ** e))
+
+
+big_coeffs = st.integers(1, 300).flatmap(lambda d: st.integers(-10 ** d, 10 ** d))
+big_polys = st.lists(big_coeffs, min_size=1, max_size=MAX_PI_POWER // 2 + 1)
+
+
+@st.composite
+def near_zero_polys(draw):
+    # (floor(pi^2 * 10^e) + k - 10^e * pi^2) times a small factor: a few
+    # units from zero beside coefficients near 10^e, so its sign needs about
+    # 3.3e bits of pi^2
+    e = draw(st.integers(15, 300))
+    k = draw(st.integers(-2, 3))
+    factor = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any))
+    return list(_pmul((_pi2_times_ten_to(e) + k, -10 ** e), tuple(factor)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(big_polys, near_zero_polys()),
+       st.one_of(big_polys, near_zero_polys()).filter(any))
+def test_sign_matches_mpmath_intervals(num, den):
+    s = Scalar(num, den)
+    assert s.sign() == _reference_sign(s)
+    assert (-s).sign() == -s.sign()
+
+
+@pytest.mark.parametrize("e", [30, 1000])
+def test_sign_near_zero(e):
+    a = _pi2_times_ten_to(e)
+    below, above = Scalar([a, -10 ** e]), Scalar([a + 1, -10 ** e])
+    assert below.sign() == -1
+    assert above.sign() == 1
+    # 64-bit bounds on pi^2 cannot separate these from zero
+    assert _poly_sign(below.num_coeffs, 64) == _poly_sign(above.num_coeffs, 64) == 0
+
+
+def test_pi2_bounds(monkeypatch):
+    monkeypatch.setattr(scalar, "_PI2_BOUNDS", {})
+    bounds = {}
+    for prec in range(64, 4097):
+        lo, hi = bounds[prec] = _pi2_bounds(prec)
+        with mpmath.workprec(4 * prec):
+            scaled = mpmath.ldexp(mpmath.pi ** 2, prec)
+            assert lo < scaled < hi
+        assert hi - lo <= 2 ** 8
+    for prec in range(64, 2049):
+        lo, hi = bounds[prec]
+        assert lo << prec <= bounds[2 * prec][0] <= bounds[2 * prec][1] <= hi << prec
+    assert _pi2_bounds(64) is _pi2_bounds(64)  # kept per precision

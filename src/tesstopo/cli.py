@@ -15,18 +15,7 @@ import sys
 from typing import Sequence
 
 from . import catalog
-from .errors import (
-    DegenerateIntensityError,
-    GeneratorParameterError,
-    InfeasibleParametersError,
-    MixtureShareError,
-    NonConvexCellError,
-    NotATessellationError,
-    ParameterDomainError,
-    PlanarParameterError,
-    UnknownEntryError,
-    UsageError,
-)
+from .errors import TesstopoError, UsageError
 from .feasibility import (
     classify,
     hemi_pi_region,
@@ -474,24 +463,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"tesstopo: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterDomainError, DegenerateIntensityError, MixtureShareError,
-            PlanarParameterError, GeneratorParameterError,
-            InfeasibleParametersError) as exc:
-        print(f"tesstopo: {exc}", file=sys.stderr)
-        return 2
-    except UnknownEntryError as exc:
-        message = exc.args[0] if exc.args else str(exc)
+    except (TesstopoError, UsageError, OSError) as exc:
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"tesstopo: {message}", file=sys.stderr)
-        return 2
-    except (NotATessellationError, NonConvexCellError) as exc:
-        print(f"tesstopo: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"tesstopo: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

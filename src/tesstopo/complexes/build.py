@@ -29,10 +29,12 @@ Pipeline, in order:
    of one class are clipped, at the lattice shifts that put them on one
    plane and make their projected boxes overlap in a rectangle;
 3. pairwise interior-disjointness certificates for every cell pair at every
-   translate in its exact bounding-box window (outside of which the boxes
-   themselves separate, so the enumeration is certified complete):
-   separated bounding boxes, a shared plate, a separating facet plane, or
-   an exact intersection dimension computation as a last resort;
+   translate whose bounding boxes overlap in their interiors (at every other
+   translate the boxes themselves separate the cells, so the enumeration is
+   complete): a shared plate, or a separating plane. The candidate planes
+   are normal to a facet of either cell or to one ridge direction of each;
+   these normals include every facet normal of the Minkowski difference of
+   the two cells, so a pair that none of them separates overlaps;
 4. vertices: cell apices plus plate ring corners, deduplicated mod lattice;
 5. edges: the union of all cell ridges split at every vertex lying in a
    ridge's relative interior, deduplicated into translation classes (every
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, product
 from math import gcd, lcm
 
 from ..errors import NotATessellationError
@@ -77,7 +79,6 @@ from .geometry import (
     project2,
     ring_ccw2,
     signed_area2,
-    solve3,
     sub,
     transpose,
 )
@@ -140,6 +141,12 @@ def _hull_cells(point_sets: list[list[Vec]]) -> list[Polyhedron]:
     return cells
 
 
+def _open_range(lo_a: int, hi_a: int, lo_b: int, hi_b: int, d: int) -> range:
+    """The ints t with d t strictly between lo_a - hi_b and hi_a - lo_b: the
+    shifts that make [lo_b, hi_b] + d t overlap [lo_a, hi_a] in an interval."""
+    return range((lo_a - hi_b) // d + 1, -((lo_b - hi_a) // d))
+
+
 def _coplanar_shifts(m: Vec, r: int, view_a: _FacetView, view_b: _FacetView,
                      d: int):
     """Lattice shifts t with m . t == r under which facet b, moved by d t,
@@ -148,9 +155,8 @@ def _coplanar_shifts(m: Vec, r: int, view_a: _FacetView, view_b: _FacetView,
     _, _, lo_b, hi_b = view_b
     u, v = _PROJECTED_AXES[k]
     mk, mu, mv = m[k], m[u], m[v]
-    # d t strictly between lo_a - hi_b and hi_a - lo_b on each projected axis
-    for tu in range((lo_a[0] - hi_b[0]) // d + 1, -((lo_b[0] - hi_a[0]) // d)):
-        for tv in range((lo_a[1] - hi_b[1]) // d + 1, -((lo_b[1] - hi_a[1]) // d)):
+    for tu in _open_range(lo_a[0], hi_a[0], lo_b[0], hi_b[0], d):
+        for tv in _open_range(lo_a[1], hi_a[1], lo_b[1], hi_b[1], d):
             rest = r - mu * tu - mv * tv
             if rest % mk == 0:
                 t = [0, 0, 0]
@@ -286,26 +292,12 @@ class _Builder:
 
     # -- phase 2/3: plates and disjointness ---------------------------------
 
-    def _shift_window(self, i: int, j: int) -> list[IVec] | None:
-        lo_i, hi_i = self.bounds[i]
-        lo_j, hi_j = self.bounds[j]
-        d = self.scale
-        axes: list[range] = []
-        for k in range(3):
-            # d t between lo_i - hi_j and hi_i - lo_j
-            lo = -((hi_j[k] - lo_i[k]) // d)
-            hi = (hi_i[k] - lo_j[k]) // d
-            if lo > hi:
-                return None
-            axes.append(range(lo, hi + 1))
-        return [t for t in product(*axes)]  # type: ignore[misc]
-
-    def _boxes_interior_disjoint(self, i: int, j: int, t: IVec) -> bool:
-        lo_i, hi_i = self.bounds[i]
-        lo_j, hi_j = self.bounds[j]
-        s = self._shift(t)
-        return any(hi_j[k] + s[k] <= lo_i[k] or hi_i[k] <= lo_j[k] + s[k]
-                   for k in range(3))
+    def _shift_window(self, i: int, j: int):
+        """The lattice shifts t under which cell_j's box, moved by D t,
+        overlaps cell_i's box in its interior."""
+        (lo_i, hi_i), (lo_j, hi_j) = self.bounds[i], self.bounds[j]
+        return product(*(_open_range(lo_i[k], hi_i[k], lo_j[k], hi_j[k], self.scale)
+                         for k in range(3)))
 
     def _clip_plate(self, i: int, fa: int, j: int, fb: int,
                     t: IVec) -> PlateOrbit | None:
@@ -353,77 +345,51 @@ class _Builder:
                             table[(plate.cell_a, plate.cell_b, plate.shift)] = plate
         return table
 
-    def _separating_facet(self, i: int, j: int, t: IVec) -> bool:
+    def _separated(self, i: int, j: int, t: IVec) -> bool:
+        """Whether a plane puts cell_i on one side and cell_j, moved by the
+        shift t, on the other, so that their interiors are disjoint.
+
+        The interiors meet exactly when 0 lies inside the Minkowski
+        difference of the two cells, whose facet normals are, up to sign,
+        among the facet normals of either cell and the cross products of one
+        ridge direction of each. So trying these normals, in that order and
+        each lazily, decides the question. Parallel ridges give the zero vector, which
+        separates nothing and is skipped.
+        """
         shift = self._shift(t)
         cell_i, cell_j = self.cells[i], self.cells[j]
-        apices_j = [add(p, shift) for p in cell_j.apices]
-        for f in cell_i.facets:
-            if all(dot(f.normal, q) >= f.offset for q in apices_j):
-                return True
-        for f in cell_j.facets:
-            limit = f.offset + dot(f.normal, shift)
-            if all(dot(f.normal, p) >= limit for p in cell_i.apices):
+        apices_j = [add(q, shift) for q in cell_j.apices]
+
+        def ridge_directions(cell: Polyhedron):
+            return (sub(cell.apices[b], cell.apices[a]) for a, b in cell.ridges)
+
+        normals = chain(
+            (f.normal for f in cell_i.facets),
+            (f.normal for f in cell_j.facets),
+            (cross(u, v) for u in ridge_directions(cell_i)
+             for v in ridge_directions(cell_j)))
+        for n in normals:
+            if n == ZERO3:
+                continue
+            along_i = [dot(n, p) for p in cell_i.apices]
+            along_j = [dot(n, q) for q in apices_j]
+            if max(along_i) <= min(along_j) or max(along_j) <= min(along_i):
                 return True
         return False
 
-    def _intersection_dimension(self, i: int, j: int, t: IVec) -> int:
-        """Affine dimension of cell_i meet (cell_j + t), decided exactly."""
-        shift = self._shift(t)
-        planes = [(f.normal, f.offset) for f in self.cells[i].facets]
-        planes += [(f.normal, f.offset + dot(f.normal, shift))
-                   for f in self.cells[j].facets]
-        pts: list[Vec] = []
-        for (n1, c1), (n2, c2), (n3, c3) in combinations(planes, 3):
-            d = det3((n1, n2, n3))
-            if d == 0:
-                continue
-            x = solve3((n1, n2, n3), (c1, c2, c3))
-            if all(dot(n, x) <= c for n, c in planes) and x not in pts:
-                pts.append(x)
-        if not pts:
-            return -1
-        rank = 0
-        base = pts[0]
-        dirs: list[Vec] = []
-        for p in pts[1:]:
-            d = sub(p, base)
-            if rank == 0:
-                if d != ZERO3:
-                    dirs.append(d)
-                    rank = 1
-            elif rank == 1:
-                if cross(dirs[0], d) != ZERO3:
-                    dirs.append(d)
-                    rank = 2
-            elif rank == 2 and det3((dirs[0], dirs[1], d)) != 0:
-                rank = 3
-                break
-        return rank
-
     def find_plates_and_certify(self) -> None:
-        plates = self._plate_table()
+        table = self._plate_table()
         n = len(self.cells)
         for i in range(n):
             for j in range(i, n):
-                window = self._shift_window(i, j)
-                if window is None:
-                    continue
-                for t in window:
+                for t in self._shift_window(i, j):
                     if i == j and t <= (0, 0, 0):
                         # the reversed shift covers the same unordered pair
                         continue
-                    plate = plates.get((i, j, t))
-                    if plate is not None:
-                        self.plates.append(plate)
-                        continue
-                    if self._boxes_interior_disjoint(i, j, t):
-                        continue
-                    if self._separating_facet(i, j, t):
-                        continue
-                    dim = self._intersection_dimension(i, j, t)
-                    if dim >= 2:
+                    if (i, j, t) not in table and not self._separated(i, j, t):
                         raise NotATessellationError(
                             f"cells {i} and {j} (shift {t}) overlap")
+        self.plates = [table[key] for key in sorted(table)]
         for idx, plate in enumerate(self.plates):
             self.covering.setdefault((plate.cell_a, plate.facet_a), []).append(
                 (idx, (0, 0, 0)))
@@ -501,42 +467,29 @@ class _Builder:
         key = _canon_segment(a, b, self.scale)
         eid = self.edge_ids.get(key)
         if eid is None:
-            va = self.vertex_ids.get(key[0])
-            vb = self.vertex_ids.get(_canon_point(key[1], self.scale))
-            if va is None or vb is None:
-                raise NotATessellationError(
-                    "edge endpoint is not a vertex of the complex")
+            va = self.vertex_ids[key[0]]
+            vb = self.vertex_ids[_canon_point(key[1], self.scale)]
             self.edge_ids[key] = eid = len(self.edges)
             self.edges.append(EdgeRecord(key, (va, vb)))
             self.vertices[va].edge_count += 1
             self.vertices[vb].edge_count += 1
         return eid
 
-    def _split_segment(self, a: Vec, b: Vec,
-                       register: bool) -> tuple[list[tuple[Vec, Vec]], list[int], list[int]]:
+    def _split_segment(self, a: Vec, b: Vec
+                       ) -> tuple[list[tuple[Vec, Vec]], list[int], list[int]]:
         """Split segment ab at interior vertices. Returns the pieces, their
-        edge ids (registered or looked up), and the interior vertex ids."""
+        edge ids, and the interior vertex ids."""
         hits = self._interior_vertices(a, b)
         stops = [a] + [p for _, p in hits] + [b]
-        pieces = [(stops[k], stops[k + 1]) for k in range(len(stops) - 1)]
-        ids: list[int] = []
-        for p, q in pieces:
-            if register:
-                ids.append(self._register_edge(p, q))
-            else:
-                eid = self.edge_ids.get(_canon_segment(p, q, self.scale))
-                if eid is None:
-                    raise NotATessellationError(
-                        "plate side piece is not an edge of the complex")
-                ids.append(eid)
+        pieces = list(zip(stops, stops[1:]))
+        ids = [self._register_edge(p, q) for p, q in pieces]
         return pieces, ids, [vid for vid, _ in hits]
 
     def build_edges(self) -> None:
         for cell in self.cells:
             per_cell: list[list[int]] = []
             for a_idx, b_idx in cell.ridges:
-                _, ids, _ = self._split_segment(
-                    cell.apices[a_idx], cell.apices[b_idx], register=True)
+                _, ids, _ = self._split_segment(cell.apices[a_idx], cell.apices[b_idx])
                 per_cell.append(ids)
             self.ridge_pieces.append(per_cell)
 
@@ -549,8 +502,8 @@ class _Builder:
             interior: list[int] = []
             ring = plate.ring
             for k in range(len(ring)):
-                seg_pieces, ids, inner = self._split_segment(
-                    ring[k], ring[(k + 1) % len(ring)], register=False)
+                seg_pieces, ids, inner = self._split_segment(ring[k],
+                                                             ring[(k + 1) % len(ring)])
                 pieces.extend(seg_pieces)
                 edge_ids.extend(ids)
                 interior.extend(inner)
@@ -568,7 +521,6 @@ class _Builder:
     def classify_cell_points(self) -> None:
         for ci, cell in enumerate(self.cells):
             apex_set = set(cell.apices)
-            found_apices = 0
             vertex_incidences = 0
             lo, hi = self.bounds[ci]
             for vid, p in self._instances_in_box(lo, hi):
@@ -576,26 +528,18 @@ class _Builder:
                 if eq is None:
                     continue
                 vertex_incidences += 1
-                self.vertices[vid].cell_count += 1
+                vertex = self.vertices[vid]
+                vertex.cell_count += 1
                 if p in apex_set:
-                    found_apices += 1
                     continue
                 if not eq:
                     raise NotATessellationError(
-                        f"vertex {self._unscale(self.vertices[vid].position)} "
-                        f"lies inside cell {ci}")
+                        f"vertex {self._unscale(vertex.position)} lies inside cell {ci}")
+                # two facets of a convex cell meet in a ridge or in an apex
                 if len(eq) == 1:
-                    self.vertices[vid].hemi_count += 1
-                    continue
-                if not any(on_segment(p, cell.apices[a], cell.apices[b], strict=True)
-                           for a, b in cell.ridges):
-                    raise NotATessellationError(
-                        "boundary vertex is neither an apex nor on a ridge "
-                        "nor inside a facet")
-                self.vertices[vid].ridge_interior_count += 1
-            if found_apices != len(cell.apices):
-                raise NotATessellationError(
-                    f"cell {ci} apices are not all vertices of the complex")
+                    vertex.hemi_count += 1
+                else:
+                    vertex.ridge_interior_count += 1
             rec = CellRecord(
                 apex_count=len(cell.apices),
                 ridge_count=len(cell.ridges),
@@ -655,11 +599,6 @@ class _Builder:
             rec.position = unscale(rec.position)
         for edge in self.edges:
             edge.endpoints = (unscale(edge.endpoints[0]), unscale(edge.endpoints[1]))
-        for rec in self.vertices:
-            if rec.hemi_count > 1:
-                raise NotATessellationError(
-                    f"vertex {rec.position} sits inside facets of "
-                    f"{rec.hemi_count} cells, which forces overlapping interiors")
         ftf = 2 * len(self.plates) == sum(r.facet_count for r in self.cell_records)
         return PeriodicComplex(
             domain=self.domain,

@@ -170,9 +170,11 @@ def validate(cx: PeriodicComplex) -> ValidationReport:
     """Check every structural and formula-level invariant of the complex.
 
     Building already certified the partition (volume sum, pairwise interior
-    disjointness); this adds the local minimums, the per-vertex interior
-    inequalities, the alternation identities, and exact agreement between
-    measured quantities and the derived formulas at the measured parameters.
+    disjointness by a shared plate or a separating plane), which leaves no
+    vertex inside facets of two cells; this checks that count again and adds
+    the local minimums, the per-vertex interior inequalities, the alternation
+    identities, and exact agreement between measured quantities and the
+    derived formulas at the measured parameters.
     """
     failures: list[str] = []
     notes: list[str] = list(cx.diagnostics)

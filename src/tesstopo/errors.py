@@ -18,7 +18,10 @@ __all__ = [
 
 
 class TesstopoError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package. ``exit_code`` is
+    the command line's exit status for it."""
+
+    exit_code = 2
 
 
 class ParameterDomainError(TesstopoError, ValueError):
@@ -49,10 +52,14 @@ class GeneratorParameterError(TesstopoError, ValueError):
 class NonConvexCellError(TesstopoError, ValueError):
     """A supposed cell is not a bounded convex polyhedron."""
 
+    exit_code = 3
+
 
 class NotATessellationError(TesstopoError, RuntimeError):
     """A built complex violates a structural requirement (cells overlap,
     do not fill space, or break a combinatorial invariant)."""
+
+    exit_code = 3
 
 
 class UnknownEntryError(TesstopoError, KeyError):

@@ -332,17 +332,17 @@ def _clip(poly: list[tuple[Scalar, Scalar]], relation: str, form: dict[str, Scal
     closure, if strict), the rates off the axes fixed by values."""
     a, b, c = form.get(axes[0], ZERO), form.get(axes[1], ZERO), _offset(form, values)
     side = 1 if relation[0] == "<" else -1  # keeps side * form <= 0
+    level = [a * p[0] + b * p[1] + c for p in poly]
+    inside = [side * f.sign() <= 0 for f in level]
     out: list[tuple[Scalar, Scalar]] = []
     n = len(poly)
     for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        fp = a * p[0] + b * p[1] + c
-        fq = a * q[0] + b * q[1] + c
-        pin, qin = side * fp.sign() <= 0, side * fq.sign() <= 0
-        if pin:
+        k = (i + 1) % n
+        p, q = poly[i], poly[k]
+        if inside[i]:
             out.append(p)
-        if pin != qin:
-            t = fp / (fp - fq)
+        if inside[i] != inside[k]:
+            t = level[i] / (level[i] - level[k])
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
 

@@ -321,6 +321,12 @@ def test_pi_powers_at_the_cap_complete(capsys):
     assert "feasible" in out
 
 
+def test_unknown_catalog_entry_message_is_unquoted(capsys):
+    # the error is a KeyError, whose str() would wrap the message in quotes
+    code, out, err = run(capsys, "catalog", "show", "nope")
+    assert (code, out, err) == (2, "", "tesstopo: no catalog entry named 'nope'\n")
+
+
 def test_unreadable_params_file_exits_two(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "derive", "--params-file", str(missing))

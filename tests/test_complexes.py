@@ -1,7 +1,10 @@
 """Periodic complex engine: building, measuring, validating generators."""
 
+import copy
 import hashlib
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
@@ -19,6 +22,7 @@ from tesstopo.complexes import (
 from tesstopo.complexes import build
 from tesstopo.complexes import domain as domain_module
 from tesstopo.complexes.generators import MAX_SIZE
+from tesstopo.complexes.geometry import ZERO3, convex_hull, cross, det3, dot, solve3, sub
 from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
 
 SEVEN = ("edges_per_vertex", "plates_per_edge", "vertices_per_plate",
@@ -214,12 +218,17 @@ def test_overlapping_cells_rejected():
         "cells fill 2 of the lattice cell instead of all of it"
 
 
+# A slab of width 3/4 and a slab of width 1/4 inside it: the volumes sum to
+# the lattice cell.
+_INNER_IN_SLAB = (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                  [[(0, 0, 0), ("3/4", 0, 0), (0, 1, 0), (0, 0, 1),
+                    ("3/4", 1, 0), ("3/4", 0, 1), (0, 1, 1), ("3/4", 1, 1)],
+                   [("1/2", 0, 0), ("3/4", 0, 0), ("1/2", 1, 0), ("1/2", 0, 1),
+                    ("3/4", 1, 0), ("3/4", 0, 1), ("1/2", 1, 1), ("3/4", 1, 1)]])
+
+
 def test_overlap_detected_even_when_volumes_sum_right():
-    slab = [(0, 0, 0), ("3/4", 0, 0), (0, 1, 0), (0, 0, 1),
-            ("3/4", 1, 0), ("3/4", 0, 1), (0, 1, 1), ("3/4", 1, 1)]
-    inner = [("1/2", 0, 0), ("3/4", 0, 0), ("1/2", 1, 0), ("1/2", 0, 1),
-             ("3/4", 1, 0), ("3/4", 0, 1), ("1/2", 1, 1), ("3/4", 1, 1)]
-    dom = make_domain(((1, 0, 0), (0, 1, 0), (0, 0, 1)), [slab, inner])
+    dom = make_domain(*_INNER_IN_SLAB)
     assert _rejection(dom) == "cells 0 and 1 (shift (0, 0, 0)) overlap"
 
 
@@ -587,3 +596,175 @@ def test_plate_corner_off_the_scaled_grid_is_exact():
     assert tuple(str(v) for v in m.params.as_dict().values()) == \
         ("17/3", "62/17", "62/15", "9/17", "0", "7/3", "4/3", "6")
     assert validate(cx).ok
+
+
+def _intersection_dimension(builder, i, j, t):
+    """Affine dimension of cell_i meet (cell_j + t), decided from every
+    vertex of the intersection: each point where three of the two cells'
+    facet planes meet and that satisfies every facet inequality."""
+    shift = builder._shift(t)
+    planes = [(f.normal, f.offset) for f in builder.cells[i].facets]
+    planes += [(f.normal, f.offset + dot(f.normal, shift))
+               for f in builder.cells[j].facets]
+    pts = []
+    for (n1, c1), (n2, c2), (n3, c3) in combinations(planes, 3):
+        if det3((n1, n2, n3)) == 0:
+            continue
+        x = solve3((n1, n2, n3), (c1, c2, c3))
+        if all(dot(n, x) <= c for n, c in planes) and x not in pts:
+            pts.append(x)
+    if not pts:
+        return -1
+    rank = 0
+    base = pts[0]
+    dirs = []
+    for p in pts[1:]:
+        d = sub(p, base)
+        if rank == 0:
+            if d != ZERO3:
+                dirs.append(d)
+                rank = 1
+        elif rank == 1:
+            if cross(dirs[0], d) != ZERO3:
+                dirs.append(d)
+                rank = 2
+        elif rank == 2 and det3((dirs[0], dirs[1], d)) != 0:
+            rank = 3
+            break
+    return rank
+
+
+def _closed_window(builder, i, j):
+    """Every lattice shift under which the two cells' boxes meet at all."""
+    (lo_i, hi_i), (lo_j, hi_j), d = builder.bounds[i], builder.bounds[j], builder.scale
+    return product(*(range(-((hi_j[k] - lo_i[k]) // d), (hi_i[k] - lo_j[k]) // d + 1)
+                     for k in range(3)))
+
+
+def _certification_agrees_with_intersection_dimension(domain):
+    """Check _separated against the reference at every shift where the two
+    cells' boxes meet at all, and that the shifts left out of the open
+    window have no overlap; returns how many pairs have each dimension."""
+    builder = build._Builder(domain)
+    n = len(builder.cells)
+    dims = Counter()
+    for i in range(n):
+        for j in range(i, n):
+            opened = set(builder._shift_window(i, j))
+            for t in _closed_window(builder, i, j):
+                dim = _intersection_dimension(builder, i, j, t)
+                dims[dim] += 1
+                assert builder._separated(i, j, t) == (dim < 3), (i, j, t, dim)
+                assert t in opened or dim < 3, (i, j, t, dim)
+    return dims
+
+
+@pytest.mark.parametrize("name,kw", ALL_GENERATORS,
+                         ids=[f"{n}-{kw}" for n, kw in ALL_GENERATORS])
+def test_separated_agrees_with_intersection_dimension(name, kw):
+    dims = _certification_agrees_with_intersection_dimension(generate(name, **kw))
+    assert dims[2] > 0 and dims[3] > 0  # plates, and each cell with itself
+
+
+def test_separated_finds_the_overlaps_the_reference_finds():
+    for case in (_POST_IN_SLAB, _INNER_IN_SLAB):
+        dims = _certification_agrees_with_intersection_dimension(make_domain(*case))
+        assert dims[3] > 2  # more than each cell meeting itself
+
+
+def _apart(builder, normal):
+    """Whether the plane normal to ``normal`` separates the two cells."""
+    along = [[dot(normal, p) for p in cell.apices] for cell in builder.cells]
+    return max(along[0]) <= min(along[1]) or max(along[1]) <= min(along[0])
+
+
+def test_cells_meeting_at_one_point_are_separated_by_a_ridge_pair():
+    # A keeps the ridge from (-1, 0, 0) to (1, 0, 0) on top, B the ridge from
+    # (0, -1, 0) to (0, 1, 0) at the bottom; the ridges cross at the origin,
+    # the only common point, and only their cross product, the z axis,
+    # gives a separating plane.
+    below = convex_hull([(-1, 0, 0), (1, 0, 0), (0, 1, -1), (0, -1, -1)])
+    above = convex_hull([(0, -1, 0), (0, 1, 0), (1, 0, 1), (-1, 0, 1)])
+    builder = build._Builder.__new__(build._Builder)
+    builder.scale, builder.cells = 1, [below, above]
+    assert not any(_apart(builder, f.normal) for f in below.facets + above.facets)
+    assert _apart(builder, (0, 0, 1))
+    assert _intersection_dimension(builder, 0, 1, (0, 0, 0)) == 0
+    assert builder._separated(0, 1, (0, 0, 0))
+    # lifted by a quarter of B's height, B's ridge pokes into A
+    builder.cells = [below, above.translate((0, 0, F(-1, 4)))]
+    assert _intersection_dimension(builder, 0, 1, (0, 0, 0)) == 3
+    assert not builder._separated(0, 1, (0, 0, 0))
+
+
+@pytest.mark.parametrize("name,kw", ALL_GENERATORS,
+                         ids=[f"{n}-{kw}" for n, kw in ALL_GENERATORS])
+def test_plate_sides_are_edges_already(name, kw):
+    # every plate side lies in a ridge of one of its two cells, and its
+    # corners are vertices, so splitting it gives pieces of that ridge
+    builder = build._Builder(generate(name, **kw))
+    builder.find_plates_and_certify()
+    builder.register_vertices()
+    builder.build_edges()
+    edges = list(builder.edge_ids)
+    builder.annotate_plates()
+    assert list(builder.edge_ids) == edges
+
+
+def _set(records, index, **values):
+    def doctor(cx):
+        for key, value in values.items():
+            setattr(getattr(cx, records)[index], key, value)
+    return doctor
+
+
+def _every_vertex_has_three_edges(cx):
+    for v in cx.vertices:
+        v.edge_count = 3
+
+
+def _one_vertex_more(cx):
+    cx.vertices += (copy.deepcopy(cx.vertices[0]),)
+
+
+# One doctored field of the divided cube complex (8 vertices, 44 edges, 24
+# cells; every vertex has 14 edges, edge 0 has 8 plates and 8 cells, cell 0
+# has 5 apices) and a failure validate reports for it. The hemi count of 2
+# is a state the builder no longer rules out itself: certification leaves
+# at most one cell with a vertex inside a facet, and validate checks it.
+VALIDATION_FAILURES = [
+    ("few-edges", _set("vertices", 0, edge_count=3), "vertex 0 has only 3 edges"),
+    ("two-hemi", _set("vertices", 0, hemi_count=2), "vertex 0 lies inside 2 facets"),
+    ("side-over-ridge", _set("vertices", 0, side_interior_count=1),
+     "vertex 0: inside 1 plate sides but only 0 cell ridges"),
+    ("pi-deficit", _set("vertices", 0, ridge_interior_count=1),
+     "vertex 0: too few emanating facet-interior edges for its interior "
+     "incidences (deficit 2)"),
+    ("few-plates", _set("edges", 0, plate_count=2, cell_count=2),
+     "edge 0 has only 2 plates"),
+    ("plates-cells", _set("edges", 0, cell_count=9),
+     "edge 0: 8 plates but 9 cells around it; these must alternate equally"),
+    ("euler", _one_vertex_more, "intensity alternation is 1/8, not 0"),
+    ("vertex-alternation", _set("vertices", 0, plate_count=37),
+     "vertex-centred alternation is 15/8, not 2"),
+    ("cell-alternation", _set("cell_records", 0, vertex_incidences=6),
+     "cell-centred alternation is 49/24, not 2"),
+    ("surface-alternation", _set("cell_records", 0, apex_count=6),
+     "mean cell surface alternation is 49/24, not 2"),
+    ("formula", _set("cell_records", 0, apex_count=6),
+     "apices per cell: measured 121/24, formula 5"),
+    ("infeasible", _every_vertex_has_three_edges,
+     "measured parameters violate feasibility: edges_per_vertex_min, plates_per_edge_cap"),
+]
+
+
+@pytest.mark.parametrize("case_id,doctor,message", VALIDATION_FAILURES,
+                         ids=[case[0] for case in VALIDATION_FAILURES])
+def test_every_validation_failure_is_reachable(built, case_id, doctor, message):
+    base = built("divided_cube")
+    assert validate(base).ok
+    cx = copy.deepcopy(base)
+    doctor(cx)
+    report = validate(cx)
+    assert not report.ok
+    assert message in report.failures

@@ -15,6 +15,7 @@ import sys
 from typing import Sequence
 
 from . import catalog
+from .complexes import build_complex, generate, load_domain_file, measure, validate, vertex_stats
 from .errors import TesstopoError, UsageError
 from .feasibility import (
     classify,
@@ -26,10 +27,10 @@ from .feasibility import (
 )
 from .io import (
     PLANAR_ALIASES,
-    PLANAR_FIELDS,
     encode,
     interpolate_polyline,
     params_from_file,
+    params_from_mapping,
     params_from_pairs,
     parse_generator_args,
     parse_pairs,
@@ -94,16 +95,7 @@ def catalog_params(entry_id: str) -> TessParams:
 
 
 def planar_from_pairs(tokens: Sequence[str]) -> PlanarParams:
-    given = parse_pairs(tokens, PLANAR_ALIASES, PLANAR_FIELDS)
-    if "edges_per_vertex" not in given:
-        raise UsageError("planar input needs edges_per_vertex (ve=...)")
-    kwargs = {}
-    for field, text in given.items():
-        try:
-            kwargs[field] = as_scalar(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad value for {field}: {text!r}") from exc
-    return PlanarParams(**kwargs)
+    return params_from_mapping(PlanarParams, parse_pairs(tokens, PLANAR_ALIASES))
 
 
 def emit(args, doc: dict, series: list[dict] | None = None) -> None:
@@ -124,6 +116,14 @@ def add_source_arguments(sub) -> None:
                      help="JSON file holding a parameter set")
     sub.add_argument("--catalog", metavar="ID",
                      help="take parameters from a catalog entry")
+
+
+def add_build_arguments(sub) -> None:
+    sub.add_argument("--generator", metavar="NAME")
+    sub.add_argument("--arg", action="append", default=[],
+                     metavar="key=value", help="generator argument")
+    sub.add_argument("--domain", metavar="PATH",
+                     help="JSON fundamental domain file")
 
 
 def add_output_arguments(sub) -> None:
@@ -282,8 +282,6 @@ def cmd_catalog(args) -> int:
 
 
 def build_complex_from_args(args):
-    from .complexes import build_complex, generate, load_domain_file
-
     sources = [args.generator is not None, args.domain is not None]
     if sum(sources) != 1:
         raise UsageError("give exactly one of --generator or --domain")
@@ -300,8 +298,6 @@ def build_complex_from_args(args):
 
 
 def cmd_measure(args) -> int:
-    from .complexes import measure, validate
-
     digits = resolve_digits(args)
     label, cx = build_complex_from_args(args)
     report = validate(cx) if args.validate else None
@@ -327,8 +323,6 @@ STATS_AGGREGATES = ("edges_per_vertex", "pi_edge_share", "hemi_vertex_share",
 
 
 def cmd_stats(args) -> int:
-    from .complexes import measure, vertex_stats
-
     digits = resolve_digits(args)
     label, cx = build_complex_from_args(args)
     rows = [{"vertex": i, **stat.as_doc()} for i, stat in enumerate(vertex_stats(cx))]
@@ -417,11 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     measure_p = subs.add_parser(
         "measure", help="build a periodic tessellation and measure it")
-    measure_p.add_argument("--generator", metavar="NAME")
-    measure_p.add_argument("--arg", action="append", default=[],
-                           metavar="key=value", help="generator argument")
-    measure_p.add_argument("--domain", metavar="PATH",
-                           help="JSON fundamental domain file")
+    add_build_arguments(measure_p)
     measure_p.add_argument("--validate", action="store_true",
                            help="run the full structural validation")
     measure_p.add_argument("--dump-obj", metavar="PATH",
@@ -431,11 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats_p = subs.add_parser(
         "stats", help="per-vertex counts and their aggregates")
-    stats_p.add_argument("--generator", metavar="NAME")
-    stats_p.add_argument("--arg", action="append", default=[],
-                         metavar="key=value", help="generator argument")
-    stats_p.add_argument("--domain", metavar="PATH",
-                         help="JSON fundamental domain file")
+    add_build_arguments(stats_p)
     add_output_arguments(stats_p)
     stats_p.set_defaults(handler=cmd_stats)
 
@@ -464,9 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (TesstopoError, UsageError, OSError) as exc:
-        # str() of a KeyError quotes its message
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"tesstopo: {message}", file=sys.stderr)
+        print(f"tesstopo: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
 
 

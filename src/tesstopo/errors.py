@@ -65,6 +65,10 @@ class NotATessellationError(TesstopoError, RuntimeError):
 class UnknownEntryError(TesstopoError, KeyError):
     """Catalog lookup for an id that does not exist."""
 
+    def __str__(self) -> str:
+        # KeyError.__str__ would quote the message
+        return Exception.__str__(self)
+
 
 class UsageError(ValueError):
     """Malformed invocation input, such as an unreadable or non-JSON input

@@ -7,21 +7,30 @@ a ratio over the squared circle constant ``(a+b*pi^2)/(c+d*pi^2)``, exactly
 the forms ``as_scalar`` parses back; the decimal is an evaluation at the
 requested precision. Output from one invocation can therefore feed another
 without loss: :func:`params_from_file` reads the ``parameters`` of a
-``derive``, ``check``, ``measure`` or ``catalog show`` document, taking each
-entry's exact string and ignoring its decimal.
+``derive``, ``check``, ``measure`` or ``catalog show`` document, or a bare
+object from field names to values.
+
+Every parameter set from outside the program, in a file or as ``key=value``
+pairs, is read by :func:`params_from_mapping`. It accepts three value forms:
+an exact string, an ``int``, or an entry, whose exact string it reads and
+whose decimal it ignores. Strings go through ``Scalar.parse``, so its caps
+``MAX_PI_POWER`` and ``MAX_DECIMAL_EXPONENT`` hold for file input too.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io as _io
 import json
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping, TypeVar
 
 from .errors import UsageError
 from .params import TessParams
 from .scalar import Scalar, as_scalar
+
+P = TypeVar("P")
 
 PARAM_ALIASES = {
     "ve": "edges_per_vertex",
@@ -34,19 +43,6 @@ PARAM_ALIASES = {
     "intensity": "vertex_intensity",
     "lambda_v": "vertex_intensity",
 }
-PARAM_FIELDS = (
-    "edges_per_vertex", "plates_per_edge", "vertices_per_plate",
-    "pi_edge_share", "hemi_vertex_share", "ridge_interior_rate",
-    "side_interior_rate", "vertex_intensity",
-)
-PARAM_DEFAULTS = {
-    "pi_edge_share": "0",
-    "hemi_vertex_share": "0",
-    "ridge_interior_rate": "0",
-    "side_interior_rate": "0",
-    "vertex_intensity": "1",
-}
-
 PLANAR_ALIASES = {
     "ve": "edges_per_vertex",
     "phi": "pi_vertex_share",
@@ -54,45 +50,50 @@ PLANAR_ALIASES = {
     "m2": "degree_second_moment",
     "intensity": "vertex_intensity",
 }
-PLANAR_FIELDS = (
-    "edges_per_vertex", "pi_vertex_share", "pi_ends_per_edge",
-    "degree_second_moment", "vertex_intensity",
-)
 
 
-def parse_pairs(tokens: Iterable[str], aliases: dict[str, str],
-                fields: tuple[str, ...]) -> dict[str, str]:
-    """Turn ``key=value`` tokens into a canonical-name value mapping."""
+def parse_pairs(tokens: Iterable[str], aliases: dict[str, str]) -> dict[str, str]:
+    """Turn ``key=value`` tokens into a mapping from field names to values."""
     out: dict[str, str] = {}
     for token in tokens:
         key, sep, value = token.partition("=")
         if not sep or not value:
             raise UsageError(f"expected key=value, got {token!r}")
         name = aliases.get(key, key)
-        if name not in fields:
-            known = ", ".join(sorted(set(fields) | set(aliases)))
-            raise UsageError(f"unknown parameter {key!r}; known: {known}")
         if name in out:
             raise UsageError(f"parameter {name!r} given twice")
         out[name] = value
     return out
 
 
-def params_from_pairs(tokens: Iterable[str]) -> TessParams:
-    given = parse_pairs(tokens, PARAM_ALIASES, PARAM_FIELDS)
+def params_from_mapping(cls: type[P], given: Mapping[str, Any]) -> P:
+    """Read a ``TessParams`` or ``PlanarParams`` from field names to values
+    in the forms the module docstring lists; fields left out take the
+    defaults of ``cls.create``, which also checks each value's domain. An
+    unknown, missing or unreadable field is a ``UsageError``."""
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    for name in given:
+        if name not in names:
+            raise UsageError(f"unknown parameter {name!r}; known: {', '.join(names)}")
     values: dict[str, Scalar] = {}
-    for field in PARAM_FIELDS:
-        if field in given:
-            text = given[field]
-        elif field in PARAM_DEFAULTS:
-            text = PARAM_DEFAULTS[field]
-        else:
-            raise UsageError(f"missing required parameter {field}")
+    for f in fields:
+        if f.name not in given:
+            if f.default is dataclasses.MISSING:
+                raise UsageError(f"missing required parameter {f.name}")
+            continue
+        value = given[f.name]
+        if isinstance(value, dict) and "exact" in value:
+            value = value["exact"]  # an entry; its decimal is not read
         try:
-            values[field] = as_scalar(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad value for {field}: {given[field]!r}") from exc
-    return TessParams.create(**values)
+            values[f.name] = as_scalar(value)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad value for {f.name}: {value!r} ({exc})") from exc
+    return cls.create(**values)
+
+
+def params_from_pairs(tokens: Iterable[str]) -> TessParams:
+    return params_from_mapping(TessParams, parse_pairs(tokens, PARAM_ALIASES))
 
 
 def params_from_file(path: str) -> TessParams:
@@ -104,13 +105,11 @@ def params_from_file(path: str) -> TessParams:
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and "parameters" in data:
-        # a derive, check, measure or catalog show document; its scalar
-        # entries decode from their exact strings
+        # a derive, check, measure or catalog show document
         data = data["parameters"]
-    try:
-        return TessParams.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path} does not hold a parameter set: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} does not hold a parameter set: expected a JSON object")
+    return params_from_mapping(TessParams, data)
 
 
 def scalar_entry(value: Scalar | Fraction | int, digits: int) -> dict[str, str]:

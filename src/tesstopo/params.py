@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import DegenerateIntensityError, ParameterDomainError
 from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar
@@ -122,20 +121,6 @@ class TessParams:
 
     def as_dict(self) -> dict[str, Scalar]:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
-    def to_json(self) -> dict:
-        return {k: v.to_json() for k, v in self.as_dict().items()}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "TessParams":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ParameterDomainError(f"unknown parameter fields: {sorted(unknown)}")
-        missing = {"edges_per_vertex", "plates_per_edge", "vertices_per_plate"} - set(obj)
-        if missing:
-            raise ParameterDomainError(f"missing parameter fields: {sorted(missing)}")
-        return cls.create(**{k: Scalar.from_json(v) for k, v in obj.items()})
 
 
 @dataclass(frozen=True)

@@ -520,39 +520,6 @@ class Scalar:
     def __repr__(self) -> str:
         return f"Scalar({self.render()!r})"
 
-    def to_json(self) -> dict:
-        if self.is_rational:
-            return {"num": self._num[0], "den": self._den[0]}
-        if len(self._num) <= 2 and len(self._den) <= 2:
-            n = self._num + (0,) * (2 - len(self._num))
-            d = self._den + (0,) * (2 - len(self._den))
-            return {"a": n[0], "b": n[1], "c": d[0], "d": d[1]}
-        return {"num": list(self._num), "den": list(self._den)}
-
-    @classmethod
-    def from_json(cls, obj: object) -> "Scalar":
-        if isinstance(obj, Scalar):
-            return obj
-        if isinstance(obj, str):
-            return cls.parse(obj)
-        if isinstance(obj, bool):
-            raise TypeError("bool is not a scalar")
-        if isinstance(obj, int):
-            return cls(obj)
-        if isinstance(obj, dict):
-            if isinstance(obj.get("exact"), str):
-                # a CLI entry; its decimal is derived from the exact text
-                return cls.parse(obj["exact"])
-            if {"a", "b", "c", "d"} <= obj.keys():
-                return cls((Fraction(obj["a"]), Fraction(obj["b"])),
-                           (Fraction(obj["c"]), Fraction(obj["d"])))
-            if {"num", "den"} <= obj.keys():
-                n, d = obj["num"], obj["den"]
-                n = list(n) if isinstance(n, (list, tuple)) else [n]
-                d = list(d) if isinstance(d, (list, tuple)) else [d]
-                return cls(n, d)
-        raise ValueError(f"cannot decode a scalar from {obj!r}")
-
     @classmethod
     def parse(cls, text: str) -> "Scalar":
         """Parse ``p``, ``p/q``, decimals, and forms like

@@ -173,3 +173,15 @@ def test_verify_catalog_names_the_rows_a_partial_entry_fails(monkeypatch):
     failures = [f for f in verify_catalog().failures if f.startswith(doctored.entry_id)]
     assert failures == [f"{doctored.entry_id}: infeasible: "
                         "['plates_per_edge_min', 'vertices_per_plate_max']"]
+
+
+def test_verify_catalog_failure_line_is_unquoted(monkeypatch):
+    import tesstopo.catalog as cat
+
+    def broken_builder(**_):
+        raise UnknownEntryError("cannot build this member")
+
+    _, names = cat._FAMILIES["ex11_spoke_cube"]
+    monkeypatch.setitem(cat._FAMILIES, "ex11_spoke_cube", (broken_builder, names))
+    failures = [f for f in verify_catalog().failures if f.startswith("ex11_spoke_cube")]
+    assert failures == ["ex11_spoke_cube: cannot build this member"]

@@ -7,7 +7,9 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from tesstopo.cli import main
 from tesstopo.complexes.domain import MAX_HALFSPACES
 from tesstopo.complexes.generators import GENERATORS
+from tesstopo.feasibility import sample_feasible
 from tesstopo.scalar import as_scalar
 
 
@@ -342,6 +345,72 @@ def test_params_file_round_trip(capsys, tmp_path):
     code, again = run_json(capsys, "derive", "--params-file", str(path))
     assert code == 0
     assert again == doc
+
+
+PARAMS_BASE = {"edges_per_vertex": "6", "plates_per_edge": "4", "vertices_per_plate": "4"}
+# the retired {num, den} and {a, b, c, d} forms, JSON values that are not exact,
+# and text past the scalar caps: a parameter file refuses each of them
+REFUSED_VALUES = [
+    {"num": ["1e1001"], "den": 1},
+    {"a": "1e1001", "b": 0, "c": 1, "d": 0},
+    {"num": [1] + [0] * 11 + [1], "den": 1},  # pi^24, above MAX_PI_POWER
+    {"num": True}, {"num": True, "den": 1},
+    True, 1.5, None, [1],
+    "1e1001", "1+pi^24", {"exact": "pi^24", "decimal": "0"},
+]
+
+
+@pytest.mark.parametrize("value", REFUSED_VALUES)
+@pytest.mark.parametrize("whole_file", [False, True])
+def test_params_file_values_are_refused_fast(capsys, tmp_path, value, whole_file):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(value if whole_file else {**PARAMS_BASE,
+                                                         "edges_per_vertex": value}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "derive", "--params-file", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("tesstopo: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def feasible_tuples():
+    return (sample_feasible(count=4, seed=0)
+            + sample_feasible(count=4, seed=0, face_to_face=True))
+
+
+INVALID_TEXTS = st.sampled_from(["0", "-1", "2", "x", "1/0", "1e1001", "pi^24", "-3", "7"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(index=st.integers(0, 7), command=st.sampled_from(["derive", "check"]),
+       omit=st.sets(st.sampled_from(["edges_per_vertex", "pi_edge_share", "vertex_intensity"])),
+       broken=st.none() | st.tuples(st.integers(0, 7), INVALID_TEXTS),
+       as_int=st.booleans())
+def test_pairs_and_params_file_read_alike(feasible_tuples, index, command, omit, broken,
+                                          as_int):
+    texts = {name: str(value) for name, value in feasible_tuples[index].as_dict().items()
+             if name not in omit}
+    if broken is not None:
+        position, text = broken
+        texts[list(texts)[position % len(texts)]] = text
+    # the file carries an integer either as an int or as its exact string
+    payload = {name: int(text) if as_int and re.fullmatch(r"-?\d+", text) else text
+               for name, text in texts.items()}
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "params.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        for argv in ([command, *(f"{name}={text}" for name, text in texts.items())],
+                     [command, "--params-file", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            outcomes.append((code, out.getvalue()))
+    assert outcomes[0] == outcomes[1]
+    if broken is None and not omit:
+        assert outcomes[0][0] == 0
 
 
 @pytest.mark.parametrize("argv, direct", [

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tesstopo.errors import DegenerateIntensityError, ParameterDomainError
+from tesstopo.errors import DegenerateIntensityError, ParameterDomainError, UsageError
+from tesstopo.io import params_from_mapping
 from tesstopo.params import (
     TessParams,
     cell_intensity_form,
@@ -13,6 +14,7 @@ from tesstopo.params import (
     is_consistent,
 )
 from tesstopo.scalar import PI2, Scalar
+from tesstopo.transforms import PlanarParams
 
 
 CUBIC = TessParams.create(6, 4, 4)
@@ -99,17 +101,14 @@ def test_with_values_revalidates():
         CUBIC.with_values(hemi_vertex_share=3)
 
 
-def test_params_json_round_trip():
-    p = TessParams.create(4, 3, Fraction(36, 7), pi_edge_share=1,
-                          hemi_vertex_share=Fraction(2, 3),
-                          ridge_interior_rate=2,
-                          side_interior_rate=Fraction(4, 3))
-    assert TessParams.from_json(p.to_json()) == p
-    with pytest.raises(ParameterDomainError):
-        TessParams.from_json({"edges_per_vertex": 6})
-    with pytest.raises(ParameterDomainError):
-        TessParams.from_json({"edges_per_vertex": 6, "plates_per_edge": 4,
-                              "vertices_per_plate": 4, "bogus": 1})
+def test_params_from_mapping_rejects_unknown_and_missing_fields():
+    with pytest.raises(UsageError, match="missing required parameter plates_per_edge"):
+        params_from_mapping(TessParams, {"edges_per_vertex": 6})
+    with pytest.raises(UsageError, match="unknown parameter 'bogus'"):
+        params_from_mapping(TessParams, {"edges_per_vertex": 6, "plates_per_edge": 4,
+                                         "vertices_per_plate": 4, "bogus": 1})
+    with pytest.raises(UsageError, match="missing required parameter edges_per_vertex"):
+        params_from_mapping(PlanarParams, {"pi_vertex_share": 0})
 
 
 def test_tampered_summary_is_flagged():

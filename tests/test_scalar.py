@@ -98,11 +98,6 @@ def test_render_parse_round_trip(a):
     assert Scalar.parse(a.render()) == a
 
 
-@given(scalars)
-def test_json_round_trip(a):
-    assert Scalar.from_json(a.to_json()) == a
-
-
 def test_parse_forms():
     assert Scalar.parse("36/7") == Scalar(Fraction(36, 7))
     assert Scalar.parse("-5") == Scalar(-5)
@@ -156,14 +151,6 @@ def test_pow():
     assert PI2**2 == Scalar((0, 0, 1))
     assert PI2**0 == ONE
     assert (Scalar(2) ** -2) == Scalar(Fraction(1, 4))
-
-
-def test_json_shapes():
-    assert Scalar(Fraction(3, 4)).to_json() == {"num": 3, "den": 4}
-    assert Scalar((35, 24), (7,)).to_json() == {"a": 35, "b": 24, "c": 7, "d": 0}
-    quad = Scalar((1, 0, 1), (3,))
-    assert quad.to_json() == {"num": [1, 0, 1], "den": [3]}
-    assert Scalar.from_json({"a": 0, "b": 144, "c": 35, "d": 24}) == Scalar((0, 144), (35, 24))
 
 
 def test_render_shapes():

@@ -118,19 +118,14 @@ def _decimal(x: Fraction, places: int = 40) -> str:
     return text or "0"
 
 
-def _parse_frac(text) -> Fraction:
-    if type(text) is Fraction:  # the generators' coordinates: nothing to parse
-        return text
-    if isinstance(text, bool):
-        raise NotATessellationError("coordinates must be rational numbers")
-    if isinstance(text, (int, str, Fraction)):
-        try:
-            return parse_fraction(text)
-        except UsageError:
-            raise
-        except (ValueError, ZeroDivisionError) as exc:
-            raise NotATessellationError(f"bad rational literal {text!r}") from exc
-    raise NotATessellationError(f"bad rational literal {text!r}")
+def _parse_frac(value) -> Fraction:
+    try:
+        return parse_fraction(value)
+    except UsageError:
+        raise
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise NotATessellationError(
+            f"coordinates must be rational numbers, got {value!r}") from exc
 
 
 def _rows(value, what: str) -> list:

@@ -448,38 +448,13 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
     return Polyhedron(apices, tuple(facets), ridges, volume)
 
 
-def _recession_ray_exists(normals: list[Vec]) -> bool:
-    """Whether some direction d != 0 has n . d <= 0 for every normal."""
-    base = [n for n in normals if n != ZERO3]
-    if not base:
-        return True
-    # rank below 3: a direction orthogonal to every normal exists
-    rank_dirs: list[Vec] = []
-    for n in base:
-        if not rank_dirs:
-            rank_dirs.append(n)
-        elif len(rank_dirs) == 1:
-            if cross(rank_dirs[0], n) != ZERO3:
-                rank_dirs.append(n)
-        elif det3((rank_dirs[0], rank_dirs[1], n)) != 0:
-            rank_dirs.append(n)
-    if len(rank_dirs) < 3:
-        return True
-    candidates: list[Vec] = []
-    for a, b in combinations(base, 2):
-        d = cross(a, b)
-        if d != ZERO3:
-            candidates.extend((d, neg(d)))
-    candidates.extend(neg(n) for n in base)
-    return any(all(dot(n, d) <= 0 for n in base) for d in candidates)
-
-
 def hull_from_halfspaces(planes: list[tuple[Vec, Num]]) -> Polyhedron:
-    """Bounded intersection of halfspaces normal . x <= offset."""
-    if len(planes) < 4:
-        raise NonConvexCellError("fewer than four halfspaces cannot bound a cell")
-    if _recession_ray_exists([n for n, _ in planes]):
-        raise NonConvexCellError("halfspace intersection is unbounded")
+    """Bounded intersection of halfspaces normal . x <= offset.
+
+    A bounded intersection is the hull of its feasible plane-triple corners,
+    so each facet of that hull lies on an input plane. An unbounded one is
+    larger than the hull, so some hull facet lies on no input plane: the
+    facet planes would otherwise bound the intersection."""
     pts: set[Vec] = set()
     for (n1, c1), (n2, c2), (n3, c3) in combinations(planes, 3):
         m = (n1, n2, n3)
@@ -490,8 +465,17 @@ def hull_from_halfspaces(planes: list[tuple[Vec, Num]]) -> Polyhedron:
         if all(dot(n, x) <= c for n, c in planes):
             pts.add(x)
     if len(pts) < 4:
-        raise NonConvexCellError("halfspace intersection is empty or flat")
-    return convex_hull(sorted(pts))
+        raise NonConvexCellError("halfspace intersection is empty, flat or unbounded")
+    cell = convex_hull(sorted(pts))
+    bounding: set[tuple[Vec, Num]] = set()
+    for n, c in planes:
+        if n != ZERO3:  # as primitive normal and offset, the form of a Facet
+            p = primitive(n)
+            k = next(i for i in range(3) if p[i])
+            bounding.add((p, exact_div(c * p[k], n[k])))
+    if any((f.normal, f.offset) not in bounding for f in cell.facets):
+        raise NonConvexCellError("halfspace intersection is unbounded")
+    return cell
 
 
 def solve3(m: Mat, rhs: Vec) -> Vec:

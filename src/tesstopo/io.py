@@ -11,10 +11,12 @@ without loss: :func:`params_from_file` reads the ``parameters`` of a
 object from field names to values.
 
 Every parameter set from outside the program, in a file or as ``key=value``
-pairs, is read by :func:`params_from_mapping`. It accepts three value forms:
-an exact string, an ``int``, or an entry, whose exact string it reads and
-whose decimal it ignores. Strings go through ``Scalar.parse``, so its caps
-``MAX_PI_POWER`` and ``MAX_DECIMAL_EXPONENT`` hold for file input too.
+pairs, is read by :func:`params_from_mapping`, and each of its values, like
+the scalar options of the command line, by :func:`read_scalar`. It accepts
+three value forms: an exact string, an ``int``, or an entry, whose exact
+string it reads and whose decimal it ignores. Strings go through
+``Scalar.parse``, so its caps ``MAX_PI_POWER`` and ``MAX_DECIMAL_EXPONENT``
+hold for file input too.
 """
 
 from __future__ import annotations
@@ -66,6 +68,18 @@ def parse_pairs(tokens: Iterable[str], aliases: dict[str, str]) -> dict[str, str
     return out
 
 
+def read_scalar(name: str, value: Any) -> Scalar:
+    """Read one exact value from outside the program, in the forms the
+    module docstring lists; an unreadable value is a ``UsageError`` that
+    names ``name``."""
+    if isinstance(value, dict) and "exact" in value:
+        value = value["exact"]  # an entry; its decimal is not read
+    try:
+        return as_scalar(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad value for {name}: {value!r} ({exc})") from exc
+
+
 def params_from_mapping(cls: type[P], given: Mapping[str, Any]) -> P:
     """Read a ``TessParams`` or ``PlanarParams`` from field names to values
     in the forms the module docstring lists; fields left out take the
@@ -82,13 +96,7 @@ def params_from_mapping(cls: type[P], given: Mapping[str, Any]) -> P:
             if f.default is dataclasses.MISSING:
                 raise UsageError(f"missing required parameter {f.name}")
             continue
-        value = given[f.name]
-        if isinstance(value, dict) and "exact" in value:
-            value = value["exact"]  # an entry; its decimal is not read
-        try:
-            values[f.name] = as_scalar(value)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad value for {f.name}: {value!r} ({exc})") from exc
+        values[f.name] = read_scalar(f.name, given[f.name])
     return cls.create(**values)
 
 

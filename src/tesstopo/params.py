@@ -109,11 +109,6 @@ class TessParams:
         return not (self.pi_edge_share or self.hemi_vertex_share
                     or self.ridge_interior_rate or self.side_interior_rate)
 
-    @property
-    def interior(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        return (self.pi_edge_share, self.hemi_vertex_share,
-                self.ridge_interior_rate, self.side_interior_rate)
-
     def with_values(self, **kwargs: ScalarLike) -> "TessParams":
         merged = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         merged.update(kwargs)

@@ -16,6 +16,17 @@ Arithmetic and order between two rationals run on their two ints. Other
 values reach lowest terms through a polynomial gcd over ``int``: a primitive
 remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), whose remainders are kept
 small by dividing out their content.
+
+Exact numbers from outside the program have two readers. Scalar text, read
+by ``Scalar.parse``, is ``A`` or ``A/B``; each side is a sum of terms ``c``,
+``c*pi^2k`` or ``pi^2k`` (the ``*`` may be left out), optionally inside one
+pair of brackets, as in ``144*pi^2/(35+24*pi^2)``. Terms are joined by ``+``
+or ``-``, the first may carry a sign, and whitespace is ignored. A
+coefficient ``c`` is an unsigned decimal such as ``3``, ``2.5`` or
+``1.5e-3``; pi powers are even and at most ``MAX_PI_POWER``. A rational, such
+as a coordinate or a coefficient, is read by ``parse_fraction``: an ``int``
+that is not a ``bool``, a ``Fraction``, or text such as ``-7/4``. Decimal
+exponents in either reader are at most ``MAX_DECIMAL_EXPONENT`` in size.
 """
 
 from __future__ import annotations
@@ -127,26 +138,11 @@ def _normalize(n: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs]:
 
 
 def _side(x: object) -> list[Fraction]:
-    if isinstance(x, bool):
-        raise TypeError("bool is not a coefficient")
-    if isinstance(x, (int, Fraction)):
-        return [Fraction(x)]
-    if isinstance(x, float):
-        raise TypeError("floats are not exact; pass int, Fraction or str")
-    if isinstance(x, Scalar):
-        raise TypeError("compose Scalar values with arithmetic operators")
-    try:
-        items = list(x)  # type: ignore[arg-type]
-    except TypeError:
-        raise TypeError(f"cannot build a scalar from {type(x).__name__}") from None
-    if not items:
-        raise ValueError("empty coefficient sequence")
-    out = []
-    for e in items:
-        if isinstance(e, float):
-            raise TypeError("floats are not exact; pass int, Fraction or str")
-        out.append(Fraction(e))
-    return out
+    items = list(x) if isinstance(x, (tuple, list)) else [x]
+    if not items or any(type(e) not in (int, Fraction) for e in items):
+        raise TypeError(f"coefficients are ints or Fractions, got {x!r}; "
+                        "read text with Scalar.parse")
+    return [Fraction(e) for e in items]
 
 
 def _horner(c: Coeffs, x, mpf):
@@ -207,44 +203,38 @@ _TERM = re.compile(
 _DECIMAL_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)")
 
 
-def parse_fraction(text: object) -> Fraction:
-    """``Fraction(text)``, refusing text whose decimal exponent exceeds
-    ``MAX_DECIMAL_EXPONENT`` in size before Fraction builds its power of ten."""
-    m = _DECIMAL_EXPONENT.search(text) if isinstance(text, str) else None
+def parse_fraction(value: object) -> Fraction:
+    """The one reader of a rational, in the forms the module docstring lists;
+    anything else, floats and bools included, is a TypeError. The exponent
+    cap is checked before Fraction builds its power of ten."""
+    if type(value) is Fraction:  # generator coordinates: nothing to read
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise TypeError(f"not an exact rational: {value!r}")
+    m = _DECIMAL_EXPONENT.search(value)
     if m:
         digits = m.group(1).replace("_", "").lstrip("0")
         if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
                 or int(digits or 0) > MAX_DECIMAL_EXPONENT):
             raise UsageError(
                 f"decimal exponents beyond {MAX_DECIMAL_EXPONENT} are not accepted")
-    return Fraction(text)
-
-
-def _balanced(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
+    return Fraction(value)
 
 
 def _parse_poly(s: str) -> list[Fraction]:
-    if s.startswith("(") and s.endswith(")") and _balanced(s[1:-1]):
+    if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     if not s:
         raise ValueError("empty polynomial text")
     coeffs: dict[int, Fraction] = {}
     pos = 0
-    first = True
     while pos < len(s):
         m = _TERM.match(s, pos)
         if not m or m.end() == pos or (m.group("coef") is None and m.group("exp") is None):
             raise ValueError(f"cannot parse scalar text at {s[pos:]!r}")
-        if not first and not m.group("sign"):
+        if pos and not m.group("sign"):
             raise ValueError(f"missing operator before {s[pos:]!r}")
         coef = parse_fraction(m.group("coef")) if m.group("coef") is not None else Fraction(1)
         if m.group("sign") == "-":
@@ -262,7 +252,6 @@ def _parse_poly(s: str) -> list[Fraction]:
             k = 0
         coeffs[k] = coeffs.get(k, Fraction(0)) + coef
         pos = m.end()
-        first = False
     top = max(coeffs)
     return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
 
@@ -308,20 +297,17 @@ class Scalar:
     Canonical means: integer coefficients, joint content 1, numerator and
     denominator coprime as polynomials, and the denominator's leading
     coefficient positive. Two Scalars are equal iff their tuples match.
+    ``num`` and ``den`` are ints, Fractions, or tuples or lists of them
+    indexed by the power of pi^2; text is read by ``Scalar.parse``.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: object = 0, den: object = 1):
-        if isinstance(num, str):
-            if not (isinstance(den, int) and den == 1):
-                raise TypeError("string form carries its own denominator")
-            s = Scalar.parse(num)
-        elif type(num) is int and type(den) is int:
+        if type(num) is int and type(den) is int:
             s = Scalar._rat(num, den)
         else:
-            nf = _side(num)
-            df = _side(den)
+            nf, df = _side(num), _side(den)
             scale = math.lcm(*(f.denominator for f in nf + df))
             s = Scalar._raw([int(f * scale) for f in nf], [int(f * scale) for f in df])
         self._num, self._den = s._num, s._den
@@ -522,31 +508,12 @@ class Scalar:
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
-        """Parse ``p``, ``p/q``, decimals, and forms like
-        ``(35+24*pi^2)/(7*pi^2)`` with even pi powers up to
-        ``MAX_PI_POWER`` and decimal exponents up to ``MAX_DECIMAL_EXPONENT``
-        in size."""
+        """Read scalar text, in the grammar of the module docstring."""
         s = "".join(text.split())
         if not s:
             raise ValueError("empty scalar text")
-        depth = 0
-        slash = -1
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ValueError("unbalanced parentheses")
-            elif ch == "/" and depth == 0:
-                if slash >= 0:
-                    raise ValueError("more than one top-level '/'")
-                slash = i
-        if depth:
-            raise ValueError("unbalanced parentheses")
-        if slash >= 0:
-            return cls(_parse_poly(s[:slash]), _parse_poly(s[slash + 1 :]))
-        return cls(_parse_poly(s))
+        num, slash, den = s.partition("/")
+        return cls(_parse_poly(num), _parse_poly(den)) if slash else cls(_parse_poly(s))
 
 
 def _coerce(x: object) -> Scalar | None:

@@ -311,6 +311,43 @@ def test_usage_errors_exit_two(capsys, tmp_path, argv):
     assert err.strip()
 
 
+# every exact number the command line reads outside a parameter set, and the
+# precision: one documented line on stderr, exit 2, before any work
+@pytest.mark.parametrize("argv, env, message", [
+    (("region", "--type", "pv-ep", "--ve", "abc"), None,
+     "bad value for --ve: 'abc' (cannot parse scalar text at 'abc')"),
+    (("region", "--type", "pv-ep", "--ve", "1e1001"), None,
+     "bad value for --ve: '1e1001' (decimal exponents beyond 1000 are not accepted)"),
+    (("region", "--type", "pv-ep", "--ve", "(1"), None,
+     "bad value for --ve: '(1' (cannot parse scalar text at '(1')"),
+    (("region", "--type", "pv-ep", "--ve", "8", "--ep-max", "1/0"), None,
+     "bad value for --ep-max: '1/0' (zero denominator)"),
+    (("transform", "--op", "mixture", "--component", "ex01_voronoi=pi^3",
+      "--component", "ex05_cubic=1/2"), None,
+     "bad value for --component ex01_voronoi: 'pi^3' (only even powers of pi are representable)"),
+    (("transform", "--op", "mixture", "--component", "ex01_voronoi=1/2",
+      "--component", "ex05_cubic=half"), None,
+     "bad value for --component ex05_cubic: 'half' (cannot parse scalar text at 'half')"),
+    (("derive", "ve=6", "ep=4", "pv=4", "--digits", "1001"), None,
+     "precision must be at most 1000 digits"),
+    (("derive", "--catalog", "ex01_voronoi", "--digits", "400000"), None,
+     "precision must be at most 1000 digits"),
+    (("derive", "--catalog", "ex01_voronoi"), "400000", "precision must be at most 1000 digits"),
+])
+def test_exact_number_options_are_refused_fast(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("TESSTOPO_PRECISION", env)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"tesstopo: {message}\n")
+
+
+def test_digits_at_the_cap_complete(capsys):
+    _, doc = run_json(capsys, "derive", "ve=6", "ep=4", "pv=4", "--digits", "1000")
+    assert doc["parameters"]["edges_per_vertex"]["decimal"] == "6." + "0" * 999
+
+
 def test_pi_powers_at_the_cap_complete(capsys):
     # seven parameters at the highest accepted pi power: derive and check finish
     argv = ("ve=(6*pi^22+1)/(pi^22+1)", "ep=(5*pi^20+3)/(pi^20+2)", "pv=(5*pi^22+5)/(pi^22+7)",

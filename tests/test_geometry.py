@@ -1,6 +1,8 @@
 """Exact geometry kernel: hulls, 2d clipping, halfspaces."""
 
+import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -26,6 +28,7 @@ from tesstopo.complexes.geometry import (
     hull_from_halfspaces,
     inverse,
     lift3,
+    neg,
     on_segment,
     orient3d,
     point_in_ring2,
@@ -34,6 +37,7 @@ from tesstopo.complexes.geometry import (
     signed_area2,
     solve3,
     sub,
+    ZERO3,
 )
 
 CUBE = [(F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
@@ -421,3 +425,103 @@ def test_hull_keeps_the_callers_point_objects():
     assert all(any(a is p for p in points) for a in hull.apices)
     # the type of an offset follows the corner it is taken from
     assert [type(f.offset) for f in hull.facets] == [F, int, F, F]
+
+
+# ---- halfspace cells against the recession-ray test they replaced ----
+
+def _recession_ray_exists(normals):
+    """Whether some direction d != 0 has n . d <= 0 for every normal."""
+    base = [n for n in normals if n != ZERO3]
+    if not base:
+        return True
+    # rank below 3: a direction orthogonal to every normal exists
+    rank_dirs = []
+    for n in base:
+        if not rank_dirs:
+            rank_dirs.append(n)
+        elif len(rank_dirs) == 1:
+            if cross(rank_dirs[0], n) != ZERO3:
+                rank_dirs.append(n)
+        elif det3((rank_dirs[0], rank_dirs[1], n)) != 0:
+            rank_dirs.append(n)
+    if len(rank_dirs) < 3:
+        return True
+    candidates = []
+    for a, b in combinations(base, 2):
+        d = cross(a, b)
+        if d != ZERO3:
+            candidates.extend((d, neg(d)))
+    candidates.extend(neg(n) for n in base)
+    return any(all(dot(n, d) <= 0 for n in base) for d in candidates)
+
+
+def _reference_halfspace_hull(planes):
+    """The cell of a halfspace set, refusing an unbounded one by a search for
+    a recession ray before any corner is solved."""
+    if len(planes) < 4:
+        raise NonConvexCellError("fewer than four halfspaces cannot bound a cell")
+    if _recession_ray_exists([n for n, _ in planes]):
+        raise NonConvexCellError("halfspace intersection is unbounded")
+    pts = set()
+    for (n1, c1), (n2, c2), (n3, c3) in combinations(planes, 3):
+        if det3((n1, n2, n3)) == 0:
+            continue
+        x = solve3((n1, n2, n3), (c1, c2, c3))
+        if all(dot(n, x) <= c for n, c in planes):
+            pts.add(x)
+    if len(pts) < 4:
+        raise NonConvexCellError("halfspace intersection is empty or flat")
+    return convex_hull(sorted(pts))
+
+
+def _cell_repr(build, planes):
+    try:
+        return repr(build(planes))
+    except NonConvexCellError:
+        return "refused"
+
+
+def _random_planes(rng):
+    # int planes keep the 1,000 sets fast; a Fraction plane set is one case
+    # of a scaled int set, with the same corners and the same decisions
+    return [(tuple(rng.randint(-2, 2) for _ in range(3)), rng.randint(-1, 3))
+            for _ in range(rng.randint(3, 9))]
+
+
+def test_halfspace_hull_matches_the_recession_ray_reference():
+    rng = random.Random(13)
+    outcomes = []
+    for _ in range(1000):
+        planes = _random_planes(rng)
+        got = _cell_repr(hull_from_halfspaces, planes)
+        assert got == _cell_repr(_reference_halfspace_hull, planes), planes
+        outcomes.append(got == "refused")
+    # both outcomes are common, so each branch of the new test is exercised
+    assert outcomes.count(True) > 200 and outcomes.count(False) > 200
+
+
+@pytest.mark.parametrize("planes", [
+    # three planes: at most one corner
+    [((F(1), F(0), F(0)), F(1)), ((F(0), F(1), F(0)), F(1)), ((F(0), F(0), F(1)), F(1))],
+    # an open slab in z over a square: corners exist only on the walls
+    [((F(1), F(0), F(0)), F(1)), ((F(-1), F(0), F(0)), F(0)),
+     ((F(0), F(1), F(0)), F(1)), ((F(0), F(-1), F(0)), F(0))],
+])
+def test_halfspace_sets_with_few_corners_are_named_unbounded(planes):
+    with pytest.raises(NonConvexCellError, match="unbounded"):
+        hull_from_halfspaces(planes)
+
+
+def test_unbounded_prism_with_many_corners_is_refused():
+    # y in [0, 1], and z above the lower chain (-1, 1), (0, 0), (2, 0) in the
+    # xz plane: six corners span a prism, yet the set is open upward
+    planes = [((F(-1), F(0), F(-1)), F(0)), ((F(0), F(0), F(-1)), F(0)),
+              ((F(1), F(0), F(-1)), F(2)), ((F(-2), F(0), F(-1)), F(1)),
+              ((F(0), F(-1), F(0)), F(0)), ((F(0), F(1), F(0)), F(1))]
+    with pytest.raises(NonConvexCellError, match="halfspace intersection is unbounded"):
+        hull_from_halfspaces(planes)
+    with pytest.raises(NonConvexCellError, match="unbounded"):
+        _reference_halfspace_hull(planes)
+    # a lid makes it a cell: the facets of the corners' hull are input planes
+    cell = hull_from_halfspaces(planes + [((F(0), F(0), F(1)), F(3))])
+    assert len(cell.apices) == 10 and len(cell.facets) == 7

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tesstopo import scalar
+from tesstopo.complexes import generate, make_domain
+from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
 from tesstopo.scalar import (
-    MAX_PI_POWER, Scalar, as_scalar, PI2, ZERO, ONE, _normalize, _pi2_bounds, _pmul, _poly_sign)
+    MAX_PI_POWER, Scalar, as_scalar, parse_fraction, PI2, ZERO, ONE, _normalize, _pi2_bounds,
+    _pmul, _poly_sign)
 
 
 coeff_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
@@ -360,3 +364,178 @@ def test_pi2_bounds(monkeypatch):
         lo, hi = bounds[prec]
         assert lo << prec <= bounds[2 * prec][0] <= bounds[2 * prec][1] <= hi << prec
     assert _pi2_bounds(64) is _pi2_bounds(64)  # kept per precision
+
+
+# ---- Scalar.parse against the bracket-depth parser it replaced ----
+
+def _reference_balanced(s):
+    depth = 0
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                return False
+    return depth == 0
+
+
+def _reference_poly(s):
+    if s.startswith("(") and s.endswith(")") and _reference_balanced(s[1:-1]):
+        s = s[1:-1]
+    if not s:
+        raise ValueError("empty polynomial text")
+    coeffs = {}
+    pos = 0
+    first = True
+    while pos < len(s):
+        m = scalar._TERM.match(s, pos)
+        if not m or m.end() == pos or (m.group("coef") is None and m.group("exp") is None):
+            raise ValueError(f"cannot parse scalar text at {s[pos:]!r}")
+        if not first and not m.group("sign"):
+            raise ValueError(f"missing operator before {s[pos:]!r}")
+        coef = parse_fraction(m.group("coef")) if m.group("coef") is not None else Fraction(1)
+        if m.group("sign") == "-":
+            coef = -coef
+        if m.group("exp") is not None:
+            e = int(m.group("exp"))
+            if e > MAX_PI_POWER:
+                raise ValueError(f"pi powers above {MAX_PI_POWER} are not accepted")
+            if e % 2:
+                raise ValueError("only even powers of pi are representable")
+            k = e // 2
+        else:
+            if m.group("star"):
+                raise ValueError(f"dangling '*' in {s!r}")
+            k = 0
+        coeffs[k] = coeffs.get(k, Fraction(0)) + coef
+        pos = m.end()
+        first = False
+    top = max(coeffs)
+    return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
+
+
+def _reference_parse(text):
+    """Scalar text read with a bracket-depth scan for the one top-level '/'."""
+    s = "".join(text.split())
+    if not s:
+        raise ValueError("empty scalar text")
+    depth = 0
+    slash = -1
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError("unbalanced parentheses")
+        elif ch == "/" and depth == 0:
+            if slash >= 0:
+                raise ValueError("more than one top-level '/'")
+            slash = i
+    if depth:
+        raise ValueError("unbalanced parentheses")
+    if slash >= 0:
+        return Scalar(_reference_poly(s[:slash]), _reference_poly(s[slash + 1:]))
+    return Scalar(_reference_poly(s))
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        return "refused"
+
+
+# the scalar-text alphabet, with the pi powers as single tokens
+_SCALAR_TOKENS = list("0123456789.eE+-*/() ") + ["pi^2", "pi^3", "pi^", "pi^4", "pi^22"]
+_TERMS = st.builds("{}{}{}".format, st.sampled_from(["", "+", "-"]),
+                   st.sampled_from(["", "1", "35", "2.5", "1e3", "7E-2", "0"]),
+                   st.sampled_from(["", "*pi^2", "pi^4", "*pi^6", "*", "pi^3"]))
+_SIDES = st.lists(_TERMS, min_size=0, max_size=4).map("".join).flatmap(
+    lambda side: st.sampled_from([side, f"({side})", f"(({side}))", f"({side}", f"{side})"]))
+# sides in the grammar: signed terms, optionally in one pair of brackets
+_GOOD_SIDES = st.lists(
+    st.builds("{}{}{}".format, st.sampled_from(["+", "-"]),
+              st.sampled_from(["1", "35", "2.5", "1e3", "7E-2", "0", "12"]),
+              st.sampled_from(["", "*pi^2", "pi^4", "*pi^6"])),
+    min_size=1, max_size=4).map("".join).flatmap(
+    lambda side: st.sampled_from([side, f"({side})", side.lstrip("+")]))
+scalar_texts = st.one_of(
+    st.lists(st.sampled_from(_SCALAR_TOKENS), max_size=14).map("".join),
+    st.builds("{}{}{}".format, _SIDES, st.sampled_from(["", "/", "//", " / "]), _SIDES),
+    st.builds("{}{}{}".format, _GOOD_SIDES, st.sampled_from(["", "/", " / "]), _GOOD_SIDES),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(scalar_texts)
+def test_parse_matches_the_bracket_depth_reference(text):
+    assert _read(Scalar.parse, text) == _read(_reference_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "(1)/(2)", "((1))", "(1/2)", "()/1", "1/()", "1/2/3", ")1(", "(1)(2)", "(1+pi^2)/(2)",
+    "(1", "1)", "(1))", "((1)", "1/(2", "(1/2", "1)/(2", "1e1001/2", "pi^24/1", "2pi^2",
+])
+def test_parse_edge_cases_match_the_reference(text):
+    assert _read(Scalar.parse, text) == _read(_reference_parse, text)
+
+
+# ---- refusals of every exact-number reader of the library ----
+
+def _domain_with(coordinate):
+    cube = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    cube[7][0] = coordinate
+    return make_domain([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [cube])
+
+
+def _offsets(*offsets):
+    return generate("prism_columns", offsets=list(offsets))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # Scalar(num, den) takes ints, Fractions and tuples or lists of them
+    (lambda: Scalar([True]), TypeError, "coefficients are ints or Fractions"),
+    (lambda: Scalar(True), TypeError, "coefficients are ints or Fractions"),
+    (lambda: Scalar(["1e1001"]), TypeError, "read text with Scalar.parse"),
+    (lambda: Scalar("1/2"), TypeError, "read text with Scalar.parse"),
+    (lambda: Scalar(0.5), TypeError, "coefficients"),
+    (lambda: Scalar([1, 0.5]), TypeError, "coefficients"),
+    (lambda: Scalar([]), TypeError, "coefficients"),
+    (lambda: Scalar(PI2), TypeError, "coefficients"),
+    (lambda: Scalar(1, [Fraction(1), None]), TypeError, "coefficients"),
+    # parse_fraction reads ints that are not bools, Fractions and text
+    (lambda: parse_fraction(True), TypeError, "not an exact rational"),
+    (lambda: parse_fraction(0.5), TypeError, "not an exact rational"),
+    (lambda: parse_fraction(None), TypeError, "not an exact rational"),
+    (lambda: parse_fraction([1]), TypeError, "not an exact rational"),
+    (lambda: parse_fraction(PI2), TypeError, "not an exact rational"),
+    (lambda: parse_fraction("1e1001"), UsageError, "decimal exponents beyond 1000"),
+    (lambda: parse_fraction("abc"), ValueError, "Invalid literal"),
+    (lambda: parse_fraction("1/0"), ZeroDivisionError, "Fraction(1, 0)"),
+    # domain coordinates and prism_columns offsets read through it
+    (lambda: _domain_with(True), NotATessellationError, "rational numbers, got True"),
+    (lambda: _domain_with(0.5), NotATessellationError, "rational numbers, got 0.5"),
+    (lambda: _domain_with("abc"), NotATessellationError, "rational numbers, got 'abc'"),
+    (lambda: _domain_with(None), NotATessellationError, "rational numbers, got None"),
+    (lambda: _domain_with("1e1001"), UsageError, "decimal exponents beyond 1000"),
+    (lambda: _offsets(0.1, 0.35, 0.6, 0.85), GeneratorParameterError, "rational numbers"),
+    (lambda: _offsets(True, "1/4", "1/2", "3/4"), GeneratorParameterError, "rational numbers"),
+    (lambda: _offsets("1e1001", "1/4", "1/2", "3/4"), UsageError, "decimal exponents"),
+])
+def test_exact_number_readers_refuse(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_exact_number_readers_accept():
+    assert Scalar([Fraction(1, 2), 3], (2,)) == Scalar.parse("(1+6*pi^2)/4")
+    assert Scalar((70, 48), 35) == Scalar.parse("(70+48*pi^2)/35")
+    value = Fraction(1, 3)
+    assert parse_fraction(value) is value
+    assert parse_fraction(-4) == -4 and type(parse_fraction(-4)) is Fraction
+    assert parse_fraction(" -7/4 ") == Fraction(-7, 4)
+    assert parse_fraction("0.25") == Fraction(1, 4)
+    assert _domain_with("2/2").cells[0].volume == 1
+    assert _offsets(0, "1/4", Fraction(1, 2), "0.75").volume() == 4

@@ -10,6 +10,7 @@ feasible ``check``), 1 when ``check`` finds the parameters infeasible,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Sequence
@@ -176,22 +177,15 @@ def cmd_region(args) -> int:
         ve = read_scalar("--ve", args.ve)
         ep_max = None if args.ep_max is None else read_scalar("--ep-max", args.ep_max)
         region = plate_profile_region(ve, ep_max)
-        # the boundaries are resampled to --resolution, so they are built here
-        boundaries = []
-        series = []
-        for line in region.boundaries:
-            points = interpolate_polyline(list(line.points), args.resolution)
-            boundaries.append({
-                "name": line.name,
-                "style": line.style,
-                "included": line.included,
-                "points": points,
-            })
-            series.append(polyline_series(line.name, points, digits))
-        doc = {"type": "pv-ep", **region.as_doc(), "boundaries": boundaries}
+        region = dataclasses.replace(region, boundaries=tuple(
+            dataclasses.replace(line, points=interpolate_polyline(list(line.points),
+                                                                  args.resolution))
+            for line in region.boundaries))
+        series = [polyline_series(line.name, line.points, digits)
+                  for line in region.boundaries]
         series.append(polyline_series("face_to_face", region.face_to_face.vertices,
                                       digits))
-        emit(args, encode(doc, digits), series)
+        emit(args, encode({"type": "pv-ep", **region.as_doc()}, digits), series)
         return 0
     params = resolve_params(args).as_dict()
     given = {key: params[key] for key in REGION_INPUTS[args.type]}

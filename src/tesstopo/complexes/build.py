@@ -78,7 +78,6 @@ from .geometry import (
     point_in_ring2,
     project2,
     ring_ccw2,
-    signed_area2,
     sub,
     transpose,
 )
@@ -305,7 +304,7 @@ class _Builder:
         du, dv = project2(self._shift(t), k)
         ring_b = [(x + du, y + dv) for x, y in self.facet_views[j][fb][1]]
         cut = convex_intersection2(ring_a, ring_b)
-        if len(cut) < 3 or signed_area2(cut) == 0:
+        if len(cut) < 3:
             return None
         f = self.cells[i].facets[fa]
         ring3 = tuple(lift3(xy, k, f.normal, f.offset) for xy in cut)
@@ -453,7 +452,7 @@ class _Builder:
             hi = tuple(max(p[k], q[k]) for k in range(3))
             d = sub(q, p)
             hits = [(vid, x) for vid, x in self._instances_in_box(lo, hi)
-                    if on_segment(x, p, q, strict=True)]
+                    if on_segment(x, p, q)]
             hits.sort(key=lambda item: dot(sub(item[1], p), d))
             self.segment_hits[key] = hits
         low = min(a, b)
@@ -566,7 +565,7 @@ class _Builder:
                 shift = self._shift(delta)
                 for (p, q), eid in zip(plate.side_pieces, plate.piece_edge_ids):
                     twice = add(add(p, shift), add(q, shift))
-                    if point_in_ring2(project2(twice, k), doubled, strict=True):
+                    if point_in_ring2(project2(twice, k), doubled):
                         inst = tuple(sorted((add(p, shift), add(q, shift))))
                         instances[inst] = eid  # type: ignore[index]
             for eid in instances.values():

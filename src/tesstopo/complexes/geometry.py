@@ -9,6 +9,13 @@ their denominators and runs on ``int`` whatever it is given, then reads its
 apices, facet offsets and volume back in the caller's coordinates. There is
 no floating point and no epsilon anywhere in this module; every incidence,
 containment, and degeneracy question is decided exactly.
+
+Every ring this module cleans is convex: a facet of a hull, or a clip of
+convex polygons. Dropping a point that lies on a side of a convex ring leaves
+every other turn as it was, so one pass removes them all. For the same
+reason :func:`convex_hull` raises :class:`NonConvexCellError` only when its
+points do not span space, and :func:`convex_intersection2` returns fewer than
+three points exactly when the overlap has no area.
 """
 
 from __future__ import annotations
@@ -110,17 +117,11 @@ def primitive(v: Vec) -> Vec:
     return (a // g, b // g, c // g)
 
 
-def on_segment(p: Vec, a: Vec, b: Vec, *, strict: bool) -> bool:
-    """Whether p lies on segment ab; strict excludes the endpoints."""
+def on_segment(p: Vec, a: Vec, b: Vec) -> bool:
+    """Whether p lies on segment ab, endpoints excluded."""
     d = sub(b, a)
     r = sub(p, a)
-    if cross(d, r) != ZERO3:
-        return False
-    t_num = dot(r, d)
-    t_den = dot(d, d)
-    if strict:
-        return 0 < t_num < t_den
-    return 0 <= t_num <= t_den
+    return cross(d, r) == ZERO3 and 0 < dot(r, d) < dot(d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -139,29 +140,20 @@ def signed_area2(ring: list[Vec2]) -> Num:
 
 
 def clean_ring2(ring: list[Vec2]) -> list[Vec2]:
-    """Drop consecutive duplicates, then collinear points."""
+    """Drop consecutive duplicates, then collinear points. A convex ring
+    without area is all collinear, so it comes back empty."""
     out: list[Vec2] = []
     for p in ring:
         if not out or p != out[-1]:
             out.append(p)
     while len(out) > 1 and out[0] == out[-1]:
         out.pop()
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        for i in range(len(out)):
-            o, a, b = out[i - 1], out[i], out[(i + 1) % len(out)]
-            if cross2(o, a, b) == 0:
-                out.pop(i)
-                changed = True
-                break
-    return out
+    n = len(out)
+    return [a for i, a in enumerate(out) if cross2(out[i - 1], a, out[(i + 1) % n]) != 0]
 
 
 def clip_keep_left(ring: list[Vec2], a: Vec2, b: Vec2) -> list[Vec2]:
     """Clip a polygon by the halfplane on the left of the directed line ab."""
-    if not ring:
-        return []
     out: list[Vec2] = []
     n = len(ring)
     side = [cross2(a, b, p) for p in ring]
@@ -181,8 +173,8 @@ def clip_keep_left(ring: list[Vec2], a: Vec2, b: Vec2) -> list[Vec2]:
 def convex_intersection2(p_ring: list[Vec2], q_ring: list[Vec2]) -> list[Vec2]:
     """Intersection of two convex polygons, both counterclockwise.
 
-    Returns a cleaned counterclockwise ring; fewer than 3 points (or zero
-    area) means the intersection is not two-dimensional.
+    Returns a cleaned counterclockwise ring; fewer than 3 points means the
+    intersection is not two-dimensional.
     """
     out = list(p_ring)
     for i in range(len(q_ring)):
@@ -192,16 +184,9 @@ def convex_intersection2(p_ring: list[Vec2], q_ring: list[Vec2]) -> list[Vec2]:
     return clean_ring2(out)
 
 
-def point_in_ring2(pt: Vec2, ring: list[Vec2], *, strict: bool) -> bool:
-    """Point in a counterclockwise convex polygon. Strict means the open
-    interior; non-strict includes the boundary."""
-    for i in range(len(ring)):
-        c = cross2(ring[i], ring[(i + 1) % len(ring)], pt)
-        if strict and c <= 0:
-            return False
-        if not strict and c < 0:
-            return False
-    return True
+def point_in_ring2(pt: Vec2, ring: list[Vec2]) -> bool:
+    """Point in the open interior of a counterclockwise convex polygon."""
+    return all(cross2(ring[i - 1], ring[i], pt) > 0 for i in range(len(ring)))
 
 
 def drop_axis(n: Vec) -> int:
@@ -314,41 +299,6 @@ def _initial_tetrahedron(points: list[Vec]) -> tuple[list[int], list[tuple[int, 
     return corners, tris
 
 
-def _assemble_ring(edges: list[tuple[int, int]]) -> list[int]:
-    succ: dict[int, int] = {}
-    for u, v in edges:
-        if u in succ:
-            raise NonConvexCellError("facet boundary is not a simple cycle")
-        succ[u] = v
-    start = edges[0][0]
-    ring = [start]
-    cur = succ[start]
-    while cur != start:
-        ring.append(cur)
-        cur = succ[cur]
-        if len(ring) > len(edges):
-            raise NonConvexCellError("facet boundary is not a single cycle")
-    if len(ring) != len(edges):
-        raise NonConvexCellError("facet boundary splits into several cycles")
-    return ring
-
-
-def _strip_collinear(ring: list[int], points: list[Vec]) -> list[int]:
-    out = list(ring)
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        for i in range(len(out)):
-            o = points[out[i - 1]]
-            a = points[out[i]]
-            b = points[out[(i + 1) % len(out)]]
-            if cross(sub(a, o), sub(b, a)) == ZERO3:
-                out.pop(i)
-                changed = True
-                break
-    return out
-
-
 def convex_hull(raw_points: list[Vec]) -> Polyhedron:
     """Exact incremental hull. Input points that are not extreme (interior,
     on a facet, or in the relative interior of a ridge) are dropped.
@@ -406,10 +356,15 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
                     edges.remove((e[1], e[0]))
                 else:
                     edges.add(e)
-        ring = _assemble_ring(sorted(edges))
-        ring = _strip_collinear(ring, points)
-        if len(ring) < 3:
-            raise NonConvexCellError("degenerate facet after merging")
+        # the sides left bound a convex polygon, so they form one cycle;
+        # walk it from its lowest index, then drop the points inside a side
+        succ = dict(edges)
+        walk = [min(succ)]
+        while succ[walk[-1]] != walk[0]:
+            walk.append(succ[walk[-1]])
+        ring = [a for i, a in enumerate(walk)
+                if cross(sub(points[a], points[walk[i - 1]]),
+                         sub(points[walk[(i + 1) % len(walk)]], points[a])) != ZERO3]
         # the offset from the corner the key was taken from, in the
         # caller's coordinates
         facet_rings.append((n, dot(n, originals[group[0][0]]), ring))
@@ -426,15 +381,9 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
         facets.append(Facet(n, c, tuple(mapped[low:] + mapped[:low])))
     facets.sort(key=lambda f: (f.normal, f.offset))
 
-    edge_count: dict[tuple[int, int], int] = {}
-    for f in facets:
-        for i in range(len(f.ring)):
-            a, b = f.ring[i], f.ring[(i + 1) % len(f.ring)]
-            key = (a, b) if a < b else (b, a)
-            edge_count[key] = edge_count.get(key, 0) + 1
-    if any(v != 2 for v in edge_count.values()):
-        raise NonConvexCellError("hull surface is not closed")
-    ridges = tuple(sorted(edge_count))
+    # each ridge lies on two facets, which walk it in opposite directions
+    ridges = tuple(sorted((f.ring[i - 1], a) for f in facets
+                          for i, a in enumerate(f.ring) if f.ring[i - 1] < a))
 
     scaled = [points[i] for i in hull_indices]
     volume = 0
@@ -442,10 +391,7 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
         q0 = scaled[f.ring[0]]
         for i in range(1, len(f.ring) - 1):
             volume += dot(q0, cross(scaled[f.ring[i]], scaled[f.ring[i + 1]]))
-    volume = exact_div(volume, 6 * d ** 3)
-    if volume <= 0:
-        raise NonConvexCellError("cell volume is not positive")
-    return Polyhedron(apices, tuple(facets), ridges, volume)
+    return Polyhedron(apices, tuple(facets), ridges, exact_div(volume, 6 * d ** 3))
 
 
 def hull_from_halfspaces(planes: list[tuple[Vec, Num]]) -> Polyhedron:

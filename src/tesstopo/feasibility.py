@@ -353,31 +353,26 @@ def _cross(o, a, b) -> Scalar:
 
 def _polish(points: list[tuple[Scalar, Scalar]]
             ) -> tuple[tuple[tuple[Scalar, Scalar], ...], str]:
-    pts = list(points)
-    while True:
-        dedup: list[tuple[Scalar, Scalar]] = []
-        for p in pts:
-            if not dedup or p != dedup[-1]:
-                dedup.append(p)
-        if len(dedup) > 1 and dedup[0] == dedup[-1]:
-            dedup.pop()
-        if not dedup:
-            return (), "empty"
-        uniq = set(dedup)
-        if len(uniq) == 1:
-            return (dedup[0],), "point"
-        base = dedup[0]
-        ref = next(p for p in dedup if p != base)
-        if all(not _cross(base, ref, p) for p in dedup):
-            return (min(uniq), max(uniq)), "segment"
-        kept = []
-        n = len(dedup)
-        for i, p in enumerate(dedup):
-            if _cross(dedup[i - 1], p, dedup[(i + 1) % n]):
-                kept.append(p)
-        if len(kept) == len(dedup):
-            return tuple(kept), "region"
-        pts = kept
+    """A clipped convex polygon without repeats, named by its dimension; a
+    region loses its collinear points in one pass, as convexity allows."""
+    pts: list[tuple[Scalar, Scalar]] = []
+    for p in points:
+        if not pts or p != pts[-1]:
+            pts.append(p)
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    if not pts:
+        return (), "empty"
+    uniq = set(pts)
+    if len(uniq) == 1:
+        return (pts[0],), "point"
+    base = pts[0]
+    ref = next(p for p in pts if p != base)
+    if all(not _cross(base, ref, p) for p in pts):
+        return (min(uniq), max(uniq)), "segment"
+    n = len(pts)
+    return tuple(p for i, p in enumerate(pts)
+                 if _cross(pts[i - 1], p, pts[(i + 1) % n])), "region"
 
 
 def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -431,6 +426,10 @@ class RegionPolyline:
     included: bool  # whether the line belongs to the region it bounds
     style: str  # "boundary" | "regime"
 
+    def as_doc(self) -> dict:
+        return {"name": self.name, "style": self.style, "included": self.included,
+                "points": self.points}
+
 
 @dataclass(frozen=True)
 class PlateProfileRegion:
@@ -444,7 +443,6 @@ class PlateProfileRegion:
     window: tuple[Scalar, Scalar]  # (vertices_per_plate max, plates_per_edge max)
 
     def as_doc(self) -> dict:
-        """Everything but the boundaries, whose sampling is the caller's."""
         return {
             "edges_per_vertex": self.edges_per_vertex,
             "plate_cap": self.plate_cap,
@@ -453,6 +451,7 @@ class PlateProfileRegion:
                 "plates_per_edge_max": self.window[1],
             },
             "face_to_face": self.face_to_face.as_doc(),
+            "boundaries": [line.as_doc() for line in self.boundaries],
         }
 
 

@@ -509,6 +509,8 @@ class Scalar:
     @classmethod
     def parse(cls, text: str) -> "Scalar":
         """Read scalar text, in the grammar of the module docstring."""
+        if not isinstance(text, str):
+            raise TypeError(f"scalar text must be a str, not {type(text).__name__}")
         s = "".join(text.split())
         if not s:
             raise ValueError("empty scalar text")

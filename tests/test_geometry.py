@@ -8,16 +8,17 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tesstopo import feasibility
 from tesstopo.errors import NonConvexCellError
+from tesstopo.scalar import PI2, Scalar
 from tesstopo.complexes import GENERATORS, generate
 from tesstopo.complexes.geometry import (
     Facet,
     Polyhedron,
-    _assemble_ring,
     _initial_tetrahedron,
-    _strip_collinear,
     add,
     cross,
+    clean_ring2,
     clip_keep_left,
     convex_hull,
     convex_intersection2,
@@ -136,21 +137,16 @@ def test_convex_intersection_disjoint_is_empty():
 
 def test_point_in_ring_strict_vs_boundary():
     sq = [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))]
-    assert point_in_ring2((F(1, 2), F(1, 2)), sq, strict=True)
-    assert not point_in_ring2((F(1, 2), F(0)), sq, strict=True)
-    assert point_in_ring2((F(1, 2), F(0)), sq, strict=False)
-    assert not point_in_ring2((F(2), F(0)), sq, strict=False)
+    assert point_in_ring2((F(1, 2), F(1, 2)), sq)
+    assert not point_in_ring2((F(1, 2), F(0)), sq)
 
 
 def test_on_segment_modes():
     a = (F(0), F(0), F(0))
     b = (F(2), F(2), F(0))
     mid = (F(1), F(1), F(0))
-    assert on_segment(mid, a, b, strict=True)
-    assert not on_segment(a, a, b, strict=True)
-    assert on_segment(a, a, b, strict=False)
-    assert not on_segment((F(3), F(3), F(0)), a, b, strict=False)
-    assert not on_segment((F(1), F(0), F(0)), a, b, strict=False)
+    assert on_segment(mid, a, b)
+    assert not on_segment(a, a, b)
 
 
 def test_orient3d_sign_flips_with_swap():
@@ -301,6 +297,45 @@ def test_solve_and_inverse_on_scaled_ints_are_scaled(rows, rhs):
     assert _times(inv, e) == inverse(m)
 
 
+def _reference_assemble_ring(edges):
+    """The facet boundary walk as it was before convexity was relied on:
+    a vertex with two successors, a walk that does not close, or several
+    cycles were refused."""
+    succ = {}
+    for u, v in edges:
+        if u in succ:
+            raise NonConvexCellError("facet boundary is not a simple cycle")
+        succ[u] = v
+    start = edges[0][0]
+    ring = [start]
+    cur = succ[start]
+    while cur != start:
+        ring.append(cur)
+        cur = succ[cur]
+        if len(ring) > len(edges):
+            raise NonConvexCellError("facet boundary is not a single cycle")
+    if len(ring) != len(edges):
+        raise NonConvexCellError("facet boundary splits into several cycles")
+    return ring
+
+
+def _reference_strip_collinear(ring, points):
+    """Drop one collinear point at a time and look again from the start."""
+    out = list(ring)
+    changed = True
+    while changed and len(out) >= 3:
+        changed = False
+        for i in range(len(out)):
+            o = points[out[i - 1]]
+            a = points[out[i]]
+            b = points[out[(i + 1) % len(out)]]
+            if cross(sub(a, o), sub(b, a)) == ZERO3:
+                out.pop(i)
+                changed = True
+                break
+    return out
+
+
 def _reference_hull(raw_points):
     """The hull as it ran before it scaled its points to int: every step on
     the caller's coordinates. Kept as the reference of the test below."""
@@ -343,7 +378,7 @@ def _reference_hull(raw_points):
                     edges.remove((e[1], e[0]))
                 else:
                     edges.add(e)
-        ring = _strip_collinear(_assemble_ring(sorted(edges)), points)
+        ring = _reference_strip_collinear(_reference_assemble_ring(sorted(edges)), points)
         if len(ring) < 3:
             raise NonConvexCellError("degenerate facet after merging")
         facet_rings.append((n, c, ring))
@@ -525,3 +560,128 @@ def test_unbounded_prism_with_many_corners_is_refused():
     # a lid makes it a cell: the facets of the corners' hull are input planes
     cell = hull_from_halfspaces(planes + [((F(0), F(0), F(1)), F(3))])
     assert len(cell.apices) == 10 and len(cell.facets) == 7
+
+
+# ---- one-pass ring cleanup against the restart loops it replaced ----
+
+def _reference_clean_ring2(ring):
+    """Drop consecutive duplicates, then one collinear point at a time."""
+    out = []
+    for p in ring:
+        if not out or p != out[-1]:
+            out.append(p)
+    while len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    changed = True
+    while changed and len(out) >= 3:
+        changed = False
+        for i in range(len(out)):
+            o, a, b = out[i - 1], out[i], out[(i + 1) % len(out)]
+            if cross2(o, a, b) == 0:
+                out.pop(i)
+                changed = True
+                break
+    return out
+
+
+def _reference_polish(points):
+    """The staged-region cleanup, repeated until no collinear point is left."""
+    pts = list(points)
+    while True:
+        dedup = []
+        for p in pts:
+            if not dedup or p != dedup[-1]:
+                dedup.append(p)
+        if len(dedup) > 1 and dedup[0] == dedup[-1]:
+            dedup.pop()
+        if not dedup:
+            return (), "empty"
+        uniq = set(dedup)
+        if len(uniq) == 1:
+            return (dedup[0],), "point"
+        base = dedup[0]
+        ref = next(p for p in dedup if p != base)
+        if all(not feasibility._cross(base, ref, p) for p in dedup):
+            return (min(uniq), max(uniq)), "segment"
+        kept = []
+        n = len(dedup)
+        for i, p in enumerate(dedup):
+            if feasibility._cross(dedup[i - 1], p, dedup[(i + 1) % n]):
+                kept.append(p)
+        if len(kept) == len(dedup):
+            return tuple(kept), "region"
+        pts = kept
+
+
+def _convex_corners(points):
+    """The strictly convex counterclockwise hull of 2d points (monotone chain)."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross2(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(pts[::-1])
+
+
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_T = st.fractions(min_value=0, max_value=1, max_denominator=5)
+
+
+@st.composite
+def _convex_rings(draw):
+    """Convex rings as a clip leaves them: corners with points inserted on
+    their sides, repeated points and a rotated start; or rings without area,
+    whose points all lie on one segment."""
+    if draw(st.booleans()):
+        corners = _convex_corners(draw(st.lists(st.tuples(_FRACTIONS, _FRACTIONS),
+                                                min_size=3, max_size=8)))
+        if len(corners) >= 3:
+            ring = []
+            for i, p in enumerate(corners):
+                q = corners[(i + 1) % len(corners)]
+                ring.append(p)
+                ts = sorted(set(draw(st.lists(_T, max_size=2))) - {0, 1})
+                ring += [(p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])) for t in ts]
+            area = True
+        else:
+            ring, area = corners, False
+    else:
+        a, b = draw(st.tuples(_FRACTIONS, _FRACTIONS)), draw(st.tuples(_FRACTIONS, _FRACTIONS))
+        ts = draw(st.lists(_T, min_size=1, max_size=6))
+        ring = [(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])) for t in ts]
+        area = False
+    repeats = draw(st.lists(st.integers(0, len(ring) - 1), max_size=3)) if ring else []
+    for i in sorted(repeats, reverse=True):
+        ring.insert(i, ring[i])
+    if ring:
+        k = draw(st.integers(0, len(ring) - 1))
+        ring = ring[k:] + ring[:k]
+        if draw(st.booleans()):
+            ring.append(ring[0])
+    return ring, area
+
+
+@settings(max_examples=300, deadline=None)
+@given(_convex_rings())
+def test_clean_ring_matches_the_restart_loop(case):
+    ring, area = case
+    got, want = clean_ring2(ring), _reference_clean_ring2(ring)
+    if area:
+        assert got == want
+    else:
+        assert len(got) < 3 and len(want) < 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(_convex_rings(), st.booleans())
+def test_polish_matches_the_restart_loop(case, sheared):
+    ring, _ = case
+    # a shear by pi^2 keeps convexity and collinearity, and puts the turn
+    # signs on the interval sign test
+    pts = [(Scalar(x), Scalar(y) + (PI2 * x if sheared else 0)) for x, y in ring]
+    assert feasibility._polish(pts) == _reference_polish(pts)

@@ -505,6 +505,10 @@ def _offsets(*offsets):
     (lambda: Scalar([]), TypeError, "coefficients"),
     (lambda: Scalar(PI2), TypeError, "coefficients"),
     (lambda: Scalar(1, [Fraction(1), None]), TypeError, "coefficients"),
+    # Scalar.parse reads text only
+    (lambda: Scalar.parse(5), TypeError, "scalar text must be a str, not int"),
+    (lambda: Scalar.parse(None), TypeError, "scalar text must be a str, not NoneType"),
+    (lambda: Scalar.parse(b"1/2"), TypeError, "scalar text must be a str, not bytes"),
     # parse_fraction reads ints that are not bools, Fractions and text
     (lambda: parse_fraction(True), TypeError, "not an exact rational"),
     (lambda: parse_fraction(0.5), TypeError, "not an exact rational"),

@@ -1,0 +1,78 @@
+"""No float in any decision, checked on the source text of the package.
+
+Every file under ``src/`` is parsed with :mod:`ast`. A float literal, a
+``float(...)`` call anywhere but ``Scalar.__float__`` (the explicit
+conversion for callers), or any ``math`` function other than the exact
+integer ones ``gcd``, ``lcm`` and ``floor`` is reported with its place.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MATH_ALLOWED = {"gcd", "lcm", "floor"}
+FLOAT_CALL_ALLOWED = {("Scalar", "__float__")}
+_SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _nodes(node, scope=()):
+    """Every node under node, with the names of the classes and functions
+    that enclose it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + (child.name,) if isinstance(child, _SCOPES) else scope
+        yield child, inner
+        yield from _nodes(child, inner)
+
+
+def float_rule_violations(source: str, name: str = "<source>") -> list[str]:
+    tree = ast.parse(source, filename=name)
+    math_names = {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  for alias in node.names if alias.name == "math"}
+    found = []
+    for node, scope in _nodes(tree):
+        where = f"{name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            found.append(f"{where}: float literal {node.value!r}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float" and scope not in FLOAT_CALL_ALLOWED):
+            found.append(f"{where}: float() call in {'.'.join(scope) or 'module'}")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in math_names and node.attr not in MATH_ALLOWED):
+            found.append(f"{where}: math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{where}: from math import {alias.name}"
+                      for alias in node.names if alias.name not in MATH_ALLOWED]
+    return found
+
+
+def test_no_float_in_the_package():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = [v for path in files
+             for v in float_rule_violations(path.read_text(), str(path.relative_to(SRC)))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, message", [
+    ("x = 0.5\n", "float literal 0.5"),
+    ("x = 1e-9\n", "float literal 1e-09"),
+    ("def f(s):\n    return float(s) < 1\n", "float() call in f"),
+    ("class Scalar:\n    def sign(self):\n        return float(self)\n",
+     "float() call in Scalar.sign"),
+    ("x = float('1')\n", "float() call in module"),
+    ("import math\ny = math.sqrt(2)\n", "math.sqrt"),
+    ("import math as m\ny = m.isclose(1, 2)\n", "math.isclose"),
+    ("from math import gcd, pi\n", "from math import pi"),
+])
+def test_the_float_rule_reports_each_kind(source, message):
+    assert [v.split(": ", 1)[1] for v in float_rule_violations(source)] == [message]
+
+
+def test_the_float_rule_allows_the_exact_forms():
+    source = ("import math\nfrom math import gcd, lcm\n"
+              "class Scalar:\n    def __float__(self):\n        return float(self._mpf(30))\n"
+              "k = math.floor(h) + math.gcd(4, 6) + gcd(2, 4) + lcm(2, 3)\n")
+    assert float_rule_violations(source) == []

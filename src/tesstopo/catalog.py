@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 from .errors import UnknownEntryError
 from .feasibility import classify, classify_partial, plate_cap
 from .params import TessParams, derive
-from .scalar import ONE, ZERO, Scalar, as_scalar
+from .scalar import Scalar, as_scalar
 from . import transforms as _tr
 
 __all__ = ["CatalogEntry", "get", "list_ids", "entries", "verify_catalog",
@@ -52,10 +52,23 @@ class CatalogEntry:
     derived_from: tuple[str, str] | None = None
     notes: str = ""
 
+    def __post_init__(self) -> None:
+        for name in _CYCLIC + _INTERIOR:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, as_scalar(value))
+        object.__setattr__(self, "adjacency_checks", tuple(
+            (of, to, as_scalar(value)) for of, to, value in self.adjacency_checks))
+
+    @property
+    def recorded(self) -> dict[str, Scalar]:
+        """The parameter fields the entry records, by name."""
+        return {f: getattr(self, f) for f in _CYCLIC + _INTERIOR
+                if getattr(self, f) is not None}
+
     @property
     def is_complete(self) -> bool:
-        return (self.vertices_per_plate is not None
-                and all(getattr(self, f) is not None for f in _INTERIOR))
+        return len(self.recorded) == len(_CYCLIC + _INTERIOR)
 
     @property
     def on_cap_curve(self) -> bool:
@@ -65,25 +78,15 @@ class CatalogEntry:
     def to_params(self) -> TessParams:
         """The entry as a full parameter set with unit vertex intensity.
 
-        Face-to-face entries with unrecorded interior fields get zeros;
-        that is forced, not a guess. Anything else incomplete raises.
+        Face-to-face entries with unrecorded interior fields get the zero
+        defaults of :class:`TessParams`; that is forced, not a guess.
+        Anything else incomplete raises.
         """
-        if self.vertices_per_plate is None:
-            raise ValueError(f"{self.entry_id} does not record vertices_per_plate")
-        interior = {}
-        for f in _INTERIOR:
-            v = getattr(self, f)
-            if v is None:
-                if not self.face_to_face:
-                    raise ValueError(f"{self.entry_id} does not record {f}")
-                v = ZERO
-            interior[f] = v
-        return TessParams.create(
-            edges_per_vertex=self.edges_per_vertex,
-            plates_per_edge=self.plates_per_edge,
-            vertices_per_plate=self.vertices_per_plate,
-            **interior,
-        )
+        recorded = self.recorded
+        for f in _CYCLIC + _INTERIOR:
+            if f not in recorded and not (self.face_to_face and f in _INTERIOR):
+                raise ValueError(f"{self.entry_id} does not record {f}")
+        return TessParams.create(**recorded)
 
     def as_doc(self) -> dict:
         """The entry as recorded; unrecorded parameters are None."""
@@ -103,93 +106,79 @@ class CatalogEntry:
         }
 
 
-def _entry(entry_id: str, title: str, construction: str, ftf: bool,
-           ve, ep, pv=None, xi=None, kappa=None, psi=None, tau=None,
-           **kw) -> CatalogEntry:
-    conv = lambda v: None if v is None else as_scalar(v)
-    return CatalogEntry(
-        entry_id=entry_id, title=title, construction=construction,
-        face_to_face=ftf,
-        edges_per_vertex=as_scalar(ve), plates_per_edge=as_scalar(ep),
-        vertices_per_plate=conv(pv), pi_edge_share=conv(xi),
-        hemi_vertex_share=conv(kappa), ridge_interior_rate=conv(psi),
-        side_interior_rate=conv(tau), **kw)
-
-
 F = Fraction
 
 _FIXED: tuple[CatalogEntry, ...] = (
-    _entry(
+    CatalogEntry(
         "ex01_voronoi", "Poisson-Voronoi",
         "Voronoi cells of a stationary Poisson point process.",
         True, 4, 3, Scalar((0, 144), (35, 24)), 0, 0, 0, 0,
         notes="Sits exactly on the ceiling curve at (4, 3).",
     ),
-    _entry(
+    CatalogEntry(
         "ex02_delaunay", "Poisson-Delaunay",
         "Delaunay tetrahedra spanned by a stationary Poisson point process.",
         True, Scalar((70, 48), 35), Scalar((0, 144), (35, 24)), 3, 0, 0, 0, 0,
-        adjacency_checks=(("cell", "vertex", as_scalar(4)), ("cell", "edge", as_scalar(6)),
-                          ("cell", "plate", as_scalar(4))),
+        adjacency_checks=(("cell", "vertex", 4), ("cell", "edge", 6), ("cell", "plate", 4)),
         notes="All cells are tetrahedra, hence on the ceiling curve.",
     ),
-    _entry(
+    CatalogEntry(
         "ex03_poisson_planes", "Random plane partition",
         "Cells cut out by stationary random planes in general position; "
         "a Poisson plane process gives four corners per plate.",
         True, 6, 4, 4, 0, 0, 0, 0,
     ),
-    _entry(
+    CatalogEntry(
         "ex04_stit", "Iterated cell division",
         "Cells divided recursively by random chords (stable under iteration).",
         False, 4, 3, F(36, 7), 1, F(2, 3), 2, F(4, 3),
         notes="Every edge is a pi-edge; on the ceiling curve at (4, 3).",
     ),
-    _entry(
+    CatalogEntry(
         "ex05_cubic", "Cubic lattice",
         "Unit cubes packed face to face.",
         True, 6, 4, 4, 0, 0, 0, 0,
         generator="cubic_lattice",
     ),
-    _entry(
+    CatalogEntry(
         "ex06a_triangle_columns", "Triangle-grid columns",
         "Prisms over a regular triangle grid, each column cut independently.",
         False, 4, F(9, 2), F(27, 4), F(1, 2), 0, 5, 4,
         generator="prism_columns", generator_args={"base": "triangle"},
         derived_from=("column", "planar_triangle_grid"),
     ),
-    _entry(
+    CatalogEntry(
         "ex06b_square_columns", "Square-grid columns",
         "Prisms over the square grid, each column cut independently.",
         False, 4, F(7, 2), F(28, 5), F(1, 2), 0, 3, 2,
         generator="prism_columns", generator_args={"base": "square"},
         derived_from=("column", "planar_square_grid"),
     ),
-    _entry(
+    CatalogEntry(
         "ex06c_cairo_columns", "Cairo columns",
         "Prisms over the Cairo pentagon tiling, each column cut independently.",
         False, 4, F(16, 5), F(16, 3), F(1, 2), 0, F(12, 5), F(7, 5),
         derived_from=("column", "planar_cairo"),
     ),
-    _entry(
+    CatalogEntry(
         "ex06d_hexagon_columns", "Hexagon columns",
         "Prisms over the hexagon tiling, each column cut independently.",
         False, 4, 3, F(36, 7), F(1, 2), 0, 2, 1,
         derived_from=("column", "planar_hexagon_grid"),
         notes="On the ceiling curve at (4, 3) despite positive side rate.",
     ),
-    _entry(
+    CatalogEntry(
         "ex07_diagonal_pyramids", "Diagonal pyramid cubes",
         "Each unit cube is split into three congruent pyramids meeting on a "
         "cube diagonal; diagonals in every 2x2x2 block point at the block "
         "centre so no added plate shows on the block surface.",
         True, 11, F(48, 11), F(16, 5), 0, 0, 0, 0,
-        adjacency_checks=(("vertex", "cell", as_scalar(15)), ("cell", "vertex", as_scalar(5))),
+        adjacency_checks=(("vertex", "cell", 15), ("cell", "vertex", 5)),
         generator="divided_cube",
         notes="Vertices are lattice points with three pyramids each. Shares "
               "its tuple with ex10d_coned_cubic, a different construction.",
     ),
-    _entry(
+    CatalogEntry(
         "ex08_divided_delaunay", "Divided Delaunay",
         "Each Delaunay tetrahedron is split in two by a plate through one "
         "ridge and a uniform point on the opposite ridge.",
@@ -202,32 +191,32 @@ _FIXED: tuple[CatalogEntry, ...] = (
         Scalar((0, 280, 4224), (1225, 1960, 768)),
         Scalar((0, -1120, 3264), (1225, 1960, 768)),
     ),
-    _entry(
+    CatalogEntry(
         "ex09a_voronoi_stratum", "Voronoi stratum",
         "Unit-depth slabs over a planar Poisson-Voronoi tessellation.",
         True, 5, F(18, 5), F(9, 2), 0, 0, 0, 0,
         derived_from=("stratum", "planar_voronoi"),
     ),
-    _entry(
+    CatalogEntry(
         "ex09b_delaunay_stratum", "Delaunay stratum",
         "Unit-depth slabs over a planar Poisson-Delaunay tessellation.",
         True, 8, F(9, 2), F(18, 5), 0, 0, 0, 0,
         derived_from=("stratum", "planar_delaunay"),
     ),
-    _entry(
+    CatalogEntry(
         "ex09c_overlay_stratum", "Overlay stratum",
         "Unit-depth slabs over the superposition of a planar Voronoi "
         "tessellation with its dual.",
         True, 6, 4, 4, 0, 0, 0, 0,
         derived_from=("stratum", "planar_voronoi_delaunay_overlay"),
     ),
-    _entry(
+    CatalogEntry(
         "ex09d_stit_stratum", "Iterated-division stratum",
         "Unit-depth slabs over a planar iterated chord division.",
         False, 5, F(18, 5), F(9, 2), F(2, 5), 0, 2, 1,
         derived_from=("stratum", "planar_stit"),
     ),
-    _entry(
+    CatalogEntry(
         "ex10a_coned_voronoi", "Coned Poisson-Voronoi",
         "Every Voronoi cell coned to an interior point.",
         True, Scalar((0, 288), (35, 24)), 4, Scalar((0, 576), (35, 168)),
@@ -235,7 +224,7 @@ _FIXED: tuple[CatalogEntry, ...] = (
         notes="Interior parameters vanish (face-to-face input) but are "
               "recorded as unspecified.",
     ),
-    _entry(
+    CatalogEntry(
         "ex10b_coned_delaunay", "Coned Poisson-Delaunay",
         "Every Delaunay tetrahedron coned to an interior point; the pieces "
         "are again tetrahedra.",
@@ -244,25 +233,25 @@ _FIXED: tuple[CatalogEntry, ...] = (
         notes="Tetrahedral cells force the ceiling equality "
               "plates_per_edge = 6(1 - 2/edges_per_vertex).",
     ),
-    _entry(
+    CatalogEntry(
         "ex10c_coned_stit", "Coned iterated division",
         "Every cell of the iterated chord division coned to an interior point.",
         False, F(40, 7), F(21, 5), F(84, 19), F(3, 5), F(4, 7), F(24, 7), F(20, 7),
         derived_from=("central_point", "ex04_stit"),
     ),
-    _entry(
+    CatalogEntry(
         "ex10d_coned_cubic", "Coned cubic lattice",
         "Every unit cube coned to its centre, giving six pyramids per cube.",
         True, 11, F(48, 11), F(16, 5), 0, 0, 0, 0,
         derived_from=("central_point", "ex05_cubic"),
     ),
-    _entry(
+    CatalogEntry(
         "ex10e_coned_triangle_columns", "Coned triangle columns",
         "Every triangle-column prism coned to an interior point.",
         False, 6, F(23, 4), F(69, 13), F(1, 4), 0, F(15, 2), F(27, 4),
         derived_from=("central_point", "ex06a_triangle_columns"),
     ),
-    _entry(
+    CatalogEntry(
         "ex13a_weighted_mixture", "Delaunay and coned-column mixture, weighted",
         "Ergodic mixture: probability 4/5 Poisson-Delaunay, probability 1/5 "
         "coned triangle columns, the latter with twice the vertex intensity.",
@@ -274,7 +263,7 @@ _FIXED: tuple[CatalogEntry, ...] = (
         0, F(5, 2), F(9, 4),
         derived_from=("mixture", "ex02_delaunay+ex10e_coned_triangle_columns"),
     ),
-    _entry(
+    CatalogEntry(
         "ex13b_equal_mixture", "Delaunay and coned-column mixture, equal",
         "Ergodic mixture: probability 4/5 Poisson-Delaunay, probability 1/5 "
         "coned triangle columns, both with the same vertex intensity.",
@@ -286,7 +275,7 @@ _FIXED: tuple[CatalogEntry, ...] = (
         0, F(3, 2), F(27, 20),
         derived_from=("mixture", "ex02_delaunay+ex10e_coned_triangle_columns"),
     ),
-    _entry(
+    CatalogEntry(
         "ex15_split_prism", "Split prism cubes",
         "Each unit cube is split into two triangular prisms by a rectangular "
         "plate whose orientation alternates with a parity pattern.",
@@ -294,7 +283,7 @@ _FIXED: tuple[CatalogEntry, ...] = (
         generator="split_prism",
         notes="Positive pi-edge share with every other interior rate zero.",
     ),
-    _entry(
+    CatalogEntry(
         "ex16_parallel_pyramids", "Parallel diagonal pyramids",
         "Each unit cube is split into three congruent pyramids as in the "
         "diagonal-pyramid model, but with all diagonals parallel, so the "
@@ -303,7 +292,7 @@ _FIXED: tuple[CatalogEntry, ...] = (
         generator="parallel_pyramids",
         notes="Non-face-to-face entry sitting exactly at three corners per plate.",
     ),
-    _entry(
+    CatalogEntry(
         "ex17_stratum_prism", "Prism stratum with hemi-vertices",
         "Aligned triangle columns form strata; in every second stratum each "
         "prism is cut into three congruent prisms, creating hemi-vertices "
@@ -311,20 +300,20 @@ _FIXED: tuple[CatalogEntry, ...] = (
         False, F(22, 3), F(42, 11), F(7, 2), F(6, 11), F(2, 3), 0, 0,
         generator="stratum_prism",
     ),
-    _entry(
+    CatalogEntry(
         "ex18a_rhombic_dodecahedra", "Rhombic dodecahedra",
         "The classical face-to-face tiling by rhombic dodecahedra.",
         True, F(16, 3), 3, 4, 0, 0, 0, 0,
         notes="Sits on the plate floor plates_per_edge = 3.",
     ),
-    _entry(
+    CatalogEntry(
         "ex18b_split_rhombic_dodecahedra", "Split rhombic dodecahedra",
         "Rhombic dodecahedra cut into smaller convex pieces, avoiding every "
         "ridge interior; first variant.",
         False, 8, 3,
         notes="Only the vertex degree and plate count per edge are recorded.",
     ),
-    _entry(
+    CatalogEntry(
         "ex18c_split_rhombic_dodecahedra_finer", "Split rhombic dodecahedra, finer",
         "Rhombic dodecahedra cut into smaller convex pieces, avoiding every "
         "ridge interior; second variant.",
@@ -345,12 +334,12 @@ def spoke_cube_entry(k: int, n: int) -> CatalogEntry:
     pv = F(4 * (7 + 3 * k), 9 + 4 * k)
     vp = F(8 * (7 + 3 * k) * (1 + n), 2 + k + 2 * n)
     vz = F(4 * (9 + 4 * k) * (1 + n), 2 + k + 2 * n)
-    return _entry(
+    return CatalogEntry(
         f"ex11_spoke_cube(k={k},n={n})", "Spoke cube",
         "Cubic lattice with a subdivided centre line and boundary spokes in "
         "every cube; unbounded vertex degree.",
         True, ve, ep, pv, 0, 0, 0, 0,
-        adjacency_checks=(("vertex", "plate", as_scalar(vp)), ("vertex", "cell", as_scalar(vz))),
+        adjacency_checks=(("vertex", "plate", vp), ("vertex", "cell", vz)),
         generator="spoke_cube", generator_args={"k": k, "n": n},
     )
 
@@ -367,14 +356,13 @@ def core_prism_cube_entry(k: int, n: int) -> CatalogEntry:
     ze = F(12 * (5 + 2 * k) * (1 + n), 5 + k + 4 * n)
     zp = F(2 * (15 + 5 * k + 14 * n + 4 * k * n), 5 + k + 4 * n)
     ftf = k == 0
-    interior = dict(xi=0, kappa=0, psi=0, tau=0) if ftf else {}
-    return _entry(
+    interior = dict.fromkeys(_INTERIOR, 0) if ftf else {}
+    return CatalogEntry(
         f"ex12_core_prism_cube(k={k},n={n})", "Core prism cube",
         "Cubic lattice with a central stack of k+1 prisms over a 4(n+1)-gon "
         "in every cube; unbounded vertex count per cell.",
         ftf, ve, ep, pv,
-        adjacency_checks=(("cell", "vertex", as_scalar(zv)), ("cell", "edge", as_scalar(ze)),
-                          ("cell", "plate", as_scalar(zp))),
+        adjacency_checks=(("cell", "vertex", zv), ("cell", "edge", ze), ("cell", "plate", zp)),
         generator="core_prism_cube", generator_args={"k": k, "n": n},
         notes="" if ftf else ("Stacked core prisms break the face-to-face "
                               "property for k >= 1; the interior rates are "
@@ -387,7 +375,7 @@ def gridded_square_columns_entry(n: int) -> CatalogEntry:
     """Columns over the square grid with a 4n-spoke hub in every cell; the
     plate count per edge grows without bound while the degree stays 4."""
     p = _tr.column(_tr.planar_gridded_square(n))
-    return _entry(
+    return CatalogEntry(
         f"ex14_gridded_square_columns(n={n})", "Gridded-square columns",
         "Columns over a square grid with a hub vertex and 4n spokes in "
         "every cell; unbounded plate count per edge at vertex degree 4.",
@@ -526,9 +514,7 @@ def _check_entry(entry: CatalogEntry, complain) -> None:
                 complain("positive side rate below the ceiling curve")
     else:
         # partial data: only the rows whose fields are present
-        present = {f: getattr(entry, f) for f in _CYCLIC + _INTERIOR
-                   if getattr(entry, f) is not None}
-        failed = [b.name for b in classify_partial(present) if not b.satisfied]
+        failed = [b.name for b in classify_partial(entry.recorded) if not b.satisfied]
         if failed:
             complain(f"infeasible: {sorted(failed)}")
 
@@ -537,9 +523,8 @@ def _check_entry(entry: CatalogEntry, complain) -> None:
 
     rebuilt = _rebuild(entry)
     if rebuilt is not None:
-        for field in _CYCLIC + _INTERIOR:
-            stored = getattr(entry, field)
-            if stored is not None and getattr(rebuilt, field) != stored:
+        for field, stored in entry.recorded.items():
+            if getattr(rebuilt, field) != stored:
                 complain(f"construction gives {field} = "
                          f"{getattr(rebuilt, field).render()}, entry stores "
                          f"{stored.render()}")

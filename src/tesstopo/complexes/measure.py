@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..feasibility import classify
-from ..params import DerivedSummary, TessParams, derive
+from ..params import DerivedSummary, TessParams, check_identities, derive
 from ..scalar import Scalar, as_scalar
 from .build import PeriodicComplex
 from .geometry import Vec
@@ -172,9 +172,9 @@ def validate(cx: PeriodicComplex) -> ValidationReport:
     Building already certified the partition (volume sum, pairwise interior
     disjointness by a shared plate or a separating plane), which leaves no
     vertex inside facets of two cells; this checks that count again and adds
-    the local minimums, the per-vertex interior inequalities, the alternation
-    identities, and exact agreement between measured quantities and the
-    derived formulas at the measured parameters.
+    the local minimums, the per-vertex interior inequalities, the structural
+    identities of :func:`check_identities`, and exact agreement between
+    measured quantities and the derived formulas at the measured parameters.
     """
     failures: list[str] = []
     notes: list[str] = list(cx.diagnostics)
@@ -204,21 +204,9 @@ def validate(cx: PeriodicComplex) -> ValidationReport:
                 f"edge {eid}: {e.plate_count} plates but {e.cell_count} cells "
                 "around it; these must alternate equally")
 
-    lam = measured.intensities
-    euler = lam["vertices"] - lam["edges"] + lam["plates"] - lam["cells"]
-    if euler.sign() != 0:
-        failures.append(f"intensity alternation is {euler}, not 0")
-    m = measured.mean_adjacencies
-    v_alt = m[("vertex", "edge")] - m[("vertex", "plate")] + m[("vertex", "cell")]
-    if v_alt != Scalar(2):
-        failures.append(f"vertex-centred alternation is {v_alt}, not 2")
-    z_alt = m[("cell", "vertex")] - m[("cell", "edge")] + m[("cell", "plate")]
-    if z_alt != Scalar(2):
-        failures.append(f"cell-centred alternation is {z_alt}, not 2")
-    nu_alt = (measured.apices_per_cell - measured.ridges_per_cell
-              + measured.sides_per_cell)
-    if nu_alt != Scalar(2):
-        failures.append(f"mean cell surface alternation is {nu_alt}, not 2")
+    for name, residual in check_identities(measured).items():
+        if residual:
+            failures.append(f"identity {name} has residual {residual}, not 0")
 
     summary = derive(measured.params)
     failures.extend(_compare_to_formulas(measured, summary))

@@ -83,8 +83,8 @@ def read_scalar(name: str, value: Any) -> Scalar:
 def params_from_mapping(cls: type[P], given: Mapping[str, Any]) -> P:
     """Read a ``TessParams`` or ``PlanarParams`` from field names to values
     in the forms the module docstring lists; fields left out take the
-    defaults of ``cls.create``, which also checks each value's domain. An
-    unknown, missing or unreadable field is a ``UsageError``."""
+    dataclass defaults, and building the record checks each value's domain.
+    An unknown, missing or unreadable field is a ``UsageError``."""
     fields = dataclasses.fields(cls)
     names = [f.name for f in fields]
     for name in given:

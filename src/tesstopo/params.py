@@ -16,7 +16,9 @@ intensity together with seven topological means:
 
 Everything else - intensities of the other object classes, all twelve
 mean adjacency values, and the face statistics of the typical cell -
-follows from these by exact algebra. :func:`derive` computes the lot;
+follows from these by exact algebra. Building a :class:`TessParams`, by
+calling the class or its alias :meth:`TessParams.create`, reads every value
+exactly and checks its domain. :func:`derive` computes the lot;
 :func:`check_identities` re-checks the structural identities on a derived
 summary so corrupted data is caught.
 """
@@ -54,8 +56,9 @@ def cell_intensity_form(edges_per_vertex: Scalar, plates_per_edge: Scalar,
 class TessParams:
     """The seven fundamental parameters plus the vertex intensity.
 
-    Use :meth:`create` to build one with coercion and domain validation.
-    Interior parameters default to zero, the face-to-face case.
+    Construction reads each field with :func:`as_scalar` and checks its
+    domain, so a record that exists is valid; :meth:`create` is the same
+    constructor. Interior parameters default to zero, the face-to-face case.
     """
 
     edges_per_vertex: Scalar
@@ -67,28 +70,14 @@ class TessParams:
     side_interior_rate: Scalar = ZERO
     vertex_intensity: Scalar = ONE
 
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, as_scalar(getattr(self, f.name)))
+        self._validate()
+
     @classmethod
-    def create(cls,
-               edges_per_vertex: ScalarLike,
-               plates_per_edge: ScalarLike,
-               vertices_per_plate: ScalarLike,
-               pi_edge_share: ScalarLike = 0,
-               hemi_vertex_share: ScalarLike = 0,
-               ridge_interior_rate: ScalarLike = 0,
-               side_interior_rate: ScalarLike = 0,
-               vertex_intensity: ScalarLike = 1) -> "TessParams":
-        p = cls(
-            edges_per_vertex=as_scalar(edges_per_vertex),
-            plates_per_edge=as_scalar(plates_per_edge),
-            vertices_per_plate=as_scalar(vertices_per_plate),
-            pi_edge_share=as_scalar(pi_edge_share),
-            hemi_vertex_share=as_scalar(hemi_vertex_share),
-            ridge_interior_rate=as_scalar(ridge_interior_rate),
-            side_interior_rate=as_scalar(side_interior_rate),
-            vertex_intensity=as_scalar(vertex_intensity),
-        )
-        p._validate()
-        return p
+    def create(cls, *args: ScalarLike, **kwargs: ScalarLike) -> "TessParams":
+        return cls(*args, **kwargs)
 
     def _validate(self) -> None:
         if self.vertex_intensity.sign() <= 0:
@@ -110,9 +99,7 @@ class TessParams:
                     or self.ridge_interior_rate or self.side_interior_rate)
 
     def with_values(self, **kwargs: ScalarLike) -> "TessParams":
-        merged = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        merged.update(kwargs)
-        return TessParams.create(**merged)
+        return dataclasses.replace(self, **kwargs)
 
     def as_dict(self) -> dict[str, Scalar]:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}

@@ -38,7 +38,8 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 import mpmath
-from mpmath.libmp import mpf_shift, to_int
+from mpmath.libmp import (dps_to_prec, from_int, mpf_add, mpf_div, mpf_mul, mpf_pi,
+                          mpf_shift, round_nearest, to_int)
 
 from .errors import UsageError
 
@@ -145,11 +146,31 @@ def _side(x: object) -> list[Fraction]:
     return [Fraction(e) for e in items]
 
 
-def _horner(c: Coeffs, x, mpf):
-    acc = mpf(c[-1])
-    for k in reversed(c[:-1]):
-        acc = acc * x + k
-    return acc
+def _side_mpf(c: Coeffs, prec: int) -> tuple:
+    """One side at pi^2 as a raw mpf with about ``prec`` correct bits.
+
+    Terms of one sign cannot cancel. Otherwise every term is below
+    ``2**top`` (pi^2 < 2**4), so a sum of magnitude ``2**mag`` has lost
+    about ``top - mag`` bits, and it is evaluated again with that many more
+    bits until the loss is covered. pi^2 is built only for a pi^2 side.
+    """
+    extra = 0
+    while True:
+        p = prec + extra
+        acc = from_int(c[-1], p, round_nearest)
+        if len(c) > 1:
+            pi = mpf_pi(p, round_nearest)
+            x = mpf_mul(pi, pi, p, round_nearest)
+            for k in reversed(c[:-1]):
+                acc = mpf_add(mpf_mul(acc, x, p, round_nearest), from_int(k), p, round_nearest)
+        if min(c) >= 0 or max(c) <= 0:
+            return acc
+        top = max(k.bit_length() + 4 * i for i, k in enumerate(c)) + len(c).bit_length()
+        _, man, exp, bc = acc
+        lost = top - (exp + bc) if man else top + 2 * extra
+        if lost <= extra:
+            return acc
+        extra = lost + 8  # the magnitude is itself rounded; spare bits end the loop
 
 
 _PI2_BOUNDS: dict[int, tuple[int, int]] = {}
@@ -475,10 +496,10 @@ class Scalar:
 
     # ---- evaluation and rendering ----
 
-    def _mpf(self, dps: int):  # pi^2 is built only for a pi^2 value
-        with mpmath.workdps(dps):
-            x = None if self.is_rational else mpmath.pi * mpmath.pi
-            return _horner(self._num, x, mpmath.mpf) / _horner(self._den, x, mpmath.mpf)
+    def _mpf(self, dps: int):
+        prec = dps_to_prec(dps)
+        num, den = _side_mpf(self._num, prec), _side_mpf(self._den, prec)
+        return mpmath.mp.make_mpf(mpf_div(num, den, prec, round_nearest))
 
     def evaluate(self, digits: int = 50) -> str:
         """Decimal string with ``digits`` significant digits."""

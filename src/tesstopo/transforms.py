@@ -19,6 +19,8 @@ vertex, the share of pi-vertices (vertices in the relative interior of a
 side of some planar cell), the mean number of pi-vertex endpoints per
 edge, and the second moment of the vertex degree. The last two only
 matter for :func:`column`, which is sensitive to degree fluctuations.
+Building a :class:`PlanarParams` checks its domain, so the constructions
+take it as valid.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlanarParams:
-    """Parameters of a stationary planar tessellation."""
+    """Parameters of a stationary planar tessellation. Construction reads
+    each field with :func:`as_scalar` and checks the planar domain, so a
+    record that exists is valid; :meth:`create` is the same constructor."""
 
     edges_per_vertex: Scalar
     pi_vertex_share: Scalar = ZERO
@@ -63,23 +67,16 @@ class PlanarParams:
     degree_second_moment: Scalar | None = None
     vertex_intensity: Scalar = ONE
 
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:  # only an optional field stays None
+                object.__setattr__(self, f.name, as_scalar(value))
+        self.validate()
+
     @classmethod
-    def create(cls,
-               edges_per_vertex: ScalarLike,
-               pi_vertex_share: ScalarLike = 0,
-               pi_ends_per_edge: ScalarLike = 0,
-               degree_second_moment: ScalarLike | None = None,
-               vertex_intensity: ScalarLike = 1) -> "PlanarParams":
-        p = cls(
-            edges_per_vertex=as_scalar(edges_per_vertex),
-            pi_vertex_share=as_scalar(pi_vertex_share),
-            pi_ends_per_edge=as_scalar(pi_ends_per_edge),
-            degree_second_moment=(None if degree_second_moment is None
-                                  else as_scalar(degree_second_moment)),
-            vertex_intensity=as_scalar(vertex_intensity),
-        )
-        p.validate()
-        return p
+    def create(cls, *args: ScalarLike | None, **kwargs: ScalarLike | None) -> "PlanarParams":
+        return cls(*args, **kwargs)
 
     def as_dict(self) -> dict[str, Scalar | None]:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -175,7 +172,6 @@ def stratum(planar: PlanarParams) -> TessParams:
     Only the planar mean degree and pi-vertex share matter; slab height is
     one unit, so the spatial vertex intensity equals the planar one.
     """
-    planar.validate()
     ve = planar.edges_per_vertex
     phi = planar.pi_vertex_share
     return TessParams.create(
@@ -197,7 +193,6 @@ def column(planar: PlanarParams) -> TessParams:
     cells; wall plates feel the planar degree fluctuations, so the second
     moment of the degree is required.
     """
-    planar.validate()
     if planar.degree_second_moment is None:
         raise PlanarParameterError(
             "column construction needs the degree second moment")

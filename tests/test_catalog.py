@@ -94,6 +94,18 @@ def test_partial_entries():
         e.to_params()
 
 
+def test_entry_reads_its_values_as_scalars():
+    e = CatalogEntry("x", "t", "c", False, "9/2", 3, Fraction(7, 2),
+                     adjacency_checks=(("cell", "vertex", "8"),))
+    assert type(e.edges_per_vertex) is Scalar and e.edges_per_vertex == Fraction(9, 2)
+    assert type(e.vertices_per_plate) is Scalar
+    assert e.pi_edge_share is None
+    assert e.adjacency_checks == (("cell", "vertex", Scalar(8)),)
+    assert type(e.adjacency_checks[0][2]) is Scalar
+    with pytest.raises(ValueError, match="x does not record pi_edge_share"):
+        e.to_params()
+
+
 def test_face_to_face_entry_with_unrecorded_interior_fills_zeros():
     p = get("ex10a_coned_voronoi").to_params()
     assert p.pi_edge_share == 0

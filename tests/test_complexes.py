@@ -744,13 +744,13 @@ VALIDATION_FAILURES = [
      "edge 0 has only 2 plates"),
     ("plates-cells", _set("edges", 0, cell_count=9),
      "edge 0: 8 plates but 9 cells around it; these must alternate equally"),
-    ("euler", _one_vertex_more, "intensity alternation is 1/8, not 0"),
+    ("euler", _one_vertex_more, "identity euler_intensities has residual 1/8, not 0"),
     ("vertex-alternation", _set("vertices", 0, plate_count=37),
-     "vertex-centred alternation is 15/8, not 2"),
+     "identity vertex_alternation has residual -1/8, not 0"),
     ("cell-alternation", _set("cell_records", 0, vertex_incidences=6),
-     "cell-centred alternation is 49/24, not 2"),
+     "identity cell_alternation has residual 1/24, not 0"),
     ("surface-alternation", _set("cell_records", 0, apex_count=6),
-     "mean cell surface alternation is 49/24, not 2"),
+     "identity cell_surface_euler has residual 1/24, not 0"),
     ("formula", _set("cell_records", 0, apex_count=6),
      "apices per cell: measured 121/24, formula 5"),
     ("infeasible", _every_vertex_has_three_edges,

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tesstopo.errors import DegenerateIntensityError, ParameterDomainError, UsageError
+from tesstopo.errors import (DegenerateIntensityError, ParameterDomainError,
+                             PlanarParameterError, UsageError)
 from tesstopo.io import params_from_mapping
 from tesstopo.params import (
     TessParams,
@@ -89,6 +90,19 @@ def test_domain_validation():
         TessParams.create(6, 4, 4, ridge_interior_rate=-1)
     with pytest.raises(ParameterDomainError):
         TessParams.create(6, 4, 4, vertex_intensity=0)
+
+
+def test_a_record_that_exists_is_valid():
+    # the class itself and dataclasses.replace check the domain, not only create
+    with pytest.raises(ParameterDomainError, match="pi_edge_share"):
+        TessParams(6, 4, 4, pi_edge_share=2)
+    with pytest.raises(ParameterDomainError, match="pi_edge_share"):
+        dataclasses.replace(CUBIC, pi_edge_share=2)
+    assert TessParams("6", 4, Fraction(4)) == CUBIC
+    assert all(type(v) is Scalar for v in TessParams(6, 4, 4).as_dict().values())
+    with pytest.raises(PlanarParameterError, match="at least three edges"):
+        PlanarParams(2)
+    assert PlanarParams("3").degree_second_moment is None
 
 
 def test_face_to_face_flag():

@@ -182,6 +182,19 @@ def test_evaluate_refines_consistently():
     assert math.isclose(a20, a40, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("k", [20, 40, 60])
+def test_evaluate_keeps_its_digits_when_pi2_terms_cancel(k):
+    # (10^k pi^2 - floor(10^k pi^2)) / 10^k: about k digits of the two terms cancel
+    with mpmath.workdps(k + 50):
+        n = int(mpmath.floor(mpmath.mpf(10) ** k * mpmath.pi ** 2))
+    v = Scalar((-n, 10 ** k), (10 ** k,))
+    for digits in (15, 50):
+        with mpmath.workdps(digits + k + 40):
+            want = mpmath.nstr((10 ** k * mpmath.pi ** 2 - n) / 10 ** k, digits,
+                               strip_zeros=False)
+        assert v.evaluate(digits) == want
+
+
 def test_hash_matches_equality():
     assert hash(Scalar(3)) == hash(3)
     assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))

@@ -1,9 +1,15 @@
-"""No float in any decision, checked on the source text of the package.
+"""Rules checked on the source text of the package.
 
-Every file under ``src/`` is parsed with :mod:`ast`. A float literal, a
-``float(...)`` call anywhere but ``Scalar.__float__`` (the explicit
-conversion for callers), or any ``math`` function other than the exact
-integer ones ``gcd``, ``lcm`` and ``floor`` is reported with its place.
+Every file under ``src/`` is parsed with :mod:`ast`, and each violation is
+reported with its place.
+
+* No float in any decision: a float literal, a ``float(...)`` call anywhere
+  but ``Scalar.__float__`` (the explicit conversion for callers), or any
+  ``math`` function other than the exact integer ones ``gcd``, ``lcm`` and
+  ``floor``.
+* A record that exists is valid: a frozen record is written with
+  ``object.__setattr__`` only in its ``__post_init__``, where it reads and
+  checks its fields, so no other code can change a checked record.
 """
 
 import ast
@@ -76,3 +82,39 @@ def test_the_float_rule_allows_the_exact_forms():
               "class Scalar:\n    def __float__(self):\n        return float(self._mpf(30))\n"
               "k = math.floor(h) + math.gcd(4, 6) + gcd(2, 4) + lcm(2, 3)\n")
     assert float_rule_violations(source) == []
+
+
+def setattr_rule_violations(source: str, name: str = "<source>") -> list[str]:
+    return [f"{name}:{node.lineno}: object.__setattr__ in {'.'.join(scope) or 'module'}"
+            for node, scope in _nodes(ast.parse(source, filename=name))
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+            and scope[-1:] != ("__post_init__",)]
+
+
+def test_records_are_written_only_in_post_init():
+    found = [v for path in sorted(SRC.rglob("*.py"))
+             for v in setattr_rule_violations(path.read_text(), str(path.relative_to(SRC)))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, message", [
+    ("class P:\n    def with_x(self, x):\n        object.__setattr__(self, 'x', x)\n",
+     "object.__setattr__ in P.with_x"),
+    ("def force(p):\n    object.__setattr__(p, 'x', 1)\n", "object.__setattr__ in force"),
+    ("object.__setattr__(P, 'x', 1)\n", "object.__setattr__ in module"),
+    ("class P:\n    def __post_init__(self):\n        def later(v):\n"
+     "            object.__setattr__(self, 'x', v)\n",
+     "object.__setattr__ in P.__post_init__.later"),
+    ("class P:\n    def fix(self):\n        set_it = object.__setattr__\n",
+     "object.__setattr__ in P.fix"),
+])
+def test_the_setattr_rule_reports_each_place(source, message):
+    assert [v.split(": ", 1)[1] for v in setattr_rule_violations(source)] == [message]
+
+
+def test_the_setattr_rule_allows_post_init():
+    source = ("class P:\n    def __post_init__(self):\n"
+              "        for name in ('x', 'y'):\n"
+              "            object.__setattr__(self, name, int(getattr(self, name)))\n")
+    assert setattr_rule_violations(source) == []

@@ -5,6 +5,9 @@ as flat CSV, with each numeric value carried both exactly and as a
 decimal at the requested precision. Exit codes: 0 on success (and on a
 feasible ``check``), 1 when ``check`` finds the parameters infeasible,
 2 for invalid input or usage, 3 when structural validation fails.
+
+Each handler imports the layer it runs, so a command loads and, without a
+bytecode cache, compiles only that code: ``derive`` never loads the builder.
 """
 
 from __future__ import annotations
@@ -15,17 +18,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import catalog
-from .complexes import build_complex, generate, load_domain_file, measure, validate, vertex_stats
 from .errors import TesstopoError, UsageError
-from .feasibility import (
-    classify,
-    hemi_pi_region,
-    interior_rate_region,
-    plate_profile_region,
-    ridge_rate_interval,
-    sample_feasible,
-)
 from .io import (
     PLANAR_ALIASES,
     encode,
@@ -41,7 +34,6 @@ from .io import (
     render_series_csv,
 )
 from .params import TessParams, derive
-from .transforms import PlanarParams, central_point, central_point_orbit, column, mixture, mixture_curve, stratum
 
 DEFAULT_DIGITS = 50
 MIN_DIGITS = 15
@@ -94,6 +86,7 @@ def resolve_params(args) -> TessParams:
 
 
 def catalog_params(entry_id: str) -> TessParams:
+    from . import catalog
     entry = catalog.get(entry_id)
     if not entry.is_complete:
         raise UsageError(
@@ -101,7 +94,8 @@ def catalog_params(entry_id: str) -> TessParams:
     return entry.to_params()
 
 
-def planar_from_pairs(tokens: Sequence[str]) -> PlanarParams:
+def planar_from_pairs(tokens: Sequence[str]):
+    from .transforms import PlanarParams
     return params_from_mapping(PlanarParams, parse_pairs(tokens, PLANAR_ALIASES))
 
 
@@ -147,6 +141,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .feasibility import classify
     digits = resolve_digits(args)
     report = classify(resolve_params(args))
     emit(args, encode(report.as_doc(), digits))
@@ -166,6 +161,7 @@ def polyline_series(name: str, points, digits: int) -> dict:
 
 
 def cmd_region(args) -> int:
+    from .feasibility import hemi_pi_region, interior_rate_region, plate_profile_region, ridge_rate_interval
     digits = resolve_digits(args)
     if not 2 <= args.resolution <= MAX_RESOLUTION:
         raise UsageError(f"--resolution must lie between 2 and {MAX_RESOLUTION}")
@@ -208,6 +204,7 @@ def component_params(source: str) -> TessParams:
 
 
 def cmd_transform(args) -> int:
+    from .transforms import central_point, central_point_orbit, column, mixture, mixture_curve, stratum
     digits = resolve_digits(args)
     if args.op in ("stratum", "column"):
         if args.params_file or args.catalog:
@@ -258,6 +255,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
     digits = resolve_digits(args)
     if args.action == "list":
         docs = [entry.as_doc() for entry in catalog.entries()]
@@ -276,6 +274,7 @@ def cmd_catalog(args) -> int:
 
 
 def build_complex_from_args(args):
+    from .complexes import build_complex, generate, load_domain_file
     sources = [args.generator is not None, args.domain is not None]
     if sum(sources) != 1:
         raise UsageError("give exactly one of --generator or --domain")
@@ -292,6 +291,7 @@ def build_complex_from_args(args):
 
 
 def cmd_measure(args) -> int:
+    from .complexes import measure, validate
     digits = resolve_digits(args)
     label, cx = build_complex_from_args(args)
     report = validate(cx) if args.validate else None
@@ -317,6 +317,7 @@ STATS_AGGREGATES = ("edges_per_vertex", "pi_edge_share", "hemi_vertex_share",
 
 
 def cmd_stats(args) -> int:
+    from .complexes import measure, vertex_stats
     digits = resolve_digits(args)
     label, cx = build_complex_from_args(args)
     rows = [{"vertex": i, **stat.as_doc()} for i, stat in enumerate(vertex_stats(cx))]
@@ -332,6 +333,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .feasibility import sample_feasible
     digits = resolve_digits(args)
     if not 1 <= args.count <= MAX_SAMPLE_COUNT:
         raise UsageError(f"--count must lie between 1 and {MAX_SAMPLE_COUNT}")

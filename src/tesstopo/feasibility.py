@@ -145,7 +145,10 @@ def _offset(form: dict[str, Scalar], values: dict[str, Scalar], rate: str = "") 
 
 
 def _limit(form: dict[str, Scalar], rate: str, values: dict[str, Scalar]) -> Scalar:
-    """The form solved for ``rate``, the other rates taken from values."""
+    """The form solved for ``rate``, the other rates taken from values; a
+    floor, or any row ``rate + c`` on its rate alone, is ``-c`` as it stands."""
+    if len(form) == 2 and "" in form and form[rate] == ONE:
+        return -form[""]
     return _offset(form, values, rate) / -form[rate]
 
 

@@ -12,10 +12,17 @@ terminates for the same reason.
 Coefficient tuples are indexed by the power of pi^2, so ``(35, 24)``
 denotes ``35 + 24*pi^2``.
 
-Arithmetic and order between two rationals run on their two ints. Other
-values reach lowest terms through a polynomial gcd over ``int``: a primitive
-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), whose remainders are kept
-small by dividing out their content.
+Arithmetic and order between two rationals run on their two ints. A value
+built from coefficients or text reaches lowest terms through a polynomial gcd
+over ``int``: a primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1),
+whose remainders are kept small by dividing out their content. Operations on
+canonical a/b and c/d take gcds only of factors that can share one (Henrici;
+Knuth, 4.5.1). As a is coprime to b and c to d, a product ac/bd cancels just
+gcd(a, d) and gcd(c, b); a quotient is the product by d/c. A sum takes
+g = gcd(b, d), and since a(d/g) + c(b/g) is then coprime to (b/g)(d/g), it
+cancels just that numerator's gcd with g. A constant side shares no factor,
+so only the integer content and the sign are left. Order reads the sign of
+a/b - c/d from (ad - cb)bd.
 
 Exact numbers from outside the program have two readers. Scalar text, read
 by ``Scalar.parse``, is ``A`` or ``A/B``; each side is a sum of terms ``c``,
@@ -66,6 +73,9 @@ def _pneg(a: Coeffs) -> Coeffs:
 
 
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
+    if len(a) == 1 or len(b) == 1:  # a constant scales the other side
+        k, p = (a[0], b) if len(a) == 1 else (b[0], a)
+        return tuple([k * x for x in p]) if k else (0,)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -118,24 +128,47 @@ def _pdivexact(a: Coeffs, g: Coeffs) -> Coeffs:
     return _trim(out)
 
 
-def _normalize(n: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs]:
-    if d == (0,):
-        raise ZeroDivisionError("zero denominator")
+def _lowest(n: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs]:
+    # n/d with coprime sides made canonical: joint content 1, the sign on top
     if n == (0,):
         return (0,), (1,)
-    c = math.gcd(math.gcd(*n), math.gcd(*d))
+    c = math.gcd(*n, *d)
     if c > 1:
         n = tuple(x // c for x in n)
         d = tuple(x // c for x in d)
-    if len(n) > 1 and len(d) > 1:  # a constant side makes the gcd trivial
-        g = _pgcd(n, d)
-        if len(g) > 1:
-            n = _pdivexact(n, g)
-            d = _pdivexact(d, g)
     if d[-1] < 0:
         n = _pneg(n)
         d = _pneg(d)
     return n, d
+
+
+def _cancel(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
+    # a and b over their primitive gcd g, and g; a constant side shares none
+    g = _pgcd(a, b) if len(a) > 1 and len(b) > 1 else (1,)
+    return (a, b, g) if g == (1,) else (_pdivexact(a, g), _pdivexact(b, g), g)
+
+
+def _normalize(n: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs]:
+    if d == (0,):
+        raise ZeroDivisionError("zero denominator")
+    n, d, _ = _cancel(n, d)
+    return _lowest(n, d)
+
+
+def _sum(a: Coeffs, b: Coeffs, c: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs]:
+    # a/b + c/d for canonical operands: with g = gcd(b, d), only g can share
+    # a factor with the numerator, so g = 1 leaves nothing to cancel
+    b, d, g = _cancel(b, d)
+    t, g, _ = _cancel(_padd(_pmul(a, d), _pmul(c, b)), g)
+    return _lowest(t, _pmul(_pmul(b, d), g))
+
+
+def _product(a: Coeffs, b: Coeffs, c: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs]:
+    # (a/b)(c/d) for canonical operands: only a and d, or c and b, can share
+    # a factor
+    a, d, _ = _cancel(a, d)
+    c, b, _ = _cancel(c, b)
+    return _lowest(_pmul(a, c), _pmul(b, d))
 
 
 def _side(x: object) -> list[Fraction]:
@@ -205,11 +238,28 @@ def _poly_sign(c: Coeffs, prec: int) -> int:
     return 1 if a > 0 else -1 if b < 0 else 0
 
 
+def _product_sign(*sides: Coeffs) -> int:
+    # the sign of a product of nonzero polynomials at pi^2: integer bounds on
+    # pi^2 at 64, 128, ... bits until they fix the sign of every factor
+    prec = 64
+    while prec <= 1 << 16:
+        sign = 1
+        for c in sides:
+            sign *= _poly_sign(c, prec)
+        if sign:
+            return sign
+        prec *= 2
+    # unreachable: the enclosure of a nonzero polynomial shrinks to a point
+    raise ArithmeticError("interval sign refinement stalled")
+
+
 # the highest pi power scalar text may carry: above every parameter the
-# package prints (pi^8, in mixtures of the pi^2 catalog entries), and the
-# highest even one at which `derive` on seven parameters dense in every even
-# power stays under 3 s: 2.7-2.9 s at pi^22, 4.3-4.7 s at pi^24 (shared 2-core
-# x86-64 machine, CPython 3.11), nearly all of it in `_prem` and content gcds
+# package prints (pi^8, in mixtures of the pi^2 catalog entries). In process,
+# `derive` on the seven parameters of test_cli's test_pi_powers_at_the_cap_complete
+# takes 0.02-0.04 s; with the k-th one's pi^22 and pi^20 made dense as
+# (k+pi^2)^11 and (k+pi^2)^10, 0.09-0.15 s, and 0.12-0.18 s at pi^24
+# (shared 2-core x86-64, CPython 3.11).
+# A higher cap needs its worst inputs measured.
 MAX_PI_POWER = 22
 # the largest decimal exponent, of either sign, a coefficient may carry:
 # Fraction builds the whole power of ten, so "1e999999999" would take minutes
@@ -335,8 +385,12 @@ class Scalar:
 
     @classmethod
     def _raw(cls, n: Coeffs, d: Coeffs) -> "Scalar":
+        return cls._made(_normalize(_trim(n), _trim(d)))
+
+    @classmethod
+    def _made(cls, canonical: tuple[Coeffs, Coeffs]) -> "Scalar":
         obj = object.__new__(cls)
-        obj._num, obj._den = _normalize(_trim(n), _trim(d))
+        obj._num, obj._den = canonical
         return obj
 
     @classmethod
@@ -377,10 +431,7 @@ class Scalar:
         if _rationals(self, o):
             return Scalar._rat(self._num[0] * o._den[0] + o._num[0] * self._den[0],
                                self._den[0] * o._den[0])
-        return Scalar._raw(
-            _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)),
-            _pmul(self._den, o._den),
-        )
+        return Scalar._made(_sum(self._num, self._den, o._num, o._den))
 
     __radd__ = __add__
 
@@ -391,11 +442,11 @@ class Scalar:
         if _rationals(self, o):
             return Scalar._rat(self._num[0] * o._den[0] - o._num[0] * self._den[0],
                                self._den[0] * o._den[0])
-        return self + -o
+        return Scalar._made(_sum(self._num, self._den, _pneg(o._num), o._den))
 
     def __rsub__(self, other):
         o = _coerce(other)
-        return NotImplemented if o is None else o + -self
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = _coerce(other)
@@ -403,7 +454,7 @@ class Scalar:
             return NotImplemented
         if _rationals(self, o):
             return Scalar._rat(self._num[0] * o._num[0], self._den[0] * o._den[0])
-        return Scalar._raw(_pmul(self._num, o._num), _pmul(self._den, o._den))
+        return Scalar._made(_product(self._num, self._den, o._num, o._den))
 
     __rmul__ = __mul__
 
@@ -415,7 +466,7 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         if _rationals(self, o):
             return Scalar._rat(self._num[0] * o._den[0], self._den[0] * o._num[0])
-        return Scalar._raw(_pmul(self._num, o._den), _pmul(self._den, o._num))
+        return Scalar._made(_product(self._num, self._den, o._den, o._num))
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -435,9 +486,8 @@ class Scalar:
         return out
 
     def __neg__(self):
-        obj = object.__new__(Scalar)  # negating a canonical form keeps it canonical
-        obj._num, obj._den = _pneg(self._num), self._den
-        return obj
+        # negating a canonical form keeps it canonical
+        return Scalar._made((_pneg(self._num), self._den))
 
     def __pos__(self):
         return self
@@ -458,15 +508,7 @@ class Scalar:
             return 0
         if self.is_rational:
             return 1 if self._num[0] > 0 else -1
-        prec = 64
-        while prec <= 1 << 16:
-            ns = _poly_sign(self._num, prec)
-            ds = _poly_sign(self._den, prec)
-            if ns and ds:
-                return ns * ds
-            prec *= 2
-        # unreachable for a nonzero value: the enclosure shrinks to a point
-        raise ArithmeticError("interval sign refinement stalled")
+        return _product_sign(self._num, self._den)
 
     def __eq__(self, other):
         o = _coerce(other)
@@ -475,14 +517,16 @@ class Scalar:
         return self._num == o._num and self._den == o._den
 
     def _compare(self, other) -> int | None:
-        """The sign of ``self - other``; rationals compare by cross products."""
+        """The sign of ``self - other``, read from cross products: a/b - c/d
+        has the sign of (ad - cb)bd, so no difference is reduced."""
         o = _coerce(other)
         if o is None:
             return None
         if _rationals(self, o):
             lhs, rhs = self._num[0] * o._den[0], o._num[0] * self._den[0]
             return (lhs > rhs) - (lhs < rhs)
-        return (self - o).sign()
+        cross = _padd(_pmul(self._num, o._den), _pneg(_pmul(o._num, self._den)))
+        return 0 if cross == (0,) else _product_sign(cross, self._den, o._den)
 
     __lt__ = _order(operator.lt)
     __le__ = _order(operator.le)

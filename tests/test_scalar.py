@@ -10,8 +10,8 @@ from tesstopo import scalar
 from tesstopo.complexes import generate, make_domain
 from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
 from tesstopo.scalar import (
-    MAX_PI_POWER, Scalar, as_scalar, parse_fraction, PI2, ZERO, ONE, _normalize, _pi2_bounds,
-    _pmul, _poly_sign)
+    MAX_PI_POWER, Scalar, as_scalar, parse_fraction, PI2, ZERO, ONE, _normalize, _padd,
+    _pi2_bounds, _pmul, _pneg, _poly_sign)
 
 
 coeff_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
@@ -89,12 +89,23 @@ def test_neg_and_abs(a):
     assert abs(a) == (a if a.sign() >= 0 else -a)
 
 
-@given(scalars, scalars)
+# coefficients wide enough for denominators that are negative at pi^2, such as pi^2 - 10
+wide_lists = st.lists(st.integers(-20, 20), min_size=1, max_size=3)
+wide_scalars = st.builds(Scalar, wide_lists, wide_lists.filter(any))
+
+
+@given(wide_scalars, wide_scalars)
 def test_order_consistent_with_difference(a, b):
     d = (a - b).sign()
     assert (a < b) == (d < 0)
     assert (a == b) == (d == 0)
     assert (a > b) == (d > 0)
+
+
+def test_order_reads_the_sign_of_each_denominator():
+    x = 1 / (PI2 - 10)
+    assert 2 * x < x < 0 < -x < -2 * x
+    assert x < 1 / (PI2 - 9) and 1 / (9 - PI2) < -x
 
 
 @given(scalars)
@@ -252,6 +263,14 @@ def _ref_rem(a, b):
     return a
 
 
+def _ref_gcd(a, b):
+    """A gcd of two integer polynomials by Euclid over Fraction, trimmed."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    while _ref_deg(b) >= 0:
+        a, b = b, _ref_rem(a, b)
+    return a[: _ref_deg(a) + 1]
+
+
 def _ref_normalize(n, d):
     """Canonical form by Euclid over Fraction: the definition the integer
     gcd must reproduce tuple for tuple."""
@@ -259,10 +278,7 @@ def _ref_normalize(n, d):
         return (0,), (1,)
     c = math.gcd(*n, *d)
     n, d = [Fraction(x, c) for x in n], [Fraction(x, c) for x in d]
-    a, b = n, d
-    while _ref_deg(b) >= 0:
-        a, b = b, _ref_rem(a, b)
-    g = a[: _ref_deg(a) + 1]
+    g = _ref_gcd(n, d)
     if len(g) > 1:  # divide out the gcd, then clear denominators
         quotients = []
         for p in (n, d):
@@ -294,6 +310,103 @@ int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(
 def test_normalize_matches_fraction_euclid(g, a, b):
     n, d = _pmul(g, a), _pmul(g, b)
     assert _normalize(n, d) == _ref_normalize(n, d)
+
+
+# ---- operations on canonical operands against the cross-multiplied reference ----
+
+factors = st.lists(st.integers(-3, 3), min_size=2, max_size=3).filter(lambda c: c[-1] != 0)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two canonical operands built from one small pool of polynomial
+    factors, so that they often share some. Besides free pairs: equal
+    denominators, a factor put into one numerator and the other
+    denominator, a second operand whose sum with the first has a smaller
+    denominator, and a rational beside a pi^2 value, in either order."""
+    pool = draw(st.lists(factors, min_size=1, max_size=3))
+
+    def side(zero_ok=False):
+        p = (draw(st.integers(-4, 4).filter(lambda k: zero_ok or k)),)
+        for f in draw(st.lists(st.sampled_from(pool), max_size=2)):
+            p = _pmul(p, f)
+        return p
+
+    a, b, c, d = side(True), side(), side(True), side()
+    kind = draw(st.sampled_from(["free", "equal_den", "crossed", "sum_cancels", "rational"]))
+    if kind == "equal_den":
+        d = b
+    elif kind == "crossed":
+        f = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            a, d = _pmul(a, f), _pmul(d, f)
+        else:
+            c, b = _pmul(c, f), _pmul(b, f)
+    elif kind == "sum_cancels":  # y = e/h - x, so x + y = e/h
+        b = _pmul(b, draw(st.sampled_from(pool)))
+        e, h = side(True), side()
+        c, d = _padd(_pmul(e, b), _pneg(_pmul(a, h))), _pmul(h, b)
+    elif kind == "rational":
+        c, d = (draw(st.integers(-9, 9)),), (draw(st.integers(1, 9)),)
+    x, y = Scalar(a, b), Scalar(c, d)
+    return (y, x) if kind == "rational" and draw(st.booleans()) else (x, y)
+
+
+def _nonconstant_gcd(a, b):
+    return len(_ref_gcd(a, b)) > 1
+
+
+def test_operations_match_the_cross_multiplied_reference():
+    reached = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs())
+    def check(pair):
+        x, y = pair
+        a, b, c, d = x.num_coeffs, x.den_coeffs, y.num_coeffs, y.den_coeffs
+        naive = {
+            "+": (x + y, _padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d)),
+            "-": (x - y, _padd(_pmul(a, d), _pneg(_pmul(c, b))), _pmul(b, d)),
+            "*": (x * y, _pmul(a, c), _pmul(b, d)),
+        }
+        if y:
+            naive["/"] = (x / y, _pmul(a, d), _pmul(b, c))
+        for op, (result, n, den) in naive.items():
+            assert (result.num_coeffs, result.den_coeffs) == _ref_normalize(n, den), op
+        if _nonconstant_gcd(b, d):
+            reached.add("add cancels the common denominator")
+            b1, d1 = _ref_normalize(b, d)  # b and d over their gcd, times one constant
+            if _nonconstant_gcd(_padd(_pmul(a, d1), _pmul(c, b1)), b):
+                reached.add("add cancels the numerator against the common factor")
+        if _nonconstant_gcd(a, d):
+            reached.add("multiply cancels a against d")
+        if _nonconstant_gcd(c, b):
+            reached.add("multiply cancels c against b")
+
+    check()
+    assert reached == {"add cancels the common denominator",
+                       "add cancels the numerator against the common factor",
+                       "multiply cancels a against d", "multiply cancels c against b"}
+
+
+def test_operations_beside_a_constant_denominator_take_no_polynomial_gcd(monkeypatch):
+    # a rational operand, or two constant denominators, can share no
+    # polynomial factor, so these operations need only integer content
+    pv = Scalar.parse("144*pi^2/(35+24*pi^2)")
+    p, q = Scalar.parse("(1+2*pi^2+3*pi^4)/5"), Scalar.parse("(7*pi^4-2)/3")
+    expected = [Scalar.parse("(-7+6*pi^2+44*pi^4)/15"), Scalar.parse("(13+6*pi^2-26*pi^4)/15"),
+                Scalar.parse("(1+144*pi^2)/(35+24*pi^2)")]
+    w = 1 / (35 + 24 * PI2)
+    calls = []
+    pgcd = scalar._pgcd
+    monkeypatch.setattr(scalar, "_pgcd", lambda a, b: calls.append((a, b)) or pgcd(a, b))
+    for r in (Scalar(3, 7), Fraction(-5, 2), 4):
+        for result in (pv + r, pv - r, pv * r, pv / r, r + pv, r - pv, r * pv, r / pv):
+            assert not result.is_rational
+    assert [p + q, p - q] == expected[:2]
+    assert calls == []
+    assert pv + w == expected[2]
+    assert calls  # the counter sees a gcd of two pi^2 denominators
 
 
 # ---- differential checks of the integer sign against mpmath intervals ----

@@ -1,8 +1,9 @@
 """Topological parameter calculus for stationary spatial tessellations.
 
-``import tesstopo`` loads the exact core (errors, ``Scalar`` with ``mpmath``,
-parameter records). Every other public name is imported from its home
-module on first access, so a caller pays only for the layers it uses.
+``import tesstopo`` loads the exact core (errors, ``Scalar``, parameter
+records), which needs only the standard library. Every other public name is
+imported from its home module on first access, so a caller pays only for the
+layers it uses.
 """
 
 from .errors import (

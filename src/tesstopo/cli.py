@@ -46,8 +46,9 @@ MAX_SAMPLE_COUNT = 1000
 # 1000 steps)
 MAX_STEPS = 100
 # significant digits per decimal: output grows linearly with it and evaluation
-# faster; 100 central-point steps on a pi^2 mixture print 0.9 MB in 0.9-1.0 s
-# at the cap, 7.4 MB in 4.7 s at 10,000 digits and 0.2 MB in 0.85 s at 50
+# faster; 100 central-point steps on a pi^2 mixture print 0.9 MB in 0.33-0.38 s
+# at the cap and 0.2 MB in 0.28-0.32 s at 50, and in process, past the cap,
+# 7.4 MB in 4.0-4.2 s at 10,000 digits (shared 2-core x86-64, CPython 3.11)
 MAX_DIGITS = 1000
 PRECISION_ENV = "TESSTOPO_PRECISION"
 

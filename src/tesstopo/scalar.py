@@ -7,7 +7,11 @@ decidable because pi is transcendental, so a nonzero integer polynomial
 cannot vanish at pi^2 and two values are equal iff their canonical forms
 coincide. Order is decided on ints: integer bounds on pi^2, taken at
 doubling precision, enclose the difference until its sign is certain; this
-terminates for the same reason.
+terminates for the same reason. The bounds come from floor(pi * 2**prec), by
+Machin's formula with a counted truncation error. Decimals are the exact value
+correctly rounded, ties away from zero: a rational by integer division, a pi^2
+value by rounding both ends of the quotient of its sides' enclosures, at
+doubling precision until they agree, which they do as it is irrational.
 
 Coefficient tuples are indexed by the power of pi^2, so ``(35, 24)``
 denotes ``35 + 24*pi^2``.
@@ -38,15 +42,12 @@ exponents in either reader are at most ``MAX_DECIMAL_EXPONENT`` in size.
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Union
-
-import mpmath
-from mpmath.libmp import (dps_to_prec, from_int, mpf_add, mpf_div, mpf_mul, mpf_pi,
-                          mpf_shift, round_nearest, to_int)
 
 from .errors import UsageError
 
@@ -179,55 +180,58 @@ def _side(x: object) -> list[Fraction]:
     return [Fraction(e) for e in items]
 
 
-def _side_mpf(c: Coeffs, prec: int) -> tuple:
-    """One side at pi^2 as a raw mpf with about ``prec`` correct bits.
-
-    Terms of one sign cannot cancel. Otherwise every term is below
-    ``2**top`` (pi^2 < 2**4), so a sum of magnitude ``2**mag`` has lost
-    about ``top - mag`` bits, and it is evaluated again with that many more
-    bits until the loss is covered. pi^2 is built only for a pi^2 side.
-    """
-    extra = 0
-    while True:
-        p = prec + extra
-        acc = from_int(c[-1], p, round_nearest)
-        if len(c) > 1:
-            pi = mpf_pi(p, round_nearest)
-            x = mpf_mul(pi, pi, p, round_nearest)
-            for k in reversed(c[:-1]):
-                acc = mpf_add(mpf_mul(acc, x, p, round_nearest), from_int(k), p, round_nearest)
-        if min(c) >= 0 or max(c) <= 0:
-            return acc
-        top = max(k.bit_length() + 4 * i for i, k in enumerate(c)) + len(c).bit_length()
-        _, man, exp, bc = acc
-        lost = top - (exp + bc) if man else top + 2 * extra
-        if lost <= extra:
-            return acc
-        extra = lost + 8  # the magnitude is itself rounded; spare bits end the loop
-
-
 _PI2_BOUNDS: dict[int, tuple[int, int]] = {}
+_PI = [0, 3]  # the largest prec computed so far and floor(pi * 2**prec)
+
+
+def _atan_inv(x: int, one: int) -> tuple[int, int]:
+    # one * atan(1/x) and its error bound in units: each term one / (k x^k)
+    # is floored from the exact floor of one / x^k, so under one unit low, and
+    # the alternating tail after the last nonzero term is under one unit
+    t, total, k, x2 = one // x, 0, 1, x * x
+    while t:
+        total += t // k if k % 4 == 1 else -(t // k)
+        t //= x2
+        k += 2
+    return total, k // 2 + 1
+
+
+def _pi_floor(prec: int) -> int:
+    """floor(pi * 2**prec), shifted down from pi at the largest precision
+    computed so far. A larger precision is computed at least twice as large,
+    by Machin's pi = 16 atan(1/5) - 4 atan(1/239) with guard bits that grow
+    until the counted error leaves one floor."""
+    top, f = _PI
+    if prec > top:
+        top = max(prec, 2 * top)
+        guard = top.bit_length() + 16
+        while True:
+            one = 1 << (top + guard)
+            (a, ea), (b, eb) = _atan_inv(5, one), _atan_inv(239, one)
+            s, e = 16 * a - 4 * b, 16 * ea + 4 * eb
+            if (s - e) >> guard == (s + e) >> guard:
+                break
+            guard += 32
+        f = s >> guard
+        _PI[:] = top, f
+    return f >> (top - prec)
 
 
 def _pi2_bounds(prec: int) -> tuple[int, int]:
-    """Ints ``lo, hi`` with ``lo <= pi^2 * 2**prec <= hi``, from an
-    interval pi^2 at ``prec`` bits."""
+    """Ints ``lo, hi`` with ``lo <= pi^2 * 2**prec <= hi``: the squares of
+    f = floor(pi * 2**prec) and f + 1, rounded outward. They nest across
+    precisions because f does."""
     b = _PI2_BOUNDS.get(prec)
     if b is None:
-        old = mpmath.iv.prec
-        try:
-            mpmath.iv.prec = prec
-            low, high = (mpmath.iv.pi * mpmath.iv.pi)._mpi_
-        finally:
-            mpmath.iv.prec = old
-        b = _PI2_BOUNDS[prec] = (to_int(mpf_shift(low, prec), "f"),
-                                 to_int(mpf_shift(high, prec), "c"))
+        f = _pi_floor(prec)
+        b = _PI2_BOUNDS[prec] = (f * f >> prec, -(-(f + 1) ** 2 >> prec))
     return b
 
 
-def _poly_sign(c: Coeffs, prec: int) -> int:
+def _enclose(c: Coeffs, prec: int) -> tuple[int, int]:
     # interval Horner on ints, with no rounding: after each step [a, b]
-    # encloses the partial value times 2**shift; 0 while it straddles zero
+    # encloses the partial value times 2**shift, and at the end c(pi^2)
+    # times 2**(prec * (len(c) - 1))
     lo, hi = _pi2_bounds(prec)
     a = b = c[-1]
     shift = 0
@@ -235,6 +239,12 @@ def _poly_sign(c: Coeffs, prec: int) -> int:
         shift += prec
         a, b = (a * (lo if a >= 0 else hi) + (k << shift),
                 b * (hi if b >= 0 else lo) + (k << shift))
+    return a, b
+
+
+def _poly_sign(c: Coeffs, prec: int) -> int:
+    # 0 while the enclosure straddles zero
+    a, b = _enclose(c, prec)
     return 1 if a > 0 else -1 if b < 0 else 0
 
 
@@ -242,6 +252,9 @@ def _product_sign(*sides: Coeffs) -> int:
     # the sign of a product of nonzero polynomials at pi^2: integer bounds on
     # pi^2 at 64, 128, ... bits until they fix the sign of every factor
     prec = 64
+    # pi at 2**16 bits takes 0.31-0.41 s, once per process, and every rung
+    # from 64 bits up to it 0.42-0.54 s (shared 2-core x86-64, CPython 3.11;
+    # mpmath's binary-split pi took 0.03-0.05 s there)
     while prec <= 1 << 16:
         sign = 1
         for c in sides:
@@ -251,6 +264,42 @@ def _product_sign(*sides: Coeffs) -> int:
         prec *= 2
     # unreachable: the enclosure of a nonzero polynomial shrinks to a point
     raise ArithmeticError("interval sign refinement stalled")
+
+
+def _round_digits(u: int, v: int, digits: int) -> tuple[int, int]:
+    """m and e with m * 10**(e + 1 - digits) the positive u/v rounded to
+    ``digits`` significant digits, ties away from zero, and
+    10**(digits - 1) <= m < 10**digits."""
+    top = 10 ** digits
+    e = (u.bit_length() - v.bit_length()) * 30103 // 100000  # log10(u/v), near enough
+    while True:
+        s = digits - 1 - e
+        p, q = (u * 10 ** s, v) if s >= 0 else (u, v * 10 ** -s)
+        m, r = divmod(p, q)
+        if m >= top:
+            e += 1
+        elif 10 * m < top:
+            e -= 1
+        else:
+            break
+    if 2 * r >= q:
+        m += 1
+        if m == top:
+            m, e = top // 10, e + 1
+    return m, e
+
+
+def _decimal(negative: bool, m: int, e: int, digits: int) -> str:
+    # the layout of mpmath's nstr(x, digits, strip_zeros=False): fixed point
+    # for a leading-digit exponent e strictly between min(-(digits // 3), -5)
+    # and digits, otherwise one digit before the point and e+N or e-N
+    # (a Decimal prints an int of any length, past str's 4300-digit limit)
+    sign, text = "-" if negative else "", f"{decimal.Decimal(m):f}"
+    if not min(-(digits // 3), -5) < e < digits:
+        return f"{sign}{text[0]}.{text[1:]}e{e:+d}"
+    if e < 0:
+        text, e = "0" * -e + text, 0
+    return f"{sign}{text[:e + 1]}.{text[e + 1:]}"
 
 
 # the highest pi power scalar text may carry: above every parameter the
@@ -540,19 +589,44 @@ class Scalar:
 
     # ---- evaluation and rendering ----
 
-    def _mpf(self, dps: int):
-        prec = dps_to_prec(dps)
-        num, den = _side_mpf(self._num, prec), _side_mpf(self._den, prec)
-        return mpmath.mp.make_mpf(mpf_div(num, den, prec, round_nearest))
+    def _bounds(self, prec: int):
+        """Whether self is negative, and ints u, v, w, z with u/v <= |self| <= w/z:
+        exact for a rational, else from pi^2 at each of prec, 2 prec, ... bits
+        where both sides' enclosures exclude zero."""
+        if self.is_rational:
+            n, d = self._num[0], self._den[0]
+            yield n < 0, abs(n), d, abs(n), d
+            return
+        shift = prec * (len(self._den) - len(self._num))
+        while True:
+            (an, bn), (ad, bd) = _enclose(self._num, prec), _enclose(self._den, prec)
+            if (an > 0 or bn < 0) and (ad > 0 or bd < 0):
+                nl, nh = (an, bn) if an > 0 else (-bn, -an)
+                dl, dh = (ad, bd) if ad > 0 else (-bd, -ad)
+                up, down = max(shift, 0), max(-shift, 0)
+                yield (bn < 0) != (bd < 0), nl << up, dh << down, nh << up, dl << down
+            prec, shift = 2 * prec, 2 * shift
 
     def evaluate(self, digits: int = 50) -> str:
-        """Decimal string with ``digits`` significant digits."""
+        """Decimal string with ``digits`` significant digits, correctly
+        rounded from the exact value with ties away from zero, in the layout
+        of mpmath's ``nstr(x, digits, strip_zeros=False)``."""
         if digits < 1:
             raise ValueError("digits must be positive")
-        return mpmath.nstr(self._mpf(digits + 20), digits, strip_zeros=False)
+        if self._num == (0,):
+            return "0.0"
+        for negative, u, v, w, z in self._bounds(digits * 10 // 3 + 16):
+            m, e = _round_digits(u, v, digits)
+            s = digits - 1 - e  # w/z rounds to m too if below (m + 1/2) * 10**-s
+            if 2 * w * 10 ** max(s, 0) < (2 * m + 1) * z * 10 ** max(-s, 0):
+                return _decimal(negative, m, e, digits)
 
     def __float__(self) -> float:
-        return float(self._mpf(30))
+        # int / int rounds correctly, so two equal ends are the exact value's float
+        for negative, u, v, w, z in self._bounds(64):
+            low = u / v
+            if low == w / z:
+                return -low if negative else low
 
     def render(self) -> str:
         num_s = _poly_str(self._num)

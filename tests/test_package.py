@@ -1,7 +1,8 @@
 """What ``import tesstopo`` loads, and the names the package exports.
 
 The package loads its exact core eagerly and every other layer on first
-use, so each check of the loaded modules runs in a fresh interpreter.
+use, and it has no runtime dependency, so no command loads ``mpmath``. Each
+check of the loaded modules runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -48,11 +49,13 @@ SUBMODULES = ("errors", "scalar", "params", "feasibility", "transforms", "catalo
 ALL_NAMES = sorted({name for names in EXPORTS.values() for name in names} | set(SUBMODULES))
 
 LOADED = ("import json, sys\n"
-          "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tesstopo'))))")
+          "print(json.dumps(sorted(m for m in sys.modules\n"
+          "                        if m.split('.')[0] in ('tesstopo', 'mpmath'))))")
 
 
 def loaded_after(code: str) -> set[str]:
-    """The tesstopo modules a fresh interpreter holds after running code."""
+    """The tesstopo and mpmath modules a fresh interpreter holds after
+    running code."""
     proc = subprocess.run([sys.executable, "-c", f"{code}\n{LOADED}"],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120, check=True)
@@ -75,6 +78,25 @@ def test_measure_loads_the_complexes():
                           "main(['measure', '--generator', 'cubic_lattice'])")
     assert "tesstopo.complexes" in loaded
     assert "tesstopo.catalog" not in loaded
+
+
+@pytest.mark.parametrize("code", [
+    "import tesstopo",
+    "from tesstopo.cli import main\nmain(['derive', 've=6', 'ep=3', 'pv=4'])",
+    "from tesstopo.cli import main\nmain(['catalog', 'verify'])",
+    "from tesstopo.cli import main\nmain(['measure', '--generator', 'cubic_lattice'])",
+], ids=["package", "derive", "catalog-verify", "measure"])
+def test_no_command_loads_mpmath(code):
+    loaded = loaded_after(code)
+    assert "tesstopo.scalar" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "mpmath"}
+
+
+def test_the_package_has_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("mpmath") for req in project["optional-dependencies"]["test"])
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tesstopo import scalar
 from tesstopo.complexes import generate, make_domain
@@ -204,6 +204,54 @@ def test_evaluate_keeps_its_digits_when_pi2_terms_cancel(k):
             want = mpmath.nstr((10 ** k * mpmath.pi ** 2 - n) / 10 ** k, digits,
                                strip_zeros=False)
         assert v.evaluate(digits) == want
+
+
+@pytest.mark.parametrize("n, d, text", [(3, 20, "0.2"), (-3, 20, "-0.2"), (1, 4, "0.3")])
+def test_evaluate_rounds_exact_ties_away_from_zero(n, d, text):
+    assert Scalar(n, d).evaluate(1) == text
+
+
+def _delta(k):
+    # (pi^2 - floor(10^k pi^2) / 10^k) / 10^k: positive, about 10^-(k+1)
+    return Scalar((-_pi2_times_ten_to(k), 10 ** k), (10 ** (2 * k),))
+
+
+@pytest.mark.parametrize("n, d, k, side, text", [
+    (3, 20, 30, 1, "0.2"), (3, 20, 60, 1, "0.2"), (3, 20, 30, -1, "0.1"), (1, 4, 60, -1, "0.2")])
+def test_evaluate_rounds_near_ties_by_the_exact_value(n, d, k, side, text):
+    value = Scalar(n, d) + side * _delta(k)
+    assert (value > Scalar(n, d)) == (side > 0)
+    assert value.evaluate(1) == text
+
+
+def _is_tie(value, digits):
+    # whether the rational value lies halfway between two decimals of digits places
+    q = abs(value.as_fraction())
+    e = len(str(q.numerator)) - len(str(q.denominator))
+    if Fraction(10) ** e > q:
+        e -= 1
+    half = 2 * q * Fraction(10) ** (digits - 1 - e)
+    return half.denominator == 1 and half.numerator % 2 == 1
+
+
+def _at_pi2(c):
+    return sum(k * mpmath.pi ** (2 * i) for i, k in enumerate(c))
+
+
+pi2_sides = st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=4)
+decimal_values = st.one_of(
+    st.builds(Scalar, st.integers(-10 ** 25, 10 ** 25), st.integers(1, 10 ** 25)),
+    st.builds(Scalar, pi2_sides, pi2_sides.filter(any)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(decimal_values, st.one_of(st.integers(1, 60), st.just(1000)))
+def test_evaluate_and_float_match_mpmath(value, digits):
+    assume(not (value.is_rational and _is_tie(value, digits)))
+    with mpmath.workdps(digits + 60):
+        exact = _at_pi2(value.num_coeffs) / _at_pi2(value.den_coeffs)
+        assert value.evaluate(digits) == mpmath.nstr(exact, digits, strip_zeros=False)
+        assert float(value) == float(exact)
 
 
 def test_hash_matches_equality():
@@ -490,6 +538,15 @@ def test_pi2_bounds(monkeypatch):
         lo, hi = bounds[prec]
         assert lo << prec <= bounds[2 * prec][0] <= bounds[2 * prec][1] <= hi << prec
     assert _pi2_bounds(64) is _pi2_bounds(64)  # kept per precision
+
+
+def test_pi_floor_shifts_down_from_the_largest_precision(monkeypatch):
+    monkeypatch.setattr(scalar, "_PI", [0, 3])
+    for prec in (64, 100, 65, 1000, 3000, 64, 2999):
+        with mpmath.workprec(prec + 64):
+            assert scalar._pi_floor(prec) == int(mpmath.floor(mpmath.ldexp(mpmath.pi, prec)))
+    # computed at 64, 128, 1000 and 3000 bits: at least twice the last each time
+    assert scalar._PI[0] == 3000
 
 
 # ---- Scalar.parse against the bracket-depth parser it replaced ----

@@ -7,12 +7,15 @@ reported with its place.
   but ``Scalar.__float__`` (the explicit conversion for callers), or any
   ``math`` function other than the exact integer ones ``gcd``, ``lcm`` and
   ``floor``.
+* No runtime dependency: every import is of the standard library or of the
+  package itself, so ``mpmath``, which the tests use as a reference, never is.
 * A record that exists is valid: a frozen record is written with
   ``object.__setattr__`` only in its ``__post_init__``, where it reads and
   checks its fields, so no other code can change a checked record.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,6 +85,43 @@ def test_the_float_rule_allows_the_exact_forms():
               "class Scalar:\n    def __float__(self):\n        return float(self._mpf(30))\n"
               "k = math.floor(h) + math.gcd(4, 6) + gcd(2, 4) + lcm(2, 3)\n")
     assert float_rule_violations(source) == []
+
+
+def import_rule_violations(source: str, name: str = "<source>") -> list[str]:
+    found = []
+    for node, _ in _nodes(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{name}:{node.lineno}: import of {module}" for module in modules
+                  if module.split(".")[0] not in sys.stdlib_module_names | {"tesstopo"}]
+    return found
+
+
+def test_the_package_imports_only_the_standard_library():
+    found = [v for path in sorted(SRC.rglob("*.py"))
+             for v in import_rule_violations(path.read_text(), str(path.relative_to(SRC)))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, message", [
+    ("import mpmath\n", "import of mpmath"),
+    ("import math, mpmath.libmp as libmp\n", "import of mpmath.libmp"),
+    ("from mpmath import mpf\n", "import of mpmath"),
+    ("from mpmath.libmp import to_int\n", "import of mpmath.libmp"),
+    ("def f():\n    import mpmath\n", "import of mpmath"),
+])
+def test_the_import_rule_reports_each_form(source, message):
+    assert [v.split(": ", 1)[1] for v in import_rule_violations(source)] == [message]
+
+
+def test_the_import_rule_allows_the_standard_library_and_the_package():
+    source = ("import math\nfrom fractions import Fraction\nfrom . import scalar\n"
+              "from ..scalar import Scalar\nfrom tesstopo.errors import UsageError\n")
+    assert import_rule_violations(source) == []
 
 
 def setattr_rule_violations(source: str, name: str = "<source>") -> list[str]:

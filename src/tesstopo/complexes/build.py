@@ -304,7 +304,7 @@ class _Builder:
         du, dv = project2(self._shift(t), k)
         ring_b = [(x + du, y + dv) for x, y in self.facet_views[j][fb][1]]
         cut = convex_intersection2(ring_a, ring_b)
-        if len(cut) < 3:
+        if not cut:
             return None
         f = self.cells[i].facets[fa]
         ring3 = tuple(lift3(xy, k, f.normal, f.offset) for xy in cut)

@@ -15,9 +15,10 @@ from fractions import Fraction
 from typing import Callable
 
 from ..errors import GeneratorParameterError, UsageError
+from ..planar import cross2
 from ..scalar import parse_fraction
 from .domain import FundamentalDomain, make_domain
-from .geometry import Vec, convex_hull, cross2, vec3
+from .geometry import Vec, convex_hull, vec3
 
 _F = Fraction
 _ZERO = _F(0)

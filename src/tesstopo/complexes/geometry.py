@@ -1,4 +1,4 @@
-"""Exact rational geometry: vectors, convex polyhedra, polygon clipping.
+"""Exact rational geometry: vectors, convex polyhedra, facet rings in 2d.
 
 Coordinates are exact rationals: Python ``int`` or
 :class:`~fractions.Fraction`, mixed freely. Every division goes through
@@ -10,12 +10,10 @@ apices, facet offsets and volume back in the caller's coordinates. There is
 no floating point and no epsilon anywhere in this module; every incidence,
 containment, and degeneracy question is decided exactly.
 
-Every ring this module cleans is convex: a facet of a hull, or a clip of
-convex polygons. Dropping a point that lies on a side of a convex ring leaves
-every other turn as it was, so one pass removes them all. For the same
-reason :func:`convex_hull` raises :class:`NonConvexCellError` only when its
-points do not span space, and :func:`convex_intersection2` returns fewer than
-three points exactly when the overlap has no area.
+Planar clipping and ring cleanup come from :mod:`tesstopo.planar`. Every
+ring here is convex, a facet of a hull or a clip of convex polygons, so one
+pass drops the points inside its sides, and :func:`convex_hull` raises
+:class:`NonConvexCellError` only when its points do not span space.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from ..errors import NonConvexCellError
+from ..planar import clean_ring, clip_halfplane, cross2, exact_div
 
 Num = int | Fraction
 Vec = tuple[Num, Num, Num]
@@ -34,15 +33,6 @@ Mat = tuple[Vec, Vec, Vec]
 
 _F = Fraction
 ZERO3: Vec = (0, 0, 0)
-
-
-def exact_div(a: Num, b: Num) -> Num:
-    """a / b exactly: an ``int`` when the quotient is whole, else a Fraction."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = a / b
-    return q.numerator if q.denominator == 1 else q
 
 
 def vec3(x, y, z) -> Vec:
@@ -127,10 +117,6 @@ def on_segment(p: Vec, a: Vec, b: Vec) -> bool:
 # ---------------------------------------------------------------------------
 # 2d helpers (used for plate computation inside a shared facet plane)
 
-def cross2(o: Vec2, a: Vec2, b: Vec2) -> Num:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def signed_area2(ring: list[Vec2]) -> Num:
     total = 0
     for i, p in enumerate(ring):
@@ -139,49 +125,18 @@ def signed_area2(ring: list[Vec2]) -> Num:
     return exact_div(total, 2)
 
 
-def clean_ring2(ring: list[Vec2]) -> list[Vec2]:
-    """Drop consecutive duplicates, then collinear points. A convex ring
-    without area is all collinear, so it comes back empty."""
-    out: list[Vec2] = []
-    for p in ring:
-        if not out or p != out[-1]:
-            out.append(p)
-    while len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    n = len(out)
-    return [a for i, a in enumerate(out) if cross2(out[i - 1], a, out[(i + 1) % n]) != 0]
-
-
-def clip_keep_left(ring: list[Vec2], a: Vec2, b: Vec2) -> list[Vec2]:
-    """Clip a polygon by the halfplane on the left of the directed line ab."""
-    out: list[Vec2] = []
-    n = len(ring)
-    side = [cross2(a, b, p) for p in ring]
-    for i in range(n):
-        p, q = ring[i], ring[(i + 1) % n]
-        sp, sq = side[i], side[(i + 1) % n]
-        if sp >= 0:
-            out.append(p)
-        if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-            # p + sp/(sp - sq) * (q - p), as one division
-            den = sp - sq
-            out.append((exact_div(sp * q[0] - sq * p[0], den),
-                        exact_div(sp * q[1] - sq * p[1], den)))
-    return out
-
-
 def convex_intersection2(p_ring: list[Vec2], q_ring: list[Vec2]) -> list[Vec2]:
-    """Intersection of two convex polygons, both counterclockwise.
-
-    Returns a cleaned counterclockwise ring; fewer than 3 points means the
-    intersection is not two-dimensional.
-    """
+    """Intersection of two counterclockwise convex polygons as a cleaned
+    counterclockwise ring, or ``[]`` when it has no area. Each side ab of q
+    keeps its left, the halfplane (b - a) × (x - a) >= 0."""
     out = list(p_ring)
-    for i in range(len(q_ring)):
-        out = clip_keep_left(out, q_ring[i], q_ring[(i + 1) % len(q_ring)])
+    for i, (ax, ay) in enumerate(q_ring):
+        bx, by = q_ring[(i + 1) % len(q_ring)]
+        out = clip_halfplane(out, by - ay, ax - bx, (bx - ax) * ay - (by - ay) * ax)
         if not out:
             return []
-    return clean_ring2(out)
+    ring, kind = clean_ring(out)
+    return list(ring) if kind == "region" else []
 
 
 def point_in_ring2(pt: Vec2, ring: list[Vec2]) -> bool:

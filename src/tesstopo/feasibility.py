@@ -19,7 +19,9 @@ Each branch is one table of linear inequalities: five cyclic rows on the
 plate profile (ve, ep, pv), and in the general branch the interior rows on
 the four interior rates. :func:`classify`, the staged helpers, the sampler,
 the plate-profile region and the catalog self-check all solve the same rows,
-and :func:`row_limit` solves any one of them. All geometry is exact.
+and :func:`row_limit` solves any one of them. A staged region clips its box
+by each row, as the halfplane ``side·form <= 0`` with side -1 on a ``>`` or
+``>=`` row, in the exact kernel of :mod:`tesstopo.planar`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleParametersError
 from .params import TessParams
+from .planar import clean_ring, clip_halfplane
 from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar
 
 __all__ = [
@@ -329,53 +332,12 @@ class RegionPatch:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def _clip(poly: list[tuple[Scalar, Scalar]], relation: str, form: dict[str, Scalar],
-          axes: tuple[str, str], values: dict[str, Scalar]) -> list[tuple[Scalar, Scalar]]:
-    """The part of a convex polygon where ``form relation 0`` holds (its
-    closure, if strict), the rates off the axes fixed by values."""
+def _halfplane(relation: str, form: dict[str, Scalar], axes: tuple[str, str],
+               values: dict[str, Scalar]) -> tuple[Scalar, Scalar, Scalar]:
+    """The closure of ``form relation 0`` on the axes, the rates off them
+    fixed by values, as the halfplane ``a·x + b·y + c <= 0``."""
     a, b, c = form.get(axes[0], ZERO), form.get(axes[1], ZERO), _offset(form, values)
-    side = 1 if relation[0] == "<" else -1  # keeps side * form <= 0
-    level = [a * p[0] + b * p[1] + c for p in poly]
-    inside = [side * f.sign() <= 0 for f in level]
-    out: list[tuple[Scalar, Scalar]] = []
-    n = len(poly)
-    for i in range(n):
-        k = (i + 1) % n
-        p, q = poly[i], poly[k]
-        if inside[i]:
-            out.append(p)
-        if inside[i] != inside[k]:
-            t = level[i] / (level[i] - level[k])
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
-
-
-def _cross(o, a, b) -> Scalar:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _polish(points: list[tuple[Scalar, Scalar]]
-            ) -> tuple[tuple[tuple[Scalar, Scalar], ...], str]:
-    """A clipped convex polygon without repeats, named by its dimension; a
-    region loses its collinear points in one pass, as convexity allows."""
-    pts: list[tuple[Scalar, Scalar]] = []
-    for p in points:
-        if not pts or p != pts[-1]:
-            pts.append(p)
-    if len(pts) > 1 and pts[0] == pts[-1]:
-        pts.pop()
-    if not pts:
-        return (), "empty"
-    uniq = set(pts)
-    if len(uniq) == 1:
-        return (pts[0],), "point"
-    base = pts[0]
-    ref = next(p for p in pts if p != base)
-    if all(not _cross(base, ref, p) for p in pts):
-        return (min(uniq), max(uniq)), "segment"
-    n = len(pts)
-    return tuple(p for i, p in enumerate(pts)
-                 if _cross(pts[i - 1], p, pts[(i + 1) % n])), "region"
+    return (a, b, c) if relation[0] == "<" else (-a, -b, -c)
 
 
 def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -388,8 +350,8 @@ def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLi
     poly = [(ZERO, ZERO), (psi_cap, ZERO), (psi_cap, psi_cap), (ZERO, psi_cap)]
     for _, _, relation, form in rows:  # the rows on the ridge rate alone made the box
         if TAU in form and form.keys() <= {PSI, TAU, ""}:
-            poly = _clip(poly, relation, form, (PSI, TAU), {})
-    verts, kind = _polish(poly)
+            poly = clip_halfplane(poly, *_halfplane(relation, form, (PSI, TAU), {}))
+    verts, kind = clean_ring(poly)
     return RegionPatch((PSI, TAU), kind, verts)
 
 
@@ -414,8 +376,8 @@ def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
     poly = [(ZERO, ZERO), (ONE, ZERO), (ONE, ONE), (ZERO, ONE)]
     for _, _, relation, form in rows:
         if form.keys() & {KAPPA, XI}:
-            poly = _clip(poly, relation, form, (KAPPA, XI), rates)
-    verts, kind = _polish(poly)
+            poly = clip_halfplane(poly, *_halfplane(relation, form, (KAPPA, XI), rates))
+    verts, kind = clean_ring(poly)
     open_edges = ("pi_edge_share_positive",) if any(not xi for _, xi in verts) else ()
     return RegionPatch((KAPPA, XI), kind, verts, open_edges)
 
@@ -478,7 +440,7 @@ def plate_profile_region(edges_per_vertex: ScalarLike,
     corner, foot = at(low, ep_floor), at(top, ep_floor)
     shoulder, peak = at(low, cap), at(top, cap)
     far = at(top, ep_max)
-    verts, kind = _polish([corner, foot, peak, shoulder])
+    verts, kind = clean_ring([corner, foot, peak, shoulder])
     ftf = RegionPatch((PV, EP), kind, verts, open_edges=(top,))
 
     lines = [

@@ -568,6 +568,8 @@ class Scalar:
     def _compare(self, other) -> int | None:
         """The sign of ``self - other``, read from cross products: a/b - c/d
         has the sign of (ad - cb)bd, so no difference is reduced."""
+        if type(other) is int and not other:  # a test against 0 is the sign
+            return self.sign()
         o = _coerce(other)
         if o is None:
             return None

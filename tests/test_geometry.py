@@ -1,4 +1,5 @@
-"""Exact geometry kernel: hulls, 2d clipping, halfspaces."""
+"""Exact geometry kernel: hulls, halfspaces, and the planar kernel's clipping
+and ring cleanup, checked against the code it replaced."""
 
 import random
 from fractions import Fraction as F
@@ -8,7 +9,6 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tesstopo import feasibility
 from tesstopo.errors import NonConvexCellError
 from tesstopo.scalar import PI2, Scalar
 from tesstopo.complexes import GENERATORS, generate
@@ -18,14 +18,10 @@ from tesstopo.complexes.geometry import (
     _initial_tetrahedron,
     add,
     cross,
-    clean_ring2,
-    clip_keep_left,
     convex_hull,
     convex_intersection2,
-    cross2,
     det3,
     dot,
-    exact_div,
     hull_from_halfspaces,
     inverse,
     lift3,
@@ -40,6 +36,7 @@ from tesstopo.complexes.geometry import (
     sub,
     ZERO3,
 )
+from tesstopo.planar import clean_ring, clip_halfplane, cross2, exact_div
 
 CUBE = [(F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 TETRA = [(F(0), F(0), F(0)), (F(1), F(0), F(0)),
@@ -173,14 +170,37 @@ def test_inverse_and_solve():
     assert tuple(sum(m[i][k] * x[k] for k in range(3)) for i in range(3)) == rhs
 
 
+def _left_of(a, b):
+    """The halfplane a·x + b·y + c <= 0 left of the directed line ab."""
+    return b[1] - a[1], a[0] - b[0], (b[0] - a[0]) * a[1] - (b[1] - a[1]) * a[0]
+
+
 def test_clip_keep_left_stays_exact_on_int_input():
     square = [(0, 0), (3, 0), (3, 3), (0, 3)]
-    ring = clip_keep_left(square, (2, 3), (1, 0))
+    ring = clip_halfplane(square, *_left_of((2, 3), (1, 0)))
     assert ring == [(1, 0), (3, 0), (3, 3), (2, 3)]
     assert all(type(x) is int for p in ring for x in p)
-    half = clip_keep_left(square, (0, 1), (2, 2))  # crosses x = 3 at y = 5/2
+    half = clip_halfplane(square, *_left_of((0, 1), (2, 2)))  # crosses x = 3 at y = 5/2
     assert half == [(3, F(5, 2)), (3, 3), (0, 3), (0, 1)]
     assert type(half[0][1]) is F and type(half[0][0]) is int
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (6, 3, 2),
+    (-7, 2, F(-7, 2)),
+    (F(3, 2), F(3, 4), 2),
+    (F(1, 2), 3, F(1, 6)),
+    (Scalar(3), Scalar(2), Scalar(3, 2)),
+    (Scalar(6), 3, Scalar(2)),
+    (2 * PI2, PI2, Scalar(2)),
+    (PI2, Scalar((3, 1)), Scalar((0, 1), (3, 1))),
+], ids=["int-whole", "int-fraction", "fraction-whole", "fraction", "scalar-rational",
+        "scalar-whole", "scalar-pi2-whole", "scalar-pi2"])
+def test_exact_div_keeps_the_field_of_its_operands(a, b, want):
+    # a whole quotient of ints or Fractions is an int; a Scalar quotient stays a
+    # Scalar, whose canonical form needs no narrowing
+    got = exact_div(a, b)
+    assert got == want and type(got) is type(want)
 
 
 # Integer-scaled input against its Fraction original: every function of the
@@ -261,9 +281,11 @@ def test_planar_clipping_on_scaled_ints_is_scaled(tri_p, tri_q, line):
     cut = convex_intersection2(p_int, q_int)
     assert _exact(cut)
     assert cut == _times(convex_intersection2(p_ring, q_ring), d)
-    clipped = clip_keep_left(p_int, *_scaled(line, d))
+    clipped = clip_halfplane(p_int, *_left_of(*_scaled(line, d)))
     assert _exact(clipped)
-    assert clipped == _times(clip_keep_left(p_ring, *line), d)
+    assert clipped == _times(clip_halfplane(p_ring, *_left_of(*line)), d)
+    assert clipped == _reference_clip_keep_left(p_int, *_scaled(line, d))
+    assert cut == _reference_convex_intersection2(p_int, q_int)
     area = signed_area2(p_int)
     assert _exact([area]) and area == signed_area2(p_ring) * d * d
 
@@ -563,7 +585,92 @@ def test_unbounded_prism_with_many_corners_is_refused():
     assert len(cell.apices) == 10 and len(cell.facets) == 7
 
 
-# ---- one-pass ring cleanup against the restart loops it replaced ----
+# ---- the planar kernel against the code it replaced ----
+#
+# Two copies of the kernel came before tesstopo.planar: the plate clipper
+# of complexes/geometry.py on int and Fraction, clipping by a directed line,
+# and the staged-region clipper of feasibility.py on Scalar, clipping by a
+# linear form. Both are kept here as references, with the restart loops that
+# the one-pass cleanups replaced.
+
+def _reference_clip_keep_left(ring, a, b):
+    """The plate clipper: keep the left of the directed line ab."""
+    out = []
+    n = len(ring)
+    side = [cross2(a, b, p) for p in ring]
+    for i in range(n):
+        p, q = ring[i], ring[(i + 1) % n]
+        sp, sq = side[i], side[(i + 1) % n]
+        if sp >= 0:
+            out.append(p)
+        if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
+            den = sp - sq
+            out.append((exact_div(sp * q[0] - sq * p[0], den),
+                        exact_div(sp * q[1] - sq * p[1], den)))
+    return out
+
+
+def _one_pass_clean_ring2(ring):
+    """The plate cleanup: a ring without area comes back empty."""
+    out = []
+    for p in ring:
+        if not out or p != out[-1]:
+            out.append(p)
+    while len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    n = len(out)
+    return [a for i, a in enumerate(out) if cross2(out[i - 1], a, out[(i + 1) % n]) != 0]
+
+
+def _reference_convex_intersection2(p_ring, q_ring):
+    out = list(p_ring)
+    for i in range(len(q_ring)):
+        out = _reference_clip_keep_left(out, q_ring[i], q_ring[(i + 1) % len(q_ring)])
+        if not out:
+            return []
+    return _one_pass_clean_ring2(out)
+
+
+def _reference_clip(poly, a, b, c):
+    """The staged-region clipper on the halfplane a·x + b·y + c <= 0. A
+    corner on the line with its next corner outside is emitted twice, the
+    second time as a crossing at t = 0, and the cleanup drops the repeat."""
+    level = [a * p[0] + b * p[1] + c for p in poly]
+    inside = [f.sign() <= 0 for f in level]
+    out = []
+    n = len(poly)
+    for i in range(n):
+        k = (i + 1) % n
+        p, q = poly[i], poly[k]
+        if inside[i]:
+            out.append(p)
+        if inside[i] != inside[k]:
+            t = level[i] / (level[i] - level[k])
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _one_pass_polish(points):
+    """The staged-region cleanup, one pass."""
+    pts = []
+    for p in points:
+        if not pts or p != pts[-1]:
+            pts.append(p)
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    if not pts:
+        return (), "empty"
+    uniq = set(pts)
+    if len(uniq) == 1:
+        return (pts[0],), "point"
+    base = pts[0]
+    ref = next(p for p in pts if p != base)
+    if all(not cross2(base, ref, p) for p in pts):
+        return (min(uniq), max(uniq)), "segment"
+    n = len(pts)
+    return tuple(p for i, p in enumerate(pts)
+                 if cross2(pts[i - 1], p, pts[(i + 1) % n])), "region"
+
 
 def _reference_clean_ring2(ring):
     """Drop consecutive duplicates, then one collinear point at a time."""
@@ -602,12 +709,12 @@ def _reference_polish(points):
             return (dedup[0],), "point"
         base = dedup[0]
         ref = next(p for p in dedup if p != base)
-        if all(not feasibility._cross(base, ref, p) for p in dedup):
+        if all(not cross2(base, ref, p) for p in dedup):
             return (min(uniq), max(uniq)), "segment"
         kept = []
         n = len(dedup)
         for i, p in enumerate(dedup):
-            if feasibility._cross(dedup[i - 1], p, dedup[(i + 1) % n]):
+            if cross2(dedup[i - 1], p, dedup[(i + 1) % n]):
                 kept.append(p)
         if len(kept) == len(dedup):
             return tuple(kept), "region"
@@ -671,11 +778,11 @@ def _convex_rings(draw):
 @given(_convex_rings())
 def test_clean_ring_matches_the_restart_loop(case):
     ring, area = case
-    got, want = clean_ring2(ring), _reference_clean_ring2(ring)
+    (got, kind), want = clean_ring(ring), _reference_clean_ring2(ring)
     if area:
-        assert got == want
+        assert kind == "region" and list(got) == want == _one_pass_clean_ring2(ring)
     else:
-        assert len(got) < 3 and len(want) < 3
+        assert kind != "region" and len(want) < 3 and _one_pass_clean_ring2(ring) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -685,4 +792,39 @@ def test_polish_matches_the_restart_loop(case, sheared):
     # a shear by pi^2 keeps convexity and collinearity, and puts the turn
     # signs on the interval sign test
     pts = [(Scalar(x), Scalar(y) + (PI2 * x if sheared else 0)) for x, y in ring]
-    assert feasibility._polish(pts) == _reference_polish(pts)
+    assert clean_ring(pts) == _reference_polish(pts) == _one_pass_polish(pts)
+
+
+@st.composite
+def _clip_cases(draw):
+    """A strictly convex Fraction ring and a halfplane a·x + b·y + c <= 0,
+    whose line passes through a corner in half the draws."""
+    ring = _convex_corners(draw(st.lists(st.tuples(_FRACTIONS, _FRACTIONS),
+                                         min_size=3, max_size=7)))
+    a, b = draw(st.tuples(_FRACTIONS, _FRACTIONS).filter(any))
+    on = draw(st.integers(0, len(ring) - 1)) if draw(st.booleans()) and ring else None
+    c = -(a * ring[on][0] + b * ring[on][1]) if on is not None else draw(_FRACTIONS)
+    return ring, (a, b, c), on
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clip_cases())
+def test_clip_commutes_with_a_pi2_shear(case):
+    ring, (a, b, c), on = case
+    if len(ring) < 3:
+        return
+
+    def shear(p):  # (x, y) -> (x, y + pi^2 x) keeps lines, sides and ratios
+        return Scalar(p[0]), Scalar(p[1]) + PI2 * p[0]
+
+    sheared = [shear(p) for p in ring]
+    form = (Scalar(a) - b * PI2, Scalar(b), Scalar(c))  # the same halfplane, sheared
+    want = clip_halfplane(ring, a, b, c)
+    got = clip_halfplane(sheared, *form)
+    assert got == [shear(p) for p in want]
+    # a strictly convex ring clips to points without repeats, so a corner
+    # on the line is kept once
+    assert len(set(got)) == len(got)
+    if on is not None:
+        assert got.count(sheared[on]) == 1
+    assert clean_ring(got) == _one_pass_polish(_reference_clip(sheared, *form))

@@ -80,6 +80,16 @@ def test_measure_loads_the_complexes():
     assert "tesstopo.catalog" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "ve=6", "ep=3", "pv=4"],
+    ["region", "--type", "pv-ep", "--ve", "6"],
+], ids=["check", "region"])
+def test_feasibility_commands_load_the_planar_kernel_not_the_complexes(argv):
+    loaded = loaded_after(f"from tesstopo.cli import main\nmain({argv!r})")
+    assert {"tesstopo.planar", "tesstopo.feasibility"} <= loaded
+    assert "tesstopo.complexes" not in loaded
+
+
 @pytest.mark.parametrize("code", [
     "import tesstopo",
     "from tesstopo.cli import main\nmain(['derive', 've=6', 'ep=3', 'pv=4'])",

@@ -509,9 +509,6 @@ def _check_entry(entry: CatalogEntry, complain) -> None:
             if got != value:
                 complain(f"mean {of}->{to} adjacency is {got.render()}, "
                          f"entry says {value.render()}")
-        if entry.side_interior_rate is not None and entry.side_interior_rate > 0:
-            if entry.plates_per_edge < plate_cap(entry.edges_per_vertex):
-                complain("positive side rate below the ceiling curve")
     else:
         # partial data: only the rows whose fields are present
         failed = [b.name for b in classify_partial(entry.recorded) if not b.satisfied]

@@ -17,10 +17,10 @@ the world lattice volume only at measurement time.
 
 Pipeline, in order:
 
-1. per-cell face lattices (exact convex hulls in torus coordinates, one hull
-   per translation class of cells, moved to the other members), with the
-   volume certificate: cell volumes must sum to the lattice cell volume,
-   D^3 in scaled coordinates;
+1. per-cell face lattices: each domain cell's faces, decided once by its
+   hull, are mapped onto its scaled torus points (an invertible linear map
+   keeps every face), with the volume certificate: cell volumes must sum to
+   the lattice cell volume, D^3 in scaled coordinates;
 2. plates: two-dimensional intersections of cell pairs across lattice
    translates. Such an intersection of convex bodies with disjoint interiors
    always lies on a pair of coincident facet planes with opposite
@@ -64,7 +64,6 @@ from .geometry import (
     Vec,
     Vec2,
     add,
-    convex_hull,
     convex_intersection2,
     cross,
     det3,
@@ -72,12 +71,12 @@ from .geometry import (
     drop_axis,
     inverse,
     lift3,
+    map_cell,
     mat_vec,
     neg,
     on_segment,
     point_in_ring2,
     project2,
-    ring_ccw2,
     sub,
     transpose,
 )
@@ -119,25 +118,6 @@ def _scaled_torus_points(lattice: Mat, point_sets) -> tuple[int, list[list[Vec]]
     g = gcd(q * r, *(x for points in nums for p in points for x in p))
     return q * r // g, [[(p[0] // g, p[1] // g, p[2] // g) for p in points]
                         for points in nums]
-
-
-def _hull_cells(point_sets: list[list[Vec]]) -> list[Polyhedron]:
-    """Hull each point set once per translation class. A translate of an
-    earlier set reuses that hull, moved; this is exact because the hull's
-    apex order and facet order do not change under translation."""
-    seen: dict[tuple[Vec, ...], tuple[Polyhedron, Vec]] = {}
-    cells: list[Polyhedron] = []
-    for points in point_sets:
-        least = min(points)
-        key = tuple(sorted(sub(p, least) for p in points))
-        known = seen.get(key)
-        if known is None:
-            hull = convex_hull(points)
-            seen[key] = (hull, least)
-        else:
-            hull = known[0].translate(sub(least, known[1]))
-        cells.append(hull)
-    return cells
 
 
 def _open_range(lo_a: int, hi_a: int, lo_b: int, hi_b: int, d: int) -> range:
@@ -247,7 +227,7 @@ class _Builder:
         self.scale, scaled = _scaled_torus_points(
             domain.lattice, [cell.apices for cell in domain.cells])
         d = self.scale
-        self.cells = _hull_cells(scaled)
+        self.cells = [map_cell(cell, points) for cell, points in zip(domain.cells, scaled)]
         total = sum(c.volume for c in self.cells)
         if total != d ** 3:
             raise NotATessellationError(
@@ -257,9 +237,10 @@ class _Builder:
         self.facet_views: list[list[_FacetView]] = []
         for cell in self.cells:
             views = []
-            for fi, f in enumerate(cell.facets):
+            for f in cell.facets:
                 k = drop_axis(f.normal)
-                ring = ring_ccw2([project2(p, k) for p in cell.facet_ring_points(fi)])
+                order = f.ring if f.normal[k] > 0 else f.ring[::-1]
+                ring = [project2(cell.apices[i], k) for i in order]
                 lo = (min(x for x, _ in ring), min(y for _, y in ring))
                 hi = (max(x for x, _ in ring), max(y for _, y in ring))
                 views.append((k, ring, lo, hi))

@@ -21,6 +21,7 @@ from .geometry import (
     convex_hull,
     det3,
     hull_from_halfspaces,
+    map_cell,
     mat_vec,
     smul,
     vec3,
@@ -57,7 +58,8 @@ class FundamentalDomain:
             for b in range(my):
                 for c in range(mz):
                     shift = add(add(smul(a, t1), smul(b, t2)), smul(c, t3))
-                    cells.extend(cell.translate(shift) for cell in self.cells)
+                    cells.extend(map_cell(cell, [add(p, shift) for p in cell.apices])
+                                 for cell in self.cells)
         lattice = (smul(mx, t1), smul(my, t2), smul(mz, t3))
         return FundamentalDomain(lattice, tuple(cells), dict(self.metadata))
 
@@ -67,7 +69,7 @@ class FundamentalDomain:
             raise ValueError("affine map must be invertible")
         lattice = tuple(mat_vec(m, row) for row in self.lattice)
         cells = tuple(
-            convex_hull([add(mat_vec(m, p), t) for p in cell.apices])
+            map_cell(cell, [add(mat_vec(m, p), t) for p in cell.apices])
             for cell in self.cells)
         return FundamentalDomain(lattice, cells, dict(self.metadata))  # type: ignore[arg-type]
 

@@ -18,7 +18,7 @@ from ..errors import GeneratorParameterError, UsageError
 from ..planar import cross2
 from ..scalar import parse_fraction
 from .domain import FundamentalDomain, make_domain
-from .geometry import Vec, convex_hull, vec3
+from .geometry import Vec, vec3
 
 _F = Fraction
 _ZERO = _F(0)
@@ -216,8 +216,8 @@ def _boundary_cycle(n: int) -> list[tuple[Fraction, Fraction]]:
 
 
 # the largest k and n that spoke_cube and core_prism_cube accept: at k = n = 8
-# generate and build_complex together take about 1.0-1.2 s for spoke_cube (360
-# cells, nearly all of it the build) and 0.5-0.6 s for core_prism_cube (45
+# generate and build_complex together take about 0.5-1.2 s for spoke_cube (360
+# cells, nearly all of it the build) and 0.3-0.5 s for core_prism_cube (45
 # cells) on a shared 2-core machine, and the build time grows faster than the
 # cell count
 MAX_SIZE = 8

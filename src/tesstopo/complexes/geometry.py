@@ -10,6 +10,12 @@ apices, facet offsets and volume back in the caller's coordinates. There is
 no floating point and no epsilon anywhere in this module; every incidence,
 containment, and degeneracy question is decided exactly.
 
+A cell's faces are decided once, by a hull where the cell enters: a domain
+file's apices or halfspaces, or a generator's points. An invertible affine
+map keeps every face, so :func:`map_cell` moves a hull into any other frame
+(a translate, an affine image, the builder's scaled torus) without a new
+hull, and gives exactly what that hull would.
+
 Planar clipping and ring cleanup come from :mod:`tesstopo.planar`. Every
 ring here is convex, a facet of a hull or a clip of convex polygons, so one
 pass drops the points inside its sides, and :func:`convex_hull` raises
@@ -18,6 +24,7 @@ pass drops the points inside its sides, and :func:`convex_hull` raises
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -117,14 +124,6 @@ def on_segment(p: Vec, a: Vec, b: Vec) -> bool:
 # ---------------------------------------------------------------------------
 # 2d helpers (used for plate computation inside a shared facet plane)
 
-def signed_area2(ring: list[Vec2]) -> Num:
-    total = 0
-    for i, p in enumerate(ring):
-        q = ring[(i + 1) % len(ring)]
-        total += p[0] * q[1] - q[0] * p[1]
-    return exact_div(total, 2)
-
-
 def convex_intersection2(p_ring: list[Vec2], q_ring: list[Vec2]) -> list[Vec2]:
     """Intersection of two counterclockwise convex polygons as a cleaned
     counterclockwise ring, or ``[]`` when it has no area. Each side ab of q
@@ -154,6 +153,8 @@ def drop_axis(n: Vec) -> int:
 
 
 def project2(p: Vec, k: int) -> Vec2:
+    """Drop axis k, keeping the others in cyclic order: a ring turning
+    counterclockwise about n stays counterclockwise exactly when n[k] > 0."""
     if k == 0:
         return (p[1], p[2])
     if k == 1:
@@ -174,10 +175,6 @@ def lift3(xy: Vec2, k: int, normal: Vec, offset: Num) -> Vec:
     x, y = xy
     z = exact_div(offset - normal[0] * x - normal[1] * y, normal[2])
     return (x, y, z)
-
-
-def ring_ccw2(ring: list[Vec2]) -> list[Vec2]:
-    return ring if signed_area2(ring) > 0 else ring[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +203,6 @@ class Polyhedron:
         hi = tuple(max(p[i] for p in self.apices) for i in range(3))
         return lo, hi  # type: ignore[return-value]
 
-    def translate(self, s: Vec) -> Polyhedron:
-        apices = tuple(add(p, s) for p in self.apices)
-        facets = tuple(Facet(f.normal, f.offset + dot(f.normal, s), f.ring)
-                       for f in self.facets)
-        return Polyhedron(apices, facets, self.ridges, self.volume)
-
     def facet_equalities(self, p: Vec) -> list[int] | None:
         """Indices of facet planes through p, or None when p is outside."""
         hits: list[int] = []
@@ -222,9 +213,6 @@ class Polyhedron:
             if val == f.offset:
                 hits.append(i)
         return hits
-
-    def facet_ring_points(self, i: int) -> list[Vec]:
-        return [self.apices[j] for j in self.facets[i].ring]
 
 
 def _initial_tetrahedron(points: list[Vec]) -> tuple[list[int], list[tuple[int, int, int]]] | None:
@@ -254,6 +242,13 @@ def _initial_tetrahedron(points: list[Vec]) -> tuple[list[int], list[tuple[int, 
     return corners, tris
 
 
+def _scaled(points: list[Vec]) -> tuple[int, list[Vec]]:
+    """D, the lcm of the coordinate denominators, and each point times D as
+    an ``int`` point."""
+    d = lcm(*(x.denominator for p in points for x in p))
+    return d, [tuple(x.numerator * (d // x.denominator) for x in p) for p in points]
+
+
 def convex_hull(raw_points: list[Vec]) -> Polyhedron:
     """Exact incremental hull. Input points that are not extreme (interior,
     on a facet, or in the relative interior of a ridge) are dropped.
@@ -262,19 +257,12 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
     lcm of their coordinate denominators (1 for ``int`` input, which is then
     unchanged), and a positive scale keeps every orientation sign, primitive
     normal and lexicographic order. The result is read back from the
-    caller's points: apices are the input objects themselves, each facet
-    offset is the normal dotted with a corner of that facet, and the volume
-    is the scaled volume over D³."""
-    d = lcm(*(x.denominator for p in raw_points for x in p))
-    points: list[Vec] = []
-    originals: list[Vec] = []
-    seen: set[Vec] = set()
-    for p in raw_points:
-        q = tuple(x.numerator * (d // x.denominator) for x in p)
-        if q not in seen:
-            seen.add(q)
-            points.append(q)
-            originals.append(p)
+    caller's points by :func:`_canonical_cell`."""
+    d, scaled = _scaled(raw_points)
+    first: dict[Vec, Vec] = {}
+    for q, p in zip(scaled, raw_points):
+        first.setdefault(q, p)  # the caller's first object for each point
+    points, originals = list(first), list(first.values())
     start = _initial_tetrahedron(points)
     if start is None:
         raise NonConvexCellError("cell is not three-dimensional")
@@ -302,7 +290,7 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
         np_ = primitive(n)
         groups.setdefault((np_, dot(np_, points[t[0]])), []).append(t)
 
-    facet_rings: list[tuple[Vec, Num, list[int]]] = []
+    facet_rings: list[tuple[Vec, Vec, Sequence[int]]] = []
     for (n, _), group in groups.items():
         edges: set[tuple[int, int]] = set()
         for a, b, cc in group:
@@ -320,20 +308,47 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
         ring = [a for i, a in enumerate(walk)
                 if cross(sub(points[a], points[walk[i - 1]]),
                          sub(points[walk[(i + 1) % len(walk)]], points[a])) != ZERO3]
-        # the offset from the corner the key was taken from, in the
-        # caller's coordinates
-        facet_rings.append((n, dot(n, originals[group[0][0]]), ring))
+        # the offset comes from the corner the key was taken from
+        facet_rings.append((n, originals[group[0][0]], ring))
+    return _canonical_cell(originals, points, d, facet_rings)
 
+
+def map_cell(cell: Polyhedron, moved: list[Vec]) -> Polyhedron:
+    """``convex_hull(moved)`` without a hull, for ``moved`` the images of
+    ``cell.apices`` in order under an invertible affine map. The map keeps
+    every face, so each ring is kept and its normal read off three of its
+    corners; a map that reverses orientation turns every ring clockwise,
+    and then each ring is reversed and each normal negated. An offset is
+    taken from its ring's first corner, so its type is the hull's whenever
+    the images are all ``int`` or all ``Fraction`` points."""
+    d, points = _scaled(moved)
+    normals = [primitive(cross(sub(points[f.ring[1]], points[f.ring[0]]),
+                               sub(points[f.ring[2]], points[f.ring[0]])))
+               for f in cell.facets]
+    ring = cell.facets[0].ring
+    off = next(i for i in range(len(points)) if i not in ring)
+    step = -1 if dot(normals[0], sub(points[off], points[ring[0]])) > 0 else 1
+    return _canonical_cell(moved, points, d, [
+        (smul(step, n), moved[f.ring[0]], f.ring[::step])
+        for n, f in zip(normals, cell.facets)])
+
+
+def _canonical_cell(originals: list[Vec], points: list[Vec], d: int,
+                    facet_rings: list[tuple[Vec, Vec, Sequence[int]]]) -> Polyhedron:
+    """One canonical cell from ``points`` (``originals`` times D, on
+    ``int``) and its facets, each a primitive outward normal, the corner
+    its offset is taken from and a counterclockwise ring of point indices.
+    Apices are the caller's objects in lexicographic order."""
     hull_indices = sorted({i for _, _, ring in facet_rings for i in ring},
                           key=lambda i: points[i])
     remap = {old: new for new, old in enumerate(hull_indices)}
     apices = tuple(originals[i] for i in hull_indices)
 
     facets: list[Facet] = []
-    for n, c, ring in facet_rings:
+    for n, corner, ring in facet_rings:
         mapped = [remap[i] for i in ring]
         low = mapped.index(min(mapped))
-        facets.append(Facet(n, c, tuple(mapped[low:] + mapped[:low])))
+        facets.append(Facet(n, dot(n, corner), tuple(mapped[low:] + mapped[:low])))
     facets.sort(key=lambda f: (f.normal, f.offset))
 
     # each ridge lies on two facets, which walk it in opposite directions
@@ -365,9 +380,11 @@ def hull_from_halfspaces(planes: list[tuple[Vec, Num]]) -> Polyhedron:
         x = solve3(m, (c1, c2, c3))
         if all(dot(n, x) <= c for n, c in planes):
             pts.add(x)
-    if len(pts) < 4:
-        raise NonConvexCellError("halfspace intersection is empty, flat or unbounded")
-    cell = convex_hull(sorted(pts))
+    try:
+        cell = convex_hull(sorted(pts))
+    except NonConvexCellError:  # fewer than four corners, or all coplanar
+        raise NonConvexCellError(
+            "halfspace intersection is empty, flat or unbounded") from None
     bounding: set[tuple[Vec, Num]] = set()
     for n, c in planes:
         if n != ZERO3:  # as primitive normal and offset, the form of a Facet

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tesstopo import catalog
 from tesstopo.catalog import (
     CatalogEntry,
     core_prism_cube_entry,
@@ -15,6 +16,7 @@ from tesstopo.catalog import (
     spoke_cube_entry,
     verify_catalog,
 )
+from tesstopo.complexes import build_complex, make_domain, measure, validate
 from tesstopo.errors import UnknownEntryError
 from tesstopo.feasibility import classify, plate_cap
 from tesstopo.params import derive
@@ -197,3 +199,42 @@ def test_verify_catalog_failure_line_is_unquoted(monkeypatch):
     monkeypatch.setitem(cat._FAMILIES, "ex11_spoke_cube", (broken_builder, names))
     failures = [f for f in verify_catalog().failures if f.startswith("ex11_spoke_cube")]
     assert failures == ["ex11_spoke_cube: cannot build this member"]
+
+
+def _box(x0, y0, z0, x1, y1, z1):
+    return [(x, y, z) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)]
+
+
+def test_a_built_stack_with_a_positive_side_rate_below_the_cap_passes_the_check():
+    # on the lattice diag(2, 2, 2): a layer of parallel pyramids (three per
+    # unit cube, with apex (x+1, y+1, 1)) under a layer of square columns,
+    # column c cut at z = 1 + c/4
+    cells = []
+    for x in (0, 1):
+        for y in (0, 1):
+            cube = _box(x, y, 0, x + 1, y + 1, 1)
+            for axis in range(3):
+                base = [p for p in cube if p[axis] == (x, y, 0)[axis]]
+                cells.append(base + [(x + 1, y + 1, 1)])
+    for c, (x, y) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
+        cut = 1 + Fraction(c, 4)
+        cells.extend(_box(x, y, z0, x + 1, y + 1, z1)
+                     for z0, z1 in ((1, cut), (cut, 2)) if z0 != z1)
+    domain = make_domain([[2, 0, 0], [0, 2, 0], [0, 0, 2]], cells)
+    assert len(domain.cells) == 19
+    cx = build_complex(domain)
+    assert validate(cx).ok
+    params = measure(cx).params
+    values = (params.edges_per_vertex, params.plates_per_edge,
+              params.vertices_per_plate, params.pi_edge_share,
+              params.hemi_vertex_share, params.ridge_interior_rate,
+              params.side_interior_rate)
+    assert values == (Fraction(32, 5), Fraction(15, 4), Fraction(80, 21),
+                      Fraction(3, 8), 0, Fraction(9, 5), Fraction(6, 5))
+    assert classify(params).feasible
+    assert params.plates_per_edge < plate_cap(params.edges_per_vertex)
+    assert params.side_interior_rate > 0
+    complaints = []
+    catalog._check_entry(CatalogEntry("stack", "stack", "built", False, *values),
+                         complaints.append)
+    assert complaints == []

@@ -22,7 +22,8 @@ from tesstopo.complexes import (
 from tesstopo.complexes import build
 from tesstopo.complexes import domain as domain_module
 from tesstopo.complexes.generators import MAX_SIZE
-from tesstopo.complexes.geometry import ZERO3, convex_hull, cross, det3, dot, solve3, sub
+from tesstopo.complexes.geometry import (
+    ZERO3, add, convex_hull, cross, det3, dot, map_cell, solve3, sub)
 from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
 
 SEVEN = ("edges_per_vertex", "plates_per_edge", "vertices_per_plate",
@@ -317,10 +318,14 @@ def test_obj_dump_lists_all_cells():
 
 # Unimodular maps (determinant +-1) with rational translations: they keep
 # every incidence but move the cells off the grid and tilt the facet planes.
+# The last two reverse orientation, and so does the torus map of their
+# images' lattices.
 _UNIMODULAR = (
     ((F(0), F(1), F(0)), (F(1), F(0), F(1)), (F(0), F(0), F(-1))),
     ((F(1), F(-1), F(0)), (F(0), F(1), F(1)), (F(1), F(0), F(2))),
     ((F(1), F(0), F(1)), (F(1), F(1), F(0)), (F(0), F(0), F(1))),
+    ((F(1), F(1), F(0)), (F(0), F(0), F(1)), (F(0), F(1), F(0))),
+    ((F(1), F(0), F(0)), (F(1), F(-1), F(0)), (F(2), F(0), F(1))),
 )
 _TRIANGLE_OFFSETS = ("1/9", "13/11", "2/5", "4/7", "-1/3", "5/6", "7/8", "0")
 STRUCTURE_CASES = [(name, name, {}, None) for name in GENERATORS] + [
@@ -336,6 +341,10 @@ STRUCTURE_CASES = [(name, name, {}, None) for name in GENERATORS] + [
      ("affine", (_UNIMODULAR[1], (F(-1, 2), F(3, 8), F(0))))),
     ("stratum_prism-image", "stratum_prism", {},
      ("affine", (_UNIMODULAR[2], (F(2, 3), F(1, 5), F(-7, 4))))),
+    ("stratum_prism-mirror-image", "stratum_prism", {},
+     ("affine", (_UNIMODULAR[3], (F(-3, 5), F(1, 4), F(2, 9))))),
+    ("split_prism-mirror-image", "split_prism", {},
+     ("affine", (_UNIMODULAR[4], (F(5, 6), F(-1, 3), F(3, 7))))),
 ]
 # SHA-256 of the repr of every structural field of the built complex,
 # recorded from the builder that clipped every facet pair at every shift,
@@ -373,6 +382,12 @@ STRUCTURE_DIGESTS = {
         "fefc7ed2dfd9ad1738e014c31d2eaae8e74b10d3c2bdffb4447e7b759690f7eb",
     "stratum_prism-image":
         "1512d774e5d8a60cc1cea938fcbd9c8dfbc35cad4f10929e5851ba4efdac7c23",
+    # recorded from the builder that hulled the torus cells, one hull per
+    # translation class
+    "stratum_prism-mirror-image":
+        "1d5416e0bb3e9efd846ab5c2c18e1a142d2bf77de1180a082b195548b0b5c972",
+    "split_prism-mirror-image":
+        "7196f6958e3ae2ddc9e9c9e2e6eec00dfab065d6b989b83b86f32170e1eb20e3",
 }
 
 
@@ -433,6 +448,11 @@ DOMAIN_DIGESTS = {
         "ff94acd82cb3919e134a453a3be32a22c349b52bdda9e6e19fb7b4fe55a2f482",
     "stratum_prism-image":
         "d2db8350e5f0e948b35959ca586c0678d10dded40bd8789bed5a050980f542b9",
+    # recorded from the affine image that hulled every mapped cell
+    "stratum_prism-mirror-image":
+        "8163674c3c21910ed569e5c53f304e42251d7e359b4ee99106bcc141abac5743",
+    "split_prism-mirror-image":
+        "e0a5ecdd269a622fa24acf42fc154b747a7500fde9a7de25178d57d21057da2c",
 }
 
 
@@ -692,7 +712,7 @@ def test_cells_meeting_at_one_point_are_separated_by_a_ridge_pair():
     assert _intersection_dimension(builder, 0, 1, (0, 0, 0)) == 0
     assert builder._separated(0, 1, (0, 0, 0))
     # lifted by a quarter of B's height, B's ridge pokes into A
-    builder.cells = [below, above.translate((0, 0, F(-1, 4)))]
+    builder.cells = [below, map_cell(above, [add(p, (0, 0, F(-1, 4))) for p in above.apices])]
     assert _intersection_dimension(builder, 0, 1, (0, 0, 0)) == 3
     assert not builder._separated(0, 1, (0, 0, 0))
 

@@ -1,5 +1,5 @@
-"""Exact geometry kernel: hulls, halfspaces, and the planar kernel's clipping
-and ring cleanup, checked against the code it replaced."""
+"""Exact geometry kernel: hulls, mapped cells, halfspaces, and the planar
+kernel's clipping and ring cleanup, checked against the code it replaced."""
 
 import random
 from fractions import Fraction as F
@@ -7,7 +7,7 @@ from itertools import combinations
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tesstopo.errors import NonConvexCellError
 from tesstopo.scalar import PI2, Scalar
@@ -25,18 +25,33 @@ from tesstopo.complexes.geometry import (
     hull_from_halfspaces,
     inverse,
     lift3,
+    map_cell,
+    mat_vec,
     neg,
     on_segment,
     orient3d,
     point_in_ring2,
     primitive,
-    ring_ccw2,
-    signed_area2,
     solve3,
     sub,
     ZERO3,
 )
 from tesstopo.planar import clean_ring, clip_halfplane, cross2, exact_div
+
+
+# ring orientation by signed area, as fixtures: the builder now reads a
+# facet ring's turn off its normal
+def signed_area2(ring):
+    total = 0
+    for i, p in enumerate(ring):
+        q = ring[(i + 1) % len(ring)]
+        total += p[0] * q[1] - q[0] * p[1]
+    return exact_div(total, 2)
+
+
+def ring_ccw2(ring):
+    return ring if signed_area2(ring) > 0 else ring[::-1]
+
 
 CUBE = [(F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 TETRA = [(F(0), F(0), F(0)), (F(1), F(0), F(0)),
@@ -78,12 +93,11 @@ def test_flat_point_set_rejected():
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_hull_commutes_with_translation(name):
-    # the builder hulls one cell per translation class and translates it
+    # a supercell moves each cell by a lattice vector without a new hull
     s = (F(-7, 3), F(5, 8), F(11, 2))
     for cell in generate(name).cells:
-        points = list(cell.apices)
-        moved = convex_hull([add(p, s) for p in reversed(points)])
-        assert moved == convex_hull(points).translate(s)
+        moved = [add(p, s) for p in cell.apices]
+        assert repr(map_cell(cell, moved)) == repr(convex_hull(moved[::-1]))
 
 
 def test_facet_equalities_classification():
@@ -476,6 +490,52 @@ def test_hull_matches_the_fraction_reference(points):
     assert _hull_text(points) == _reference_text(points)
 
 
+# invertible rational maps of either orientation, entries over one denominator
+_MATRICES = st.builds(
+    lambda q, rows: tuple(tuple(F(x, q) for x in row) for row in rows),
+    st.integers(1, 6), st.tuples(*(st.tuples(*(st.integers(-4, 4),) * 3),) * 3),
+).filter(lambda m: det3(m) != 0)
+
+
+def _assert_mapping_matches_the_hull(points, m, t):
+    cell = convex_hull(points)
+    images = [add(mat_vec(m, p), t) for p in cell.apices]
+    mapped = map_cell(cell, images)
+    assert repr(mapped) == repr(convex_hull([add(mat_vec(m, p), t)
+                                             for p in reversed(points)]))
+    assert all(any(a is q for q in images) for a in mapped.apices)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_hull_inputs(), _MATRICES, _POINT3)
+def test_mapped_cell_matches_the_hull_of_the_mapped_points(points, m, t):
+    # every coordinate of the image is a Fraction, so each facet offset has
+    # one type whichever corner it is taken from
+    try:
+        convex_hull(points)
+    except NonConvexCellError:
+        assume(False)
+    _assert_mapping_matches_the_hull(points, m, t)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+@settings(max_examples=10, deadline=None)
+@given(_MATRICES, _POINT3)
+def test_mapped_generator_cells_match_their_hulls(name, m, t):
+    for cell in generate(name).cells:
+        _assert_mapping_matches_the_hull(list(cell.apices), m, t)
+
+
+def test_a_mirror_keeps_the_outward_normals_outward():
+    cell = convex_hull(TETRA)
+    mirror = ((F(-1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
+    mapped = map_cell(cell, [mat_vec(mirror, p) for p in cell.apices])
+    assert [f.normal for f in mapped.facets] == sorted(
+        (-x, y, z) for x, y, z in (f.normal for f in cell.facets))
+    assert mapped.volume == cell.volume
+    assert repr(mapped) == repr(convex_hull([mat_vec(mirror, p) for p in TETRA]))
+
+
 def test_hull_keeps_the_callers_point_objects():
     points = [(0, 0, 0), (F(1), 0, 0), (0, F(1, 2), 0), (0, 0, 3)]
     hull = convex_hull(points)
@@ -564,6 +624,10 @@ def test_halfspace_hull_matches_the_recession_ray_reference():
     # an open slab in z over a square: corners exist only on the walls
     [((F(1), F(0), F(0)), F(1)), ((F(-1), F(0), F(0)), F(0)),
      ((F(0), F(1), F(0)), F(1)), ((F(0), F(-1), F(0)), F(0))],
+    # open downward below a unit square: four corners, all at z = 1
+    [((F(1), F(0), F(0)), F(1)), ((F(-1), F(0), F(0)), F(0)),
+     ((F(0), F(1), F(0)), F(1)), ((F(0), F(-1), F(0)), F(0)),
+     ((F(0), F(0), F(1)), F(1))],
 ])
 def test_halfspace_sets_with_few_corners_are_named_unbounded(planes):
     with pytest.raises(NonConvexCellError, match="unbounded"):

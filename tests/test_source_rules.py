@@ -12,6 +12,10 @@ reported with its place.
 * A record that exists is valid: a frozen record is written with
   ``object.__setattr__`` only in its ``__post_init__``, where it reads and
   checks its fields, so no other code can change a checked record.
+* A cell's faces are decided in one place: ``Polyhedron(...)`` is called
+  only in ``complexes/geometry.py``, where a hull decides them and
+  ``map_cell`` moves them, and in ``_Builder.finish``, which divides a
+  built cell's coordinates by D, so no other code assembles faces by hand.
 """
 
 import ast
@@ -158,3 +162,52 @@ def test_the_setattr_rule_allows_post_init():
               "        for name in ('x', 'y'):\n"
               "            object.__setattr__(self, name, int(getattr(self, name)))\n")
     assert setattr_rule_violations(source) == []
+
+
+POLYHEDRON_HOME = "tesstopo/complexes/geometry.py"
+POLYHEDRON_ALLOWED = {("tesstopo/complexes/build.py", ("_Builder", "finish"))}
+
+
+def polyhedron_rule_violations(source: str, name: str = "<source>") -> list[str]:
+    if name == POLYHEDRON_HOME:
+        return []
+    return [f"{name}:{node.lineno}: Polyhedron(...) in {'.'.join(scope) or 'module'}"
+            for node, scope in _nodes(ast.parse(source, filename=name))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Polyhedron"
+            and (name, scope) not in POLYHEDRON_ALLOWED]
+
+
+def test_cells_are_assembled_only_by_the_geometry_and_the_builder_finish():
+    found = [v for path in sorted(SRC.rglob("*.py"))
+             for v in polyhedron_rule_violations(path.read_text(),
+                                                 path.relative_to(SRC).as_posix())]
+    assert found == []
+
+
+@pytest.mark.parametrize("name, source, message", [
+    ("tesstopo/complexes/domain.py",
+     "def shifted(cell, facets):\n    return Polyhedron(cell.apices, facets, (), 1)\n",
+     "Polyhedron(...) in shifted"),
+    ("tesstopo/complexes/build.py",
+     "class _Builder:\n    def __init__(self, c):\n        self.c = Polyhedron(*c)\n",
+     "Polyhedron(...) in _Builder.__init__"),
+    ("tesstopo/complexes/build.py", "def finish(c):\n    return Polyhedron(*c)\n",
+     "Polyhedron(...) in finish"),
+    ("tesstopo/complexes/build.py",
+     "class _Builder:\n    def finish(self):\n        def one(c):\n"
+     "            return Polyhedron(*c)\n",
+     "Polyhedron(...) in _Builder.finish.one"),
+    ("tesstopo/cli.py", "cell = geometry.Polyhedron((), (), (), 0)\n",
+     "Polyhedron(...) in module"),
+])
+def test_the_polyhedron_rule_reports_each_place(name, source, message):
+    assert [v.split(": ", 1)[1] for v in polyhedron_rule_violations(source, name)] == [message]
+
+
+def test_the_polyhedron_rule_allows_the_geometry_and_the_builder_finish():
+    source = "def hull(points):\n    return Polyhedron(points, (), (), 0)\n"
+    assert polyhedron_rule_violations(source, POLYHEDRON_HOME) == []
+    source = ("class _Builder:\n    def finish(self):\n"
+              "        return tuple(Polyhedron(*c) for c in self.cells)\n")
+    assert polyhedron_rule_violations(source, "tesstopo/complexes/build.py") == []

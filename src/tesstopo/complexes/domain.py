@@ -28,11 +28,9 @@ from .geometry import (
 )
 
 
-# the most halfspaces a cell of a domain file may list: the cell is built by
-# solving every triple of planes and testing each solution against every
-# plane, so the cost grows about as n^3.5; 64 planes in general position
-# take about 11 s on a shared 2-core machine, and the largest cell the
-# generators make (the 38-facet core prism of core_prism_cube(8, 8)) 0.4 s
+# the most halfspaces a cell of a domain file may list: each plane clips the
+# cell cut so far and hulls the cut, so 64 planes that are all facets take
+# 0.6-0.9 s on a shared 2-core machine, and 128 about 5 s
 MAX_HALFSPACES = 64
 
 

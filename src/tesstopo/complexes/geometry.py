@@ -14,7 +14,8 @@ A cell's faces are decided once, by a hull where the cell enters: a domain
 file's apices or halfspaces, or a generator's points. An invertible affine
 map keeps every face, so :func:`map_cell` moves a hull into any other frame
 (a translate, an affine image, the builder's scaled torus) without a new
-hull, and gives exactly what that hull would.
+hull, and gives exactly what that hull would. A domain file's halfspaces
+cut a cube, one :func:`clip_cell` each, and a hull decides each cut.
 
 Planar clipping and ring cleanup come from :mod:`tesstopo.planar`. Every
 ring here is convex, a facet of a hull or a clip of convex polygons, so one
@@ -104,14 +105,14 @@ def orient3d(a: Vec, b: Vec, c: Vec, d: Vec) -> Num:
     return det3((sub(b, a), sub(c, a), sub(d, a)))
 
 
-def primitive(v: Vec) -> Vec:
-    """Scale a nonzero rational vector to coprime ints, keeping direction."""
-    if v == ZERO3:
+def primitive(v: tuple[Num, ...]) -> tuple[int, ...]:
+    """The positive multiple of a nonzero rational vector in coprime ints."""
+    scale = lcm(*[x.denominator for x in v])
+    ints = [x.numerator * (scale // x.denominator) for x in v]
+    g = gcd(*ints)
+    if not g:
         raise ValueError("zero vector has no primitive form")
-    scale = lcm(v[0].denominator, v[1].denominator, v[2].denominator)
-    a, b, c = (comp.numerator * (scale // comp.denominator) for comp in v)
-    g = gcd(a, b, c)
-    return (a // g, b // g, c // g)
+    return tuple([x // g for x in ints])
 
 
 def on_segment(p: Vec, a: Vec, b: Vec) -> bool:
@@ -364,48 +365,43 @@ def _canonical_cell(originals: list[Vec], points: list[Vec], d: int,
     return Polyhedron(apices, tuple(facets), ridges, exact_div(volume, 6 * d ** 3))
 
 
-def hull_from_halfspaces(planes: list[tuple[Vec, Num]]) -> Polyhedron:
-    """Bounded intersection of halfspaces normal . x <= offset.
+def clip_cell(cell: Polyhedron, n: Vec, c: Num) -> Polyhedron | None:
+    """The part of ``cell`` where n . x <= c, or None when it has no volume:
+    Sutherland–Hodgman clipping (:func:`tesstopo.planar.clip_halfplane`) one
+    dimension up. The apices at level n . x - c <= 0 stay, and each ridge pq
+    whose ends lie strictly on opposite sides adds ``(l_p q - l_q p) /
+    (l_p - l_q)`` from the levels l. Those points are the corners of the
+    cut, and their hull decides its faces."""
+    level = [dot(n, p) - c for p in cell.apices]
+    if max(level) <= 0:
+        return cell
+    if min(level) >= 0:
+        return None
+    kept = [p for p, v in zip(cell.apices, level) if v <= 0]
+    for i, j in cell.ridges:
+        li, lj = level[i], level[j]
+        if li < 0 < lj or lj < 0 < li:
+            den = li - lj
+            kept.append(tuple(exact_div(li * y - lj * x, den)
+                              for x, y in zip(cell.apices[i], cell.apices[j])))
+    return convex_hull(sorted(kept))
 
-    A bounded intersection is the hull of its feasible plane-triple corners,
-    so each facet of that hull lies on an input plane. An unbounded one is
-    larger than the hull, so some hull facet lies on no input plane: the
-    facet planes would otherwise bound the intersection."""
-    pts: set[Vec] = set()
-    for (n1, c1), (n2, c2), (n3, c3) in combinations(planes, 3):
-        m = (n1, n2, n3)
-        d = det3(m)
-        if d == 0:
-            continue
-        x = solve3(m, (c1, c2, c3))
-        if all(dot(n, x) <= c for n, c in planes):
-            pts.add(x)
-    try:
-        cell = convex_hull(sorted(pts))
-    except NonConvexCellError:  # fewer than four corners, or all coplanar
-        raise NonConvexCellError(
-            "halfspace intersection is empty, flat or unbounded") from None
-    bounding: set[tuple[Vec, Num]] = set()
-    for n, c in planes:
-        if n != ZERO3:  # as primitive normal and offset, the form of a Facet
-            p = primitive(n)
-            k = next(i for i in range(3) if p[i])
-            bounding.add((p, exact_div(c * p[k], n[k])))
-    if any((f.normal, f.offset) not in bounding for f in cell.facets):
+
+def hull_from_halfspaces(planes: list[tuple[Vec, Num]]) -> Polyhedron:
+    """Bounded intersection of halfspaces normal . x <= offset: a cube cut
+    by each plane as a primitive ``int`` row (n, c). A corner of a bounded
+    intersection solves three rows, so by Cramer's rule and Hadamard's bound
+    its coordinates are at most M^(3/2) in size, for M the largest
+    |(n, c)|^2; the cube of half-width M^2 + 1 holds every corner strictly
+    inside, and a cut with an apex on the cube is unbounded."""
+    rows = [primitive((*n, c)) for n, c in planes if any(n) or c]
+    b = max((sum(x * x for x in r) for r in rows), default=0) ** 2 + 1
+    cell = convex_hull([(x, y, z) for x in (-b, b) for y in (-b, b) for z in (-b, b)])
+    for *n, c in rows:
+        cut = clip_cell(cell, tuple(n), c)
+        if cut is None:
+            raise NonConvexCellError("halfspace intersection is empty, flat or unbounded")
+        cell = cut
+    if any(abs(x) == b for p in cell.apices for x in p):
         raise NonConvexCellError("halfspace intersection is unbounded")
     return cell
-
-
-def solve3(m: Mat, rhs: Vec) -> Vec:
-    """Solve m x = rhs for a nonsingular 3x3 system by Cramer's rule."""
-    d = det3(m)
-    x0 = det3(((rhs[0], m[0][1], m[0][2]),
-               (rhs[1], m[1][1], m[1][2]),
-               (rhs[2], m[2][1], m[2][2])))
-    x1 = det3(((m[0][0], rhs[0], m[0][2]),
-               (m[1][0], rhs[1], m[1][2]),
-               (m[2][0], rhs[2], m[2][2])))
-    x2 = det3(((m[0][0], m[0][1], rhs[0]),
-               (m[1][0], m[1][1], rhs[1]),
-               (m[2][0], m[2][1], rhs[2])))
-    return (exact_div(x0, d), exact_div(x1, d), exact_div(x2, d))

@@ -23,8 +23,10 @@ from tesstopo.complexes import build
 from tesstopo.complexes import domain as domain_module
 from tesstopo.complexes.generators import MAX_SIZE
 from tesstopo.complexes.geometry import (
-    ZERO3, add, convex_hull, cross, det3, dot, map_cell, solve3, sub)
+    ZERO3, add, convex_hull, cross, det3, dot, map_cell, sub)
 from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
+
+from plane_solver import solve3
 
 SEVEN = ("edges_per_vertex", "plates_per_edge", "vertices_per_plate",
          "pi_edge_share", "hemi_vertex_share", "ridge_interior_rate",

@@ -17,6 +17,7 @@ from tesstopo.complexes.geometry import (
     Polyhedron,
     _initial_tetrahedron,
     add,
+    clip_cell,
     cross,
     convex_hull,
     convex_intersection2,
@@ -32,11 +33,12 @@ from tesstopo.complexes.geometry import (
     orient3d,
     point_in_ring2,
     primitive,
-    solve3,
     sub,
     ZERO3,
 )
 from tesstopo.planar import clean_ring, clip_halfplane, cross2, exact_div
+
+from plane_solver import solve3
 
 
 # ring orientation by signed area, as fixtures: the builder now reads a
@@ -169,6 +171,10 @@ def test_orient3d_sign_flips_with_swap():
 def test_primitive_direction():
     assert primitive((F(2, 3), F(-4, 3), F(0))) == (1, -2, 0)
     assert primitive((F(0), F(0), F(-5))) == (0, 0, -1)
+    # a halfspace row (n, c) scales as one vector
+    assert primitive((F(1, 3), 0, 0, F(-2, 3))) == (1, 0, 0, -2)
+    with pytest.raises(ValueError):
+        primitive((0, F(0), 0, 0))
 
 
 def test_inverse_and_solve():
@@ -447,7 +453,10 @@ def _reference_hull(raw_points):
     return Polyhedron(apices, tuple(facets), tuple(sorted(edge_count)), volume)
 
 
-_MIXED = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=6)
+def _mixed(q):
+    """ints in [-3, 3] mixed with Fractions in [-3, 3] over the denominator
+    q: integer numerators are far cheaper to draw than ``st.fractions``."""
+    return st.integers(-3, 3) | st.builds(F, st.integers(-3 * q, 3 * q), st.just(q))
 
 
 @st.composite
@@ -455,7 +464,8 @@ def _hull_inputs(draw):
     """Points with int and Fraction coordinates mixed, with repeats, points
     inside segments of the set, and one draw in eight all in one plane, so
     most sets build a hull and some test the refusal."""
-    points = draw(st.lists(st.tuples(_MIXED, _MIXED, _MIXED), min_size=4, max_size=10))
+    coord = _mixed(draw(st.integers(1, 6)))
+    points = draw(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=10))
     if draw(st.booleans()):  # a point between two of them, a third of the way
         a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
         points.append(tuple(x + F(y - x) / 3 for x, y in zip(a, b)))
@@ -647,6 +657,92 @@ def test_unbounded_prism_with_many_corners_is_refused():
     # a lid makes it a cell: the facets of the corners' hull are input planes
     cell = hull_from_halfspaces(planes + [((F(0), F(0), F(1)), F(3))])
     assert len(cell.apices) == 10 and len(cell.facets) == 7
+
+
+# ---- clipping a cell by one halfspace, off the cube of the halfspace hull ----
+
+# canonical rationals, as a solved corner is: an int wherever it is whole
+_CANONICAL = st.builds(exact_div, st.integers(-12, 12), st.integers(1, 4))
+INT_TETRA = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def _assert_halves_match_the_reference(cell, n, c):
+    """Both sides of the plane n . x = c against the halfspace reference of
+    the cell's facet planes and the cut; their volumes make up the cell's."""
+    volume = 0
+    for m, d in ((n, c), (neg(n), -c)):
+        half = clip_cell(cell, m, d)
+        volume += 0 if half is None else half.volume
+        assert ("refused" if half is None else repr(half)) == \
+            _cell_repr(_reference_halfspace_hull,
+                       [(f.normal, f.offset) for f in cell.facets] + [(m, d)]), (m, d)
+    assert volume == cell.volume
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_CANONICAL, _CANONICAL, _CANONICAL), min_size=4, max_size=8),
+       st.tuples(*(st.integers(-3, 3),) * 3).filter(any), st.integers(-4, 4))
+def test_clipped_halves_match_the_halfspace_reference(points, n, c):
+    try:
+        corners = convex_hull(points).apices
+    except NonConvexCellError:
+        assume(False)
+    # the hull of the sorted corners, as a clip and the reference build it,
+    # so that each facet offset is read from the same corner
+    _assert_halves_match_the_reference(convex_hull(sorted(corners)), n, c)
+
+
+def test_a_plane_that_misses_or_touches_a_cell_cuts_nothing_off():
+    cell = convex_hull(INT_TETRA)
+    assert clip_cell(cell, (1, 1, 1), 5) is cell
+    assert clip_cell(cell, (-1, -1, -1), -5) is None
+    # x + y + z = 0 meets the tetrahedron in its apex at the origin
+    assert clip_cell(cell, (-1, -1, -1), 0) is cell
+    assert clip_cell(cell, (1, 1, 1), 0) is None
+
+
+def test_a_plane_through_one_apex_cuts_two_ridges():
+    # x + y = 2z passes through the origin and crosses the ridges from
+    # (1, 0, 0) and (0, 1, 0) up to (0, 0, 1) at their thirds
+    cell = convex_hull(INT_TETRA)
+    above, below = clip_cell(cell, (1, 1, -2), 0), clip_cell(cell, (-1, -1, 2), 0)
+    assert above.apices == ((0, 0, 0), (0, 0, 1), (0, F(2, 3), F(1, 3)),
+                            (F(2, 3), 0, F(1, 3)))
+    assert below.apices == ((0, 0, 0), (0, F(2, 3), F(1, 3)), (0, 1, 0),
+                            (F(2, 3), 0, F(1, 3)), (1, 0, 0))
+    _assert_halves_match_the_reference(cell, (1, 1, -2), 0)
+
+
+_SLAB = [((1, 0, 0), 1), ((-1, 0, 0), 0), ((0, 1, 0), 1), ((0, -1, 0), 0)]
+_UNIT_CUBE = _SLAB + [((0, 0, 1), 1), ((0, 0, -1), 0)]
+
+
+def _thirds(planes):
+    """The same halfspaces as Fraction rows, each a third of its int row."""
+    return [(tuple(F(x, 3) for x in n), F(c, 3)) for n, c in planes]
+
+
+@pytest.mark.parametrize("planes, message", [
+    ([], "halfspace intersection is unbounded"),
+    ([((0, 0, 0), -1)], "halfspace intersection is empty, flat or unbounded"),
+    ([((0, 0, 0), 0)], "halfspace intersection is unbounded"),
+    (_SLAB, "halfspace intersection is unbounded"),
+    (_thirds(_SLAB), "halfspace intersection is unbounded"),
+    (_thirds(_UNIT_CUBE + [((1, 0, 0), 0)]),
+     "halfspace intersection is empty, flat or unbounded"),
+], ids=["no-planes", "zero-normal-infeasible", "zero-row", "open-slab",
+        "fraction-open-slab", "fraction-flat-cube"])
+def test_halfspace_refusals_name_their_reason(planes, message):
+    with pytest.raises(NonConvexCellError) as info:
+        hull_from_halfspaces(planes)
+    assert type(info.value) is NonConvexCellError and str(info.value) == message
+    assert info.value.exit_code == 3
+
+
+def test_fraction_halfspaces_build_the_cell_of_their_int_rows():
+    assert repr(hull_from_halfspaces(_thirds(_UNIT_CUBE))) == \
+        repr(hull_from_halfspaces(_UNIT_CUBE)) == \
+        repr(convex_hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]))
 
 
 # ---- the planar kernel against the code it replaced ----

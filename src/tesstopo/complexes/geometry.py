@@ -32,7 +32,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from ..errors import NonConvexCellError
-from ..planar import clean_ring, clip_halfplane, cross2, exact_div
+from ..planar import clean_ring, clip, cross2, exact_div, ring_of_points
 
 Num = int | Fraction
 Vec = tuple[Num, Num, Num]
@@ -127,15 +127,10 @@ def on_segment(p: Vec, a: Vec, b: Vec) -> bool:
 
 def convex_intersection2(p_ring: list[Vec2], q_ring: list[Vec2]) -> list[Vec2]:
     """Intersection of two counterclockwise convex polygons as a cleaned
-    counterclockwise ring, or ``[]`` when it has no area. Each side ab of q
-    keeps its left, the halfplane (b - a) × (x - a) >= 0."""
-    out = list(p_ring)
-    for i, (ax, ay) in enumerate(q_ring):
-        bx, by = q_ring[(i + 1) % len(q_ring)]
-        out = clip_halfplane(out, by - ay, ax - bx, (bx - ax) * ay - (by - ay) * ax)
-        if not out:
-            return []
-    ring, kind = clean_ring(out)
+    counterclockwise ring, or ``[]`` when it has no area. Each side of q
+    keeps its left."""
+    sides = [corner[3] for corner in ring_of_points(q_ring)]
+    ring, kind = clean_ring(clip(ring_of_points(p_ring), sides))
     return list(ring) if kind == "region" else []
 
 
@@ -291,7 +286,7 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
         np_ = primitive(n)
         groups.setdefault((np_, dot(np_, points[t[0]])), []).append(t)
 
-    facet_rings: list[tuple[Vec, Vec, Sequence[int]]] = []
+    facet_rings: list[tuple[Vec, int, Sequence[int]]] = []
     for (n, _), group in groups.items():
         edges: set[tuple[int, int]] = set()
         for a, b, cc in group:
@@ -310,7 +305,7 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
                 if cross(sub(points[a], points[walk[i - 1]]),
                          sub(points[walk[(i + 1) % len(walk)]], points[a])) != ZERO3]
         # the offset comes from the corner the key was taken from
-        facet_rings.append((n, originals[group[0][0]], ring))
+        facet_rings.append((n, group[0][0], ring))
     return _canonical_cell(originals, points, d, facet_rings)
 
 
@@ -330,16 +325,18 @@ def map_cell(cell: Polyhedron, moved: list[Vec]) -> Polyhedron:
     off = next(i for i in range(len(points)) if i not in ring)
     step = -1 if dot(normals[0], sub(points[off], points[ring[0]])) > 0 else 1
     return _canonical_cell(moved, points, d, [
-        (smul(step, n), moved[f.ring[0]], f.ring[::step])
+        (smul(step, n), f.ring[0], f.ring[::step])
         for n, f in zip(normals, cell.facets)])
 
 
 def _canonical_cell(originals: list[Vec], points: list[Vec], d: int,
-                    facet_rings: list[tuple[Vec, Vec, Sequence[int]]]) -> Polyhedron:
+                    facet_rings: list[tuple[Vec, int, Sequence[int]]]) -> Polyhedron:
     """One canonical cell from ``points`` (``originals`` times D, on
-    ``int``) and its facets, each a primitive outward normal, the corner
-    its offset is taken from and a counterclockwise ring of point indices.
-    Apices are the caller's objects in lexicographic order."""
+    ``int``) and its facets, each a primitive outward normal, the index of
+    the corner its offset is taken from and a counterclockwise ring of point
+    indices. An offset is n . x on the scaled corner over D, of the type
+    n . x has on the caller's corner: a ``Fraction`` when one of its
+    coordinates is. Apices are the caller's objects in lexicographic order."""
     hull_indices = sorted({i for _, _, ring in facet_rings for i in ring},
                           key=lambda i: points[i])
     remap = {old: new for new, old in enumerate(hull_indices)}
@@ -349,7 +346,10 @@ def _canonical_cell(originals: list[Vec], points: list[Vec], d: int,
     for n, corner, ring in facet_rings:
         mapped = [remap[i] for i in ring]
         low = mapped.index(min(mapped))
-        facets.append(Facet(n, dot(n, corner), tuple(mapped[low:] + mapped[:low])))
+        offset = dot(n, points[corner])
+        offset = (_F(offset, d) if any(type(x) is _F for x in originals[corner])
+                  else offset // d)
+        facets.append(Facet(n, offset, tuple(mapped[low:] + mapped[:low])))
     facets.sort(key=lambda f: (f.normal, f.offset))
 
     # each ridge lies on two facets, which walk it in opposite directions
@@ -367,7 +367,7 @@ def _canonical_cell(originals: list[Vec], points: list[Vec], d: int,
 
 def clip_cell(cell: Polyhedron, n: Vec, c: Num) -> Polyhedron | None:
     """The part of ``cell`` where n . x <= c, or None when it has no volume:
-    Sutherland–Hodgman clipping (:func:`tesstopo.planar.clip_halfplane`) one
+    Sutherland–Hodgman clipping (:func:`tesstopo.planar.clip`) one
     dimension up. The apices at level n . x - c <= 0 stay, and each ridge pq
     whose ends lie strictly on opposite sides adds ``(l_p q - l_q p) /
     (l_p - l_q)`` from the levels l. Those points are the corners of the

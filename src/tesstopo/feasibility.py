@@ -21,7 +21,9 @@ the four interior rates. :func:`classify`, the staged helpers, the sampler,
 the plate-profile region and the catalog self-check all solve the same rows,
 and :func:`row_limit` solves any one of them. A staged region clips its box
 by each row, as the halfplane ``side·form <= 0`` with side -1 on a ``>`` or
-``>=`` row, in the exact kernel of :mod:`tesstopo.planar`.
+``>=`` row, in the exact kernel of :mod:`tesstopo.planar`. Each halfplane is
+first made fraction-free: ints on a rational profile, polynomials in pi^2
+otherwise, so a corner is reduced to a canonical Scalar only once, at the end.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from fractions import Fraction
 
 from .errors import InfeasibleParametersError
 from .params import TessParams
-from .planar import clean_ring, clip_halfplane
-from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar
+from .planar import clean_ring, clip, ring_of_lines, ring_of_points
+from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar, fraction_free
 
 __all__ = [
     "Bound",
@@ -214,7 +216,7 @@ def _bound(row: tuple, values: dict[str, Scalar], applies: bool = True) -> Bound
     if not applies:
         return Bound(name, rate, relation, ZERO, values[rate], False, True, False)
     limit = _limit(form, rate, values)
-    diff = (values[rate] - limit).sign()
+    diff = values[rate]._compare(limit)
     sat = {"<=": diff <= 0, "<": diff < 0, ">=": diff >= 0, ">": diff > 0}[relation]
     return Bound(name, rate, relation, limit, values[rate], True, sat, diff == 0)
 
@@ -333,11 +335,21 @@ class RegionPatch:
 
 
 def _halfplane(relation: str, form: dict[str, Scalar], axes: tuple[str, str],
-               values: dict[str, Scalar]) -> tuple[Scalar, Scalar, Scalar]:
+               values: dict[str, Scalar]) -> tuple:
     """The closure of ``form relation 0`` on the axes, the rates off them
-    fixed by values, as the halfplane ``a·x + b·y + c <= 0``."""
+    fixed by values, as the halfplane ``a·x + b·y + c <= 0`` in fraction-free
+    form: ints on a rational profile, polynomials in pi^2 otherwise."""
     a, b, c = form.get(axes[0], ZERO), form.get(axes[1], ZERO), _offset(form, values)
-    return (a, b, c) if relation[0] == "<" else (-a, -b, -c)
+    return fraction_free(a, b, c) if relation[0] == "<" else fraction_free(-a, -b, -c)
+
+
+def _clip_box(side: Scalar, lines: list) -> tuple[tuple, str]:
+    """The square [0, side]^2 clipped by the lines, cleaned, with Scalar
+    corners."""
+    box = ring_of_lines([(0, -1, 0), fraction_free(ONE, ZERO, -side),
+                         fraction_free(ZERO, ONE, -side), (-1, 0, 0)])
+    verts, kind = clean_ring(clip(box, lines))
+    return tuple((as_scalar(x), as_scalar(y)) for x, y in verts), kind
 
 
 def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -347,11 +359,10 @@ def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLi
     _, psi_cap = _rate_bounds(rows, PSI, {})
     if psi_cap < 0:
         return RegionPatch((PSI, TAU), "empty", ())
-    poly = [(ZERO, ZERO), (psi_cap, ZERO), (psi_cap, psi_cap), (ZERO, psi_cap)]
-    for _, _, relation, form in rows:  # the rows on the ridge rate alone made the box
-        if TAU in form and form.keys() <= {PSI, TAU, ""}:
-            poly = clip_halfplane(poly, *_halfplane(relation, form, (PSI, TAU), {}))
-    verts, kind = clean_ring(poly)
+    # the rows on the ridge rate alone made the box
+    verts, kind = _clip_box(psi_cap, [_halfplane(relation, form, (PSI, TAU), {})
+                                      for _, _, relation, form in rows
+                                      if TAU in form and form.keys() <= {PSI, TAU, ""}])
     return RegionPatch((PSI, TAU), kind, verts)
 
 
@@ -373,11 +384,9 @@ def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
     if not (psi_lo <= psi <= psi_hi and tau_lo <= tau <= tau_hi):
         return RegionPatch((KAPPA, XI), "empty", ())
 
-    poly = [(ZERO, ZERO), (ONE, ZERO), (ONE, ONE), (ZERO, ONE)]
-    for _, _, relation, form in rows:
-        if form.keys() & {KAPPA, XI}:
-            poly = clip_halfplane(poly, *_halfplane(relation, form, (KAPPA, XI), rates))
-    verts, kind = clean_ring(poly)
+    verts, kind = _clip_box(ONE, [_halfplane(relation, form, (KAPPA, XI), rates)
+                                  for _, _, relation, form in rows
+                                  if form.keys() & {KAPPA, XI}])
     open_edges = ("pi_edge_share_positive",) if any(not xi for _, xi in verts) else ()
     return RegionPatch((KAPPA, XI), kind, verts, open_edges)
 
@@ -440,7 +449,7 @@ def plate_profile_region(edges_per_vertex: ScalarLike,
     corner, foot = at(low, ep_floor), at(top, ep_floor)
     shoulder, peak = at(low, cap), at(top, cap)
     far = at(top, ep_max)
-    verts, kind = clean_ring([corner, foot, peak, shoulder])
+    verts, kind = clean_ring(ring_of_points([corner, foot, peak, shoulder]))
     ftf = RegionPatch((PV, EP), kind, verts, open_edges=(top,))
 
     lines = [

@@ -148,6 +148,27 @@ class DerivedSummary:
         }
 
 
+def positive_forms(params: TessParams) -> tuple[Scalar, Scalar, Scalar]:
+    """The forms behind the cell intensity, the cells-per-vertex mean and
+    the cell side intensity, checked positive in that order: otherwise a
+    :class:`DegenerateIntensityError`, and no tessellation has these values."""
+    ve, ep, pv = params.edges_per_vertex, params.plates_per_edge, params.vertices_per_plate
+    f_pv = cell_intensity_form(ve, ep, pv)
+    if f_pv.sign() <= 0:
+        raise DegenerateIntensityError(
+            "cell intensity is not positive for these parameters")
+    f_2 = cell_intensity_form(ve, ep, 2)
+    if f_2.sign() <= 0:
+        raise DegenerateIntensityError(
+            "cells-per-vertex mean is not positive for these parameters")
+    xi, kappa = params.pi_edge_share, params.hemi_vertex_share
+    sides_form = 2 * ve * ep - pv * (xi * ve - 2 * kappa)
+    if sides_form.sign() <= 0:
+        raise DegenerateIntensityError(
+            "cell side intensity is not positive for these parameters")
+    return f_pv, f_2, sides_form
+
+
 def derive(params: TessParams) -> DerivedSummary:
     """Compute the full derived description, exactly.
 
@@ -164,15 +185,7 @@ def derive(params: TessParams) -> DerivedSummary:
     tau = params.side_interior_rate
     lv = params.vertex_intensity
 
-    f_pv = cell_intensity_form(ve, ep, pv)
-    f_2 = cell_intensity_form(ve, ep, 2)
-    if f_pv.sign() <= 0:
-        raise DegenerateIntensityError(
-            "cell intensity is not positive for these parameters")
-    if f_2.sign() <= 0:
-        raise DegenerateIntensityError(
-            "cells-per-vertex mean is not positive for these parameters")
-
+    f_pv, f_2, sides_form = positive_forms(params)
     le = lv * ve / 2
     lp = lv * ve * ep / (2 * pv)
     lz = lv * f_pv / (2 * pv)
@@ -191,11 +204,6 @@ def derive(params: TessParams) -> DerivedSummary:
         ("cell", "edge"): ve * ep * pv / f_pv,
         ("cell", "plate"): 2 * ve * ep / f_pv,
     }
-
-    sides_form = 2 * ve * ep - pv * (xi * ve - 2 * kappa)
-    if sides_form.sign() <= 0:
-        raise DegenerateIntensityError(
-            "cell side intensity is not positive for these parameters")
 
     ridge_form = ve * (ep - xi) - 2 * psi
 

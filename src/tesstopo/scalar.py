@@ -25,8 +25,13 @@ Knuth, 4.5.1). As a is coprime to b and c to d, a product ac/bd cancels just
 gcd(a, d) and gcd(c, b); a quotient is the product by d/c. A sum takes
 g = gcd(b, d), and since a(d/g) + c(b/g) is then coprime to (b/g)(d/g), it
 cancels just that numerator's gcd with g. A constant side shares no factor,
-so only the integer content and the sign are left. Order reads the sign of
-a/b - c/d from (ad - cb)bd.
+so only the integer content and the sign are left. Equal sides share their
+primitive part, and a linear side divides the other exactly when the other
+vanishes at its root, so only the remaining pairs take the remainder
+sequence. Order reads the sign of a/b - c/d from (ad - cb)bd.
+:func:`fraction_free` scales values by one positive common denominator to
+ints or to :class:`Poly` values, integer polynomials in pi^2 that need no
+gcd until two are divided: the form in which the staged regions clip.
 
 Exact numbers from outside the program have two readers. Scalar text, read
 by ``Scalar.parse``, is ``A`` or ``A/B``; each side is a sum of terms ``c``,
@@ -144,9 +149,25 @@ def _lowest(n: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs]:
 
 
 def _cancel(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
-    # a and b over their primitive gcd g, and g; a constant side shares none
-    g = _pgcd(a, b) if len(a) > 1 and len(b) > 1 else (1,)
-    return (a, b, g) if g == (1,) else (_pdivexact(a, g), _pdivexact(b, g), g)
+    # a and b over their primitive gcd g, and g; a constant side shares none.
+    # Equal sides share their primitive part, and a linear side u divides the
+    # other side p exactly when p(-u0/u1) = 0, which in ints reads
+    # sum p_i (-u0)^i u1^(n-i) = 0; only other pairs take the remainder sequence
+    if len(a) == 1 or len(b) == 1:
+        return a, b, (1,)
+    if a == b or len(a) == 2 or len(b) == 2:
+        u, p = (a, b) if len(a) <= len(b) else (b, a)
+        n = len(p) - 1
+        if a != b and sum(c * (-u[0]) ** i * u[1] ** (n - i) for i, c in enumerate(p)):
+            return a, b, (1,)
+        g = _primpart(u)
+        if g[-1] < 0:
+            g = _pneg(g)
+    else:
+        g = _pgcd(a, b)
+        if g == (1,):
+            return a, b, g
+    return _pdivexact(a, g), _pdivexact(b, g), g
 
 
 def _normalize(n: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs]:
@@ -686,6 +707,68 @@ def as_scalar(x: ScalarLike) -> Scalar:
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass str, int or Fraction")
     raise TypeError(f"cannot interpret {type(x).__name__} as a scalar")
+
+
+def fraction_free(*values: Scalar) -> tuple:
+    """The values times one positive common denominator: ints when all are
+    rational, otherwise :class:`Poly` values with the integer content
+    divided out. The denominator's sign is read once."""
+    if all(v.is_rational for v in values):
+        m = math.lcm(*(v._den[0] for v in values))
+        return tuple(v._num[0] * (m // v._den[0]) for v in values)
+    dens = list(dict.fromkeys(v._den for v in values))
+    sides = []
+    for v in values:
+        side = v._num
+        for d in dens:
+            if d != v._den:
+                side = _pmul(side, d)
+        sides.append(side)
+    g = math.gcd(*(x for s in sides for x in s)) * _product_sign(*dens)
+    return tuple(Poly(tuple([x // g for x in s])) for s in sides)
+
+
+class Poly:
+    """An integer polynomial in pi^2, for fraction-free work: it adds,
+    subtracts and multiplies with ints and with other polynomials without a
+    gcd, orders exactly, and a quotient of two is their canonical Scalar."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: Coeffs):
+        self.c = c
+
+    def __add__(self, o):
+        return Poly(_padd(self.c, o.c if type(o) is Poly else (o,)))
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return Poly(_padd(self.c, _pneg(o.c if type(o) is Poly else (o,))))
+
+    def __rsub__(self, o):
+        return Poly(_padd((o,), _pneg(self.c)))
+
+    def __mul__(self, o):
+        return Poly(_pmul(self.c, o.c if type(o) is Poly else (o,)))
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return self.c != (0,)
+
+    def __eq__(self, o):
+        return self.c == (o.c if type(o) is Poly else (o,))
+
+    def __gt__(self, o) -> bool:
+        d = self - o
+        return bool(d) and _product_sign(d.c) > 0
+
+    def __truediv__(self, o) -> Scalar:
+        return Scalar._raw(self.c, o.c if type(o) is Poly else (o,))
+
+    def __rtruediv__(self, o) -> Scalar:
+        return Scalar._raw((o,), self.c)
 
 
 PI2 = Scalar((0, 1))

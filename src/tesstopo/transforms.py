@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import MixtureShareError, PlanarParameterError
-from .params import TessParams, derive
+from .params import TessParams, positive_forms
 from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar
 
 __all__ = [
@@ -220,7 +220,7 @@ def central_point(params: TessParams) -> TessParams:
     every count below is exact bookkeeping over the old parameters. The
     new vertex intensity is the old one plus the cell intensity.
     """
-    s = derive(params)  # validates that the input has positive intensities
+    f_pv, _, _ = positive_forms(params)
     ve, ep, pv = params.edges_per_vertex, params.plates_per_edge, params.vertices_per_plate
     xi, kappa = params.pi_edge_share, params.hemi_vertex_share
     psi, tau = params.ridge_interior_rate, params.side_interior_rate
@@ -238,7 +238,7 @@ def central_point(params: TessParams) -> TessParams:
         hemi_vertex_share=2 * pv * kappa / spread,
         ridge_interior_rate=4 * pv * psi / spread,
         side_interior_rate=2 * pv * (tau + psi) / spread,
-        vertex_intensity=params.vertex_intensity + s.intensities["cells"],
+        vertex_intensity=params.vertex_intensity + params.vertex_intensity * f_pv / (2 * pv),
     )
 
 

@@ -4,8 +4,9 @@ Each command below is run in-process and the SHA-256 of its stdout is
 compared with a pinned digest, so any change to what a document holds, the
 order of its keys, or how it is rendered shows up here. The argv list covers
 every subcommand, both output formats, a pi^2 entry, ``measure --validate``,
-all three region types (the two staged ones also on sampled profiles), a
-longer general-branch sample, a three-component mixture, and the bounds
+all three region types (the two staged ones also on sampled profiles and on
+pi^2 profiles, one of whose share regions is a point), a longer
+general-branch sample, a three-component mixture, and the bounds
 that do not apply (two edges per vertex; the high-regime floor below the
 plate cap; the plate-profile region at four edges per vertex, which has no
 crossover line).
@@ -78,6 +79,13 @@ COMMANDS = {
     "check-below-cap": ["check", "ve=6", "ep=7/2", "pv=4", "xi=1/4", "kappa=0",
                         "psi=1", "tau=1/2"],
     "region-pv-ep-degenerate": ["region", "--type", "pv-ep", "--ve", "4"],
+    # staged regions on pi^2 profiles; ex08's share region is one point
+    "region-psi-tau-pi2": ["region", "--type", "psi-tau", "--catalog",
+                           "ex08_divided_delaunay"],
+    "region-kappa-xi-pi2": ["region", "--type", "kappa-xi", "--catalog",
+                            "ex13a_weighted_mixture"],
+    "region-kappa-xi-pi2-point": ["region", "--type", "kappa-xi", "--catalog",
+                                  "ex08_divided_delaunay"],
 }
 
 DIGESTS = {
@@ -94,9 +102,12 @@ DIGESTS = {
     "derive-rational": "41e52f24756fbe5b7510cea307176f6661b5e1f1a7620932ff3846e4a1bbed6b",
     "measure-csv": "108eec7991c8bac5628905bdc4c4d45a0c63b44fcb73947350db39da5c51cf81",
     "measure-validate": "9955c289678c237ddd4addccca5efeaefe57cd9393c9e8236eda714f1639afeb",
+    "region-kappa-xi-pi2": "80df6d3298f4b8e9aa6f79911710f0c6fc1d7362cd6e2ca46033789196d426fd",
+    "region-kappa-xi-pi2-point": "4d6b7f8cb12a8354959a18c565d7ecd8eb0892c2e63117fa2501d96b7accb1c8",
     "region-kappa-xi-csv": "5dfc0dfd65c4994d47af3cd6285ae23bb842dea71c7e6056b3a413771f01396e",
     "region-kappa-xi-sampled": "7081eff71e07c3d0d42399a07a9e5575d35f3fa766a672c368b8d18bb41f81fe",
     "region-psi-tau": "9c61ca14a0dae139a8460e77169fac5b78e0e85513a4231cfc8076cab8cce91a",
+    "region-psi-tau-pi2": "346c5e0a35ed5bd9f8e21a796b26a2b2c8660b06924f30b1f421d4ef0c9425e5",
     "region-psi-tau-sampled": "3c5d425d3e393befaae5a0794ac8253b82133de61d38a2d09a92071517c86a0b",
     "region-pv-ep": "f415c477b341ae0b47219a9e443b06cf8e5c160d469c2dc40fe77cd810749949",
     "region-pv-ep-degenerate": "f8ab8a667fea69926783023658c4b9c7c23cd8fd3606eb1e70893bd68ade418c",

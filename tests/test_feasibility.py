@@ -17,7 +17,9 @@ from tesstopo.feasibility import (
     side_rate_interval,
 )
 from tesstopo.params import TessParams
-from tesstopo.scalar import Scalar
+from tesstopo import feasibility
+from tesstopo.catalog import get
+from tesstopo.scalar import Poly, Scalar
 
 
 def S(x):
@@ -289,3 +291,25 @@ def test_staged_regions_agree_with_classify():
             if xi > 0:
                 corner = p.with_values(hemi_vertex_share=kappa, pi_edge_share=xi)
                 assert classify(corner).feasible, (p, kappa, xi)
+
+
+def test_staged_regions_clip_on_ints_or_pi2_polynomials(monkeypatch):
+    # a rational profile clips on int alone; a pi^2 profile on ints and
+    # integer polynomials in pi^2, never on canonical Scalars
+    seen = []
+    clip = feasibility.clip
+    monkeypatch.setattr(feasibility, "clip",
+                        lambda ring, lines: seen.append((ring, lines)) or clip(ring, lines))
+
+    def numbers():
+        out = {type(x) for ring, lines in seen
+               for line in [*lines, *(corner[3] for corner in ring)] for x in line}
+        seen.clear()
+        return out
+
+    for entry, types in (("ex04_stit", {int}), ("ex13a_weighted_mixture", {int, Poly})):
+        p = get(entry).to_params()
+        ve, ep, pv = p.edges_per_vertex, p.plates_per_edge, p.vertices_per_plate
+        interior_rate_region(ve, ep, pv)
+        hemi_pi_region(ve, ep, pv, p.ridge_interior_rate, p.side_interior_rate)
+        assert numbers() == types

@@ -7,10 +7,10 @@ from itertools import combinations
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tesstopo.errors import NonConvexCellError
-from tesstopo.scalar import PI2, Scalar
+from tesstopo.scalar import PI2, Scalar, fraction_free
 from tesstopo.complexes import GENERATORS, generate
 from tesstopo.complexes.geometry import (
     Facet,
@@ -36,7 +36,7 @@ from tesstopo.complexes.geometry import (
     sub,
     ZERO3,
 )
-from tesstopo.planar import clean_ring, clip_halfplane, cross2, exact_div
+from tesstopo.planar import clean_ring, clip, cross2, exact_div, ring_of_lines, ring_of_points
 
 from plane_solver import solve3
 
@@ -195,13 +195,24 @@ def _left_of(a, b):
     return b[1] - a[1], a[0] - b[0], (b[0] - a[0]) * a[1] - (b[1] - a[1]) * a[0]
 
 
+def _kernel_clip(points, *lines):
+    """The kernel's clip of an affine counterclockwise ring, cleaned."""
+    return clean_ring(clip(ring_of_points(points), lines))
+
+
+def _corners(ring):
+    """The affine points of a kernel ring, before any cleanup."""
+    return [p if p is not None else (exact_div(x, w), exact_div(y, w))
+            for x, y, w, _, p in ring]
+
+
 def test_clip_keep_left_stays_exact_on_int_input():
     square = [(0, 0), (3, 0), (3, 3), (0, 3)]
-    ring = clip_halfplane(square, *_left_of((2, 3), (1, 0)))
-    assert ring == [(1, 0), (3, 0), (3, 3), (2, 3)]
+    ring, kind = _kernel_clip(square, _left_of((2, 3), (1, 0)))
+    assert kind == "region" and ring == ((1, 0), (3, 0), (3, 3), (2, 3))
     assert all(type(x) is int for p in ring for x in p)
-    half = clip_halfplane(square, *_left_of((0, 1), (2, 2)))  # crosses x = 3 at y = 5/2
-    assert half == [(3, F(5, 2)), (3, 3), (0, 3), (0, 1)]
+    half, _ = _kernel_clip(square, _left_of((0, 1), (2, 2)))  # crosses x = 3 at y = 5/2
+    assert half == ((3, F(5, 2)), (3, 3), (0, 3), (0, 1))
     assert type(half[0][1]) is F and type(half[0][0]) is int
 
 
@@ -301,10 +312,12 @@ def test_planar_clipping_on_scaled_ints_is_scaled(tri_p, tri_q, line):
     cut = convex_intersection2(p_int, q_int)
     assert _exact(cut)
     assert cut == _times(convex_intersection2(p_ring, q_ring), d)
-    clipped = clip_halfplane(p_int, *_left_of(*_scaled(line, d)))
+    clipped, kind = _kernel_clip(p_int, _left_of(*_scaled(line, d)))
     assert _exact(clipped)
-    assert clipped == _times(clip_halfplane(p_ring, *_left_of(*line)), d)
-    assert clipped == _reference_clip_keep_left(p_int, *_scaled(line, d))
+    want, want_kind = _kernel_clip(p_ring, _left_of(*line))
+    assert (clipped, kind) == (_times(want, d), want_kind)
+    assert (clipped, kind) == _affine_clean_ring(
+        _reference_clip_keep_left(p_int, *_scaled(line, d)))
     assert cut == _reference_convex_intersection2(p_int, q_int)
     area = signed_area2(p_int)
     assert _exact([area]) and area == signed_area2(p_ring) * d * d
@@ -751,7 +764,152 @@ def test_fraction_halfspaces_build_the_cell_of_their_int_rows():
 # of complexes/geometry.py on int and Fraction, clipping by a directed line,
 # and the staged-region clipper of feasibility.py on Scalar, clipping by a
 # linear form. Both are kept here as references, with the restart loops that
-# the one-pass cleanups replaced.
+# the one-pass cleanups replaced. Then tesstopo.planar clipped in affine
+# coordinates, one division per crossing; that clip and its cleanup are the
+# reference of the homogeneous kernel.
+
+def _affine_clip(ring, a, b, c):
+    """The part of a convex ring where ``a·x + b·y + c <= 0``. A side that
+    crosses the line strictly adds ``(l_p q - l_q p) / (l_p - l_q)`` from the
+    levels l; a corner on the line is kept once and adds no crossing."""
+    level = [a * x + b * y + c for x, y in ring]
+    sign = [0 if not v else 1 if v > 0 else -1 for v in level]
+    out = []
+    n = len(ring)
+    for i in range(n):
+        k = i + 1 if i + 1 < n else 0
+        if sign[i] <= 0:
+            out.append(ring[i])
+        if sign[i] * sign[k] < 0:
+            (px, py), (qx, qy), lp, lq = ring[i], ring[k], level[i], level[k]
+            den = lp - lq
+            out.append((exact_div(lp * qx - lq * px, den), exact_div(lp * qy - lq * py, den)))
+    return out
+
+
+def _affine_clean_ring(ring):
+    """The affine cleanup: repeats, then points inside a side, dropped."""
+    pts = []
+    for p in ring:
+        if not pts or p != pts[-1]:
+            pts.append(p)
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    if not pts:
+        return (), "empty"
+    base = pts[0]
+    ref = next((p for p in pts if p != base), None)
+    if ref is None:
+        return (base,), "point"
+    if all(not cross2(base, ref, p) for p in pts):
+        return (min(pts), max(pts)), "segment"
+    n = len(pts)
+    return tuple(p for i, p in enumerate(pts)
+                 if cross2(pts[i - 1], p, pts[(i + 1) % n])), "region"
+
+
+_ROW_KINDS = ("free", "corner", "side", "support", "repeat")
+_K = PI2 - 10  # negative at pi^2
+
+
+def _side_line(p, q):
+    """The line of side pq of a counterclockwise ring, positive outside."""
+    return q[1] - p[1], p[0] - q[0], q[0] * p[1] - q[1] * p[0]
+
+
+# module-level strategies: one built per draw would be validated per draw
+_TWELFTHS = st.integers(-36, 36).map(lambda k: F(k, 12))  # in [-3, 3]
+_KERNEL_RING = st.lists(st.tuples(_TWELFTHS, _TWELFTHS), min_size=3, max_size=7)
+_NORMAL = st.tuples(_TWELFTHS, _TWELFTHS).filter(any)
+_SCALE = st.sampled_from([F(s * k, 5) for s in (1, -1) for k in range(1, 6)])
+_FIRST_KIND, _LATER_KIND = st.sampled_from(_ROW_KINDS[:4]), st.sampled_from(_ROW_KINDS)
+_INDEX = st.integers(0, 41)
+_NUMBER = st.sampled_from(("int", "fraction", "rational", "pi2"))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A strictly convex counterclockwise Fraction ring and one to four rows
+    a·x + b·y + c <= 0: free; through a corner; along a side, either way;
+    a supporting line at a corner that keeps only that corner; or an
+    earlier row times a rational of either sign, so two rows lie on one
+    line."""
+    ring = _convex_corners(draw(_KERNEL_RING))
+    assume(len(ring) >= 3)
+    rows, kinds = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(_LATER_KIND if rows else _FIRST_KIND)
+        i = draw(_INDEX) % len(ring)
+        v, w = ring[i], ring[i + 1 - len(ring)]
+        if kind == "free":
+            row = (*draw(_NORMAL), draw(_TWELFTHS))
+        elif kind == "corner":
+            a, b = draw(_NORMAL)
+            row = (a, b, -(a * v[0] + b * v[1]))
+        elif kind == "side":
+            row = tuple(draw(_SCALE) * x for x in _side_line(v, w))
+        elif kind == "support":  # the outward normals of both sides at v, summed
+            (a0, b0, _), (a1, b1, _) = _side_line(ring[i - 1], v), _side_line(v, w)
+            n = (a0 + a1, b0 + b1)
+            row = (-n[0], -n[1], n[0] * v[0] + n[1] * v[1])
+        else:
+            row = tuple(draw(_SCALE) * x for x in rows[draw(_INDEX) % len(rows)])
+        rows.append(row)
+        kinds.append(kind)
+    return ring, rows, kinds, draw(_NUMBER)
+
+
+def _in_numbers(number, ring, rows):
+    """The ring and rows on ints (times the lcm of every denominator),
+    as they are on Fractions, on rational Scalars, or mapped by
+    (x, y) -> (k x, k (y + pi^2 x)) with k = pi^2 - 10 < 0, a half turn with
+    a shear, which keeps orientation and every level, and gives the rows the
+    coefficient 1/(pi^2 - 10), whose denominator is negative at pi^2."""
+    if number == "int":
+        d = _common_scale(ring, rows)
+        return _scaled(ring, d), [_scaled((a, b, c * d), d) for a, b, c in rows]
+    if number == "fraction":
+        return ring, rows
+    if number == "rational":
+        return ([(Scalar(x), Scalar(y)) for x, y in ring],
+                [tuple(map(Scalar, row)) for row in rows])
+    return ([(_K * x, _K * (y + PI2 * x)) for x, y in ring],
+            [((a - b * PI2) / _K, b / _K, Scalar(c)) for a, b, c in rows])
+
+
+def test_clip_matches_the_affine_reference():
+    reached = set()
+    square = [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_cases(), st.booleans())
+    @example(case=(square, [(F(0), F(1), F(0))], ["side"], "pi2"), from_lines=True)  # segment
+    @example(case=(square, [(F(1), F(1), F(0))], ["support"], "int"), from_lines=False)  # point
+    @example(case=(square, [(F(1), F(0), F(5))], ["free"], "fraction"), from_lines=False)  # empty
+    def check(case, from_lines):
+        ring, rows, kinds, number = case
+        points, rows = _in_numbers(number, ring, rows)
+        want = points
+        for row in rows:
+            want = _affine_clip(want, *row)
+        want = _affine_clean_ring(want)
+        if number in ("int", "fraction"):
+            got = _kernel_clip(points, *rows)
+            assert got == want
+            # kept corners are the given objects, crossings exact_div quotients
+            assert [type(x) for p in got[0] for x in p] == [type(x) for p in want[0] for x in p]
+        elif from_lines:  # as the staged regions run it, on fraction-free lines
+            start = ring_of_lines([fraction_free(*_side_line(p, q))
+                                   for p, q in zip(points, points[1:] + points[:1])])
+            got = clean_ring(clip(start, [fraction_free(*row) for row in rows]))
+            assert got == want
+        else:
+            assert _kernel_clip(points, *rows) == want
+        reached.update(kinds)
+        reached.add(want[1])
+
+    check()
+    assert reached == {*_ROW_KINDS, "empty", "point", "segment", "region"}
 
 def _reference_clip_keep_left(ring, a, b):
     """The plate clipper: keep the left of the directed line ab."""
@@ -938,7 +1096,7 @@ def _convex_rings(draw):
 @given(_convex_rings())
 def test_clean_ring_matches_the_restart_loop(case):
     ring, area = case
-    (got, kind), want = clean_ring(ring), _reference_clean_ring2(ring)
+    (got, kind), want = clean_ring(ring_of_points(ring)), _reference_clean_ring2(ring)
     if area:
         assert kind == "region" and list(got) == want == _one_pass_clean_ring2(ring)
     else:
@@ -952,7 +1110,7 @@ def test_polish_matches_the_restart_loop(case, sheared):
     # a shear by pi^2 keeps convexity and collinearity, and puts the turn
     # signs on the interval sign test
     pts = [(Scalar(x), Scalar(y) + (PI2 * x if sheared else 0)) for x, y in ring]
-    assert clean_ring(pts) == _reference_polish(pts) == _one_pass_polish(pts)
+    assert clean_ring(ring_of_points(pts)) == _reference_polish(pts) == _one_pass_polish(pts)
 
 
 @st.composite
@@ -979,12 +1137,13 @@ def test_clip_commutes_with_a_pi2_shear(case):
 
     sheared = [shear(p) for p in ring]
     form = (Scalar(a) - b * PI2, Scalar(b), Scalar(c))  # the same halfplane, sheared
-    want = clip_halfplane(ring, a, b, c)
-    got = clip_halfplane(sheared, *form)
+    want = _corners(clip(ring_of_points(ring), [(a, b, c)]))
+    clipped = clip(ring_of_points(sheared), [form])
+    got = _corners(clipped)
     assert got == [shear(p) for p in want]
     # a strictly convex ring clips to points without repeats, so a corner
     # on the line is kept once
     assert len(set(got)) == len(got)
     if on is not None:
         assert got.count(sheared[on]) == 1
-    assert clean_ring(got) == _one_pass_polish(_reference_clip(sheared, *form))
+    assert clean_ring(clipped) == _one_pass_polish(_reference_clip(sheared, *form))

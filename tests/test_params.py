@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tesstopo.errors import (DegenerateIntensityError, ParameterDomainError,
                              PlanarParameterError, UsageError)
@@ -15,7 +15,7 @@ from tesstopo.params import (
     is_consistent,
 )
 from tesstopo.scalar import PI2, Scalar
-from tesstopo.transforms import PlanarParams
+from tesstopo.transforms import PlanarParams, central_point
 
 
 CUBIC = TessParams.create(6, 4, 4)
@@ -172,3 +172,23 @@ def test_intensity_scaling_is_linear(p):
     for k, v in s1.intensities.items():
         assert s3.intensities[k] == 3 * v
     assert s3.mean_adjacencies == s1.mean_adjacencies
+
+
+@given(valid_params())
+@example(TessParams.create(6, 4, 12))  # cell intensity not positive
+@example(TessParams.create(3, 3, 8, 1))  # cell side intensity not positive
+def test_central_point_checks_what_derive_checks(p):
+    # the same error, message and order; otherwise the new vertex intensity
+    # is the old one plus derive's cell intensity
+    try:
+        cells = derive(p).intensities["cells"]
+    except DegenerateIntensityError as e:
+        with pytest.raises(DegenerateIntensityError) as got:
+            central_point(p)
+        assert str(got.value) == str(e)
+        return
+    try:
+        coned = central_point(p)
+    except (ParameterDomainError, ZeroDivisionError):
+        return
+    assert coned.vertex_intensity == p.vertex_intensity + cells

@@ -454,7 +454,69 @@ def test_operations_beside_a_constant_denominator_take_no_polynomial_gcd(monkeyp
     assert [p + q, p - q] == expected[:2]
     assert calls == []
     assert pv + w == expected[2]
-    assert calls  # the counter sees a gcd of two pi^2 denominators
+    assert calls == []  # equal linear denominators share their factor without one
+    u, v = 1 / (1 + PI2 ** 2), 1 / (2 + PI2 ** 2)
+    assert u + v == Scalar.parse("(3+2*pi^4)/(2+3*pi^4+pi^8)")
+    assert calls  # the counter sees a gcd of two coprime quadratic pi^2 denominators
+
+
+# ---- the gcd shortcuts of _cancel against the remainder sequence ----
+
+def _cancel_by_pgcd(a, b):
+    """_cancel by the primitive remainder sequence on every pair of
+    nonconstant sides, as before its shortcuts."""
+    g = scalar._pgcd(a, b) if len(a) > 1 and len(b) > 1 else (1,)
+    return (a, b, g) if g == (1,) else (scalar._pdivexact(a, g), scalar._pdivexact(b, g), g)
+
+
+linear_factors = st.tuples(st.integers(-3, 3), st.integers(-3, 3).filter(bool))
+
+
+@st.composite
+def cancel_pairs(draw):
+    """Two sides, each a signed content of 1 to 6 times factors from one
+    small pool (leading coefficients of either sign); besides sides from two
+    pools, sides with a common factor, equal sides, and a linear side beside a
+    multiple of it or not."""
+    pool = draw(st.lists(factors, min_size=1, max_size=3))
+
+    def side(first=(), factors_from=pool):
+        p = _pmul((draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1))),), first or (1,))
+        for f in draw(st.lists(st.sampled_from(factors_from), max_size=3)):
+            p = _pmul(p, f)
+        return p
+
+    kind = draw(st.sampled_from(["free", "common", "equal", "linear"]))
+    if kind == "common":
+        f = draw(st.sampled_from(pool))
+        return side(f), side(f)
+    a = side()
+    if kind == "equal":
+        return a, a
+    if kind == "linear":
+        line = draw(linear_factors)
+        a = _pmul((draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1))),), line)
+        b = side(line if draw(st.booleans()) else ())
+        return (a, b) if draw(st.booleans()) else (b, a)
+    return a, side(factors_from=draw(st.lists(factors, min_size=1, max_size=3)))
+
+
+def test_cancel_matches_the_remainder_sequence():
+    reached = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(cancel_pairs())
+    def check(pair):
+        a, b = pair
+        want = _cancel_by_pgcd(a, b)
+        assert scalar._cancel(a, b) == want
+        if len(a) > 1 and len(b) > 1:
+            linear = 2 in (len(a), len(b))
+            shares = "shares" if len(want[2]) > 1 else "coprime"
+            reached.add("equal" if a == b else f"linear {shares}" if linear else f"pgcd {shares}")
+
+    check()
+    assert reached == {"equal", "linear shares", "linear coprime", "pgcd shares", "pgcd coprime"}
 
 
 # ---- differential checks of the integer sign against mpmath intervals ----

@@ -24,6 +24,8 @@ by each row, as the halfplane ``side·form <= 0`` with side -1 on a ``>`` or
 ``>=`` row, in the exact kernel of :mod:`tesstopo.planar`. Each halfplane is
 first made fraction-free: ints on a rational profile, polynomials in pi^2
 otherwise, so a corner is reduced to a canonical Scalar only once, at the end.
+The (ridge rate, side rate) polygon is clipped once per plate profile, and the
+ridge interval that the staged helpers and the sampler read is its ridge extent.
 """
 
 from __future__ import annotations
@@ -181,18 +183,6 @@ def _rate_bounds(rows, rate: str, values: dict[str, Scalar]) -> tuple[Scalar, Sc
     return max(floors), min(ceilings)
 
 
-def _ridge_bounds(rows) -> tuple[Scalar, Scalar]:
-    """Ridge rates that leave some side rate: the rows on the ridge rate
-    alone, and ``ceiling - floor <= 0`` for each floor (0 included) and
-    ceiling row on the two rates (each has side-rate coefficient 1). Where
-    the ridge terms cancel, the cyclic rows ensure the difference holds."""
-    sides = [(rel[0], form) for _, rate, rel, form in rows
-             if rate == TAU and form.keys() <= {TAU, PSI, ""}] + [(">", {TAU: ONE})]
-    pairs = [("", PSI, "<=", {k: c.get(k, ZERO) - f.get(k, ZERO) for k in (PSI, "")})
-             for f_rel, f in sides if f_rel == ">" for c_rel, c in sides if c_rel == "<"]
-    return _rate_bounds([*rows, *(row for row in pairs if row[3][PSI])], PSI, {})
-
-
 @dataclass(frozen=True)
 class Bound:
     """One evaluated inequality of the feasibility system."""
@@ -284,43 +274,6 @@ def classify(params: TessParams) -> FeasibilityReport:
 # ---- staged regions ----
 
 
-def _staged_rows(*profile: ScalarLike) -> tuple:
-    """The interior rows of a plate profile that passes the cyclic rows."""
-    ve, ep, pv = map(as_scalar, profile)
-    bad = [b.name for b in _cyclic_bounds(ve, ep, pv, "general") if not b.satisfied]
-    if bad:
-        raise InfeasibleParametersError(
-            f"plate profile is infeasible for the general branch: {', '.join(bad)}")
-    return _interior_rows(ve, ep, pv)
-
-
-def ridge_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
-                        vertices_per_plate: ScalarLike) -> tuple[Scalar, Scalar]:
-    """Ridge rates compatible with the side-rate constraints for this
-    plate profile. Raises when the cyclic part is already infeasible."""
-    lo, hi = _ridge_bounds(_staged_rows(edges_per_vertex, plates_per_edge,
-                                        vertices_per_plate))
-    if lo > hi:
-        raise InfeasibleParametersError("empty ridge rate interval")
-    return lo, hi
-
-
-def side_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
-                       vertices_per_plate: ScalarLike,
-                       ridge_interior_rate: ScalarLike) -> tuple[Scalar, Scalar]:
-    """Side rates compatible with the given ridge rate."""
-    profile = tuple(map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate)))
-    psi = as_scalar(ridge_interior_rate)
-    lo_psi, hi_psi = ridge_rate_interval(*profile)
-    if psi < lo_psi or psi > hi_psi:
-        raise InfeasibleParametersError(
-            f"ridge rate outside its feasible interval [{lo_psi}, {hi_psi}]")
-    lo, hi = _rate_bounds(_interior_rows(*profile), TAU, {PSI: psi})
-    if lo > hi:
-        raise InfeasibleParametersError("empty side rate interval")
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class RegionPatch:
     """A 2d region: empty, a point, a segment, or a convex polygon."""
@@ -352,10 +305,15 @@ def _clip_box(side: Scalar, lines: list) -> tuple[tuple, str]:
     return tuple((as_scalar(x), as_scalar(y)) for x, y in verts), kind
 
 
-def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
-                         vertices_per_plate: ScalarLike) -> RegionPatch:
-    """The (ridge rate, side rate) region for one plate profile."""
-    rows = _staged_rows(edges_per_vertex, plates_per_edge, vertices_per_plate)
+@functools.lru_cache(maxsize=8)  # every staged call on a profile reads it
+def _rate_region(ve: Scalar, ep: Scalar, pv: Scalar) -> RegionPatch:
+    """The (ridge rate, side rate) polygon of a plate profile that passes the
+    cyclic rows."""
+    bad = [b.name for b in _cyclic_bounds(ve, ep, pv, "general") if not b.satisfied]
+    if bad:
+        raise InfeasibleParametersError(
+            f"plate profile is infeasible for the general branch: {', '.join(bad)}")
+    rows = _interior_rows(ve, ep, pv)
     _, psi_cap = _rate_bounds(rows, PSI, {})
     if psi_cap < 0:
         return RegionPatch((PSI, TAU), "empty", ())
@@ -364,6 +322,47 @@ def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLi
                                       for _, _, relation, form in rows
                                       if TAU in form and form.keys() <= {PSI, TAU, ""}])
     return RegionPatch((PSI, TAU), kind, verts)
+
+
+def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
+                         vertices_per_plate: ScalarLike) -> RegionPatch:
+    """The (ridge rate, side rate) region for one plate profile."""
+    return _rate_region(*map(as_scalar, (edges_per_vertex, plates_per_edge,
+                                         vertices_per_plate)))
+
+
+def _ridge_extent(*profile: Scalar) -> tuple[Scalar, Scalar] | None:
+    """The least and greatest ridge rate of the profile's (ridge rate, side
+    rate) polygon, or None when it is empty."""
+    ridges = [psi for psi, _ in _rate_region(*profile).vertices]
+    return (min(ridges), max(ridges)) if ridges else None
+
+
+def ridge_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
+                        vertices_per_plate: ScalarLike) -> tuple[Scalar, Scalar]:
+    """Ridge rates compatible with the side-rate constraints for this plate
+    profile: the ridge extent of its (ridge rate, side rate) polygon, which is
+    clipped once per profile. Raises when the cyclic part is already infeasible."""
+    extent = _ridge_extent(*map(as_scalar, (edges_per_vertex, plates_per_edge,
+                                            vertices_per_plate)))
+    if extent is None:
+        raise InfeasibleParametersError("empty ridge rate interval")
+    return extent
+
+
+def side_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
+                       vertices_per_plate: ScalarLike,
+                       ridge_interior_rate: ScalarLike) -> tuple[Scalar, Scalar]:
+    """Side rates compatible with the given ridge rate. The ridge rate must lie
+    in the profile's ridge interval, the extent of the same cached polygon, so
+    some side rate is left."""
+    profile = tuple(map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate)))
+    psi = as_scalar(ridge_interior_rate)
+    lo_psi, hi_psi = ridge_rate_interval(*profile)
+    if psi < lo_psi or psi > hi_psi:
+        raise InfeasibleParametersError(
+            f"ridge rate outside its feasible interval [{lo_psi}, {hi_psi}]")
+    return _rate_bounds(_interior_rows(*profile), TAU, {PSI: psi})
 
 
 def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -375,13 +374,14 @@ def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
     vertices describe the closure; points with zero pi share are excluded
     from the true region, which ``open_edges`` records.
     """
-    rows = _staged_rows(edges_per_vertex, plates_per_edge, vertices_per_plate)
+    profile = tuple(map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate)))
+    extent = _ridge_extent(*profile)  # raises when the cyclic part is infeasible
+    rows = _interior_rows(*profile)
     psi, tau = as_scalar(ridge_interior_rate), as_scalar(side_interior_rate)
     rates = {PSI: psi, TAU: tau}
-    # the rows on the rates alone, which no choice of shares can repair
-    psi_lo, psi_hi = _rate_bounds(rows, PSI, {})
+    # (psi, tau) must lie in the rate polygon, which no choice of shares can repair
     tau_lo, tau_hi = _rate_bounds(rows, TAU, {PSI: psi})
-    if not (psi_lo <= psi <= psi_hi and tau_lo <= tau <= tau_hi):
+    if not (extent and extent[0] <= psi <= extent[1] and tau_lo <= tau <= tau_hi):
         return RegionPatch((KAPPA, XI), "empty", ())
 
     verts, kind = _clip_box(ONE, [_halfplane(relation, form, (KAPPA, XI), rates)
@@ -495,16 +495,13 @@ def _sample_once(rng: random.Random, face_to_face: bool) -> TessParams | None:
     if pv <= pv_lo and ep >= cap:
         return None
 
+    extent = _ridge_extent(ve, ep, pv)
+    if extent is None:
+        return None
+    psi = _rand_between(rng, *extent)
+    # a ridge rate in the extent leaves some side rate
     rows = _interior_rows(ve, ep, pv)
-    psi_lo, psi_hi = _ridge_bounds(rows)
-    if psi_lo > psi_hi:
-        return None
-    psi = _rand_between(rng, psi_lo, psi_hi)
-
-    tau_lo, tau_hi = _rate_bounds(rows, TAU, {PSI: psi})
-    if tau_lo > tau_hi:
-        return None
-    tau = _rand_between(rng, tau_lo, tau_hi)
+    tau = _rand_between(rng, *_rate_bounds(rows, TAU, {PSI: psi}))
 
     # the hemi share must leave room for a pi share of at most 1
     _, k_cap = _rate_bounds(rows, KAPPA, {PSI: psi, TAU: tau, XI: ONE})

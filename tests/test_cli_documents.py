@@ -5,7 +5,8 @@ compared with a pinned digest, so any change to what a document holds, the
 order of its keys, or how it is rendered shows up here. The argv list covers
 every subcommand, both output formats, a pi^2 entry, ``measure --validate``,
 all three region types (the two staged ones also on sampled profiles and on
-pi^2 profiles, one of whose share regions is a point), a longer
+pi^2 profiles, one of whose share regions is a point, and a rate region that
+is a segment), a longer
 general-branch sample, a three-component mixture, and the bounds
 that do not apply (two edges per vertex; the high-regime floor below the
 plate cap; the plate-profile region at four edges per vertex, which has no
@@ -66,6 +67,8 @@ COMMANDS = {
     "sample-longer": ["sample", "--count", "25", "--seed", "11"],
     "region-psi-tau-sampled": ["region", "--type", "psi-tau", "ve=1195/256",
                                "ep=4099863/1223680", "pv=623205597/179044352"],
+    # a rate region that is a segment: the plate-corner ceiling is tau <= 0
+    "region-psi-tau-segment": ["region", "--type", "psi-tau", "ve=9/2", "ep=3", "pv=3"],
     # a sampled profile whose share polygon has six corners
     "region-kappa-xi-sampled": ["region", "--type", "kappa-xi", "ve=505/64",
                                 "ep=2083953/517120", "pv=721657179/197656576",
@@ -109,6 +112,7 @@ DIGESTS = {
     "region-psi-tau": "9c61ca14a0dae139a8460e77169fac5b78e0e85513a4231cfc8076cab8cce91a",
     "region-psi-tau-pi2": "346c5e0a35ed5bd9f8e21a796b26a2b2c8660b06924f30b1f421d4ef0c9425e5",
     "region-psi-tau-sampled": "3c5d425d3e393befaae5a0794ac8253b82133de61d38a2d09a92071517c86a0b",
+    "region-psi-tau-segment": "e16fa0c3e72865498b3d5b98266ab65fc4200fdda048c6e941b2d5bcd249366a",
     "region-pv-ep": "f415c477b341ae0b47219a9e443b06cf8e5c160d469c2dc40fe77cd810749949",
     "region-pv-ep-degenerate": "f8ab8a667fea69926783023658c4b9c7c23cd8fd3606eb1e70893bd68ade418c",
     "region-pv-ep-csv": "e02fc1a505fabc14113a72c58023bb6509f039f62fa274f69dd1fc4c3dc11ce0",

@@ -20,6 +20,7 @@ from tesstopo.params import TessParams
 from tesstopo import feasibility
 from tesstopo.catalog import get
 from tesstopo.scalar import Poly, Scalar
+from tesstopo.transforms import mixture
 
 
 def S(x):
@@ -274,23 +275,51 @@ def test_report_json_shape():
                for b in j["bounds"])
 
 
+def _ridge_bounds(rows):
+    """Ridge rates that leave some side rate: the rows on the ridge rate
+    alone, and ``ceiling - floor <= 0`` for each floor (0 included) and
+    ceiling row on the two rates (each has side-rate coefficient 1). Where
+    the ridge terms cancel, the cyclic rows ensure the difference holds."""
+    TAU, PSI, ONE, ZERO = feasibility.TAU, feasibility.PSI, Scalar(1), Scalar(0)
+    sides = [(rel[0], form) for _, rate, rel, form in rows
+             if rate == TAU and form.keys() <= {TAU, PSI, ""}] + [(">", {TAU: ONE})]
+    pairs = [("", PSI, "<=", {k: c.get(k, ZERO) - f.get(k, ZERO) for k in (PSI, "")})
+             for f_rel, f in sides if f_rel == ">" for c_rel, c in sides if c_rel == "<"]
+    return feasibility._rate_bounds([*rows, *(row for row in pairs if row[3][PSI])],
+                                    PSI, {})
+
+
 def test_staged_regions_agree_with_classify():
     # the staged forms are projections of the classify rows: the ridge
-    # interval is the ridge extent of the rate polygon, and every corner of
-    # the share polygon with a positive pi share is a feasible tuple
+    # interval, read off the clipped rate polygon, is the one that
+    # Fourier-Motzkin elimination of the side rate gives, and every corner
+    # of the share polygon with a positive pi share is a feasible tuple
     tuples = [e.to_params() for e in entries() if e.is_complete]
     tuples = [p for p in tuples if not p.is_face_to_face]
-    tuples += sample_feasible(count=60, seed=2)
+    samples = sample_feasible(count=60, seed=2)
+    tuples += samples + [mixture([(get(name).to_params(), Fraction(1, 3)), (s, Fraction(2, 3))])
+                         for name in ("ex08_divided_delaunay", "ex13a_weighted_mixture",
+                                      "ex13b_equal_mixture")
+                         for s in samples[:2]]
     for p in tuples:
         ve, ep, pv = p.edges_per_vertex, p.plates_per_edge, p.vertices_per_plate
-        rates = interior_rate_region(ve, ep, pv)
-        ridges = [v[0] for v in rates.vertices]
-        assert ridge_rate_interval(ve, ep, pv) == (min(ridges), max(ridges))
+        assert ridge_rate_interval(ve, ep, pv) == _ridge_bounds(
+            feasibility._interior_rows(ve, ep, pv))
         shares = hemi_pi_region(ve, ep, pv, p.ridge_interior_rate, p.side_interior_rate)
         for kappa, xi in shares.vertices:
             if xi > 0:
                 corner = p.with_values(hemi_vertex_share=kappa, pi_edge_share=xi)
                 assert classify(corner).feasible, (p, kappa, xi)
+
+
+def test_a_segment_shaped_rate_region_has_the_reference_ridge_interval():
+    # at (9/2, 3, 3) the plate-corner ceiling is tau <= 0, so the rate
+    # polygon is the segment from (0, 0) to the apex cap (1/4, 0)
+    profile = (Fraction(9, 2), 3, 3)
+    patch = interior_rate_region(*profile)
+    assert (patch.kind, set(patch.vertices)) == ("segment", {(S(0), S(0)), (S("1/4"), S(0))})
+    rows = feasibility._interior_rows(*map(S, profile))
+    assert ridge_rate_interval(*profile) == _ridge_bounds(rows) == (S(0), S("1/4"))
 
 
 def test_staged_regions_clip_on_ints_or_pi2_polynomials(monkeypatch):
@@ -313,3 +342,27 @@ def test_staged_regions_clip_on_ints_or_pi2_polynomials(monkeypatch):
         interior_rate_region(ve, ep, pv)
         hemi_pi_region(ve, ep, pv, p.ridge_interior_rate, p.side_interior_rate)
         assert numbers() == types
+
+
+def test_a_plate_profile_is_clipped_once(monkeypatch):
+    # the rate polygon is clipped once per profile, and the intervals read
+    # its ridge extent; only the share region clips again, on its own box
+    calls = []
+    clip = feasibility.clip
+    monkeypatch.setattr(feasibility, "clip",
+                        lambda ring, lines: calls.append(ring) or clip(ring, lines))
+    feasibility._rate_region.cache_clear()
+    for entry in ("ex04_stit", "ex13a_weighted_mixture"):
+        p = get(entry).to_params()
+        ve, ep, pv = p.edges_per_vertex, p.plates_per_edge, p.vertices_per_plate
+        ridge_rate_interval(ve, ep, pv)
+        assert len(calls) == 1
+        side_rate_interval(ve, ep, pv, p.ridge_interior_rate)
+        interior_rate_region(ve, ep, pv)
+        assert len(calls) == 1
+        hemi_pi_region(ve, ep, pv, p.ridge_interior_rate, p.side_interior_rate)
+        assert len(calls) == 2
+        # the unit (hemi share, pi share) box
+        assert [corner[3] for corner in calls[1]] == [(0, -1, 0), (1, 0, -1), (0, 1, -1),
+                                                      (-1, 0, 0)]
+        calls.clear()

@@ -12,6 +12,9 @@ reported with its place.
 * A record that exists is valid: a frozen record is written with
   ``object.__setattr__`` only in its ``__post_init__``, where it reads and
   checks its fields, so no other code can change a checked record.
+* A cache is bounded: every ``functools.lru_cache`` takes an int
+  ``maxsize``, and ``functools.cache`` is not used, since the caches key on
+  exact values and a long run meets a new one at every step.
 * A cell's faces are decided in one place: ``Polyhedron(...)`` is called
   only in ``complexes/geometry.py``, where a hull decides them and
   ``map_cell`` moves them, and in ``_Builder.finish``, which divides a
@@ -86,7 +89,8 @@ def test_the_float_rule_reports_each_kind(source, message):
 
 def test_the_float_rule_allows_the_exact_forms():
     source = ("import math\nfrom math import gcd, lcm\n"
-              "class Scalar:\n    def __float__(self):\n        return float(self._mpf(30))\n"
+              "class Scalar:\n    def __float__(self):\n"
+              "        return float(self.as_fraction())\n"
               "k = math.floor(h) + math.gcd(4, 6) + gcd(2, 4) + lcm(2, 3)\n")
     assert float_rule_violations(source) == []
 
@@ -162,6 +166,75 @@ def test_the_setattr_rule_allows_post_init():
               "        for name in ('x', 'y'):\n"
               "            object.__setattr__(self, name, int(getattr(self, name)))\n")
     assert setattr_rule_violations(source) == []
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def cache_rule_violations(source: str, name: str = "<source>") -> list[str]:
+    tree = ast.parse(source, filename=name)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "functools"}
+    direct = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "functools"
+              for alias in node.names if alias.name in CACHES}
+
+    def cache_of(node):  # the functools cache that node names, if any
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.attr if node.value.id in modules and node.attr in CACHES else None
+        return direct.get(node.id) if isinstance(node, ast.Name) else None
+
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node, scope in _nodes(tree):
+        kind = cache_of(node)
+        if kind is None:
+            continue
+        use = calls.get(id(node), node)
+        sizes = [] if use is node else [*use.args[:1], *(k.value for k in use.keywords
+                                                         if k.arg == "maxsize")]
+        if kind == "lru_cache" and len(sizes) == 1 and isinstance(sizes[0], ast.Constant) \
+                and type(sizes[0].value) is int:
+            continue
+        found.append(f"{name}:{node.lineno}: {ast.unparse(use)} without an int maxsize"
+                     f" in {'.'.join(scope) or 'module'}")
+    return found
+
+
+def test_every_cache_in_the_package_is_bounded():
+    found = [v for path in sorted(SRC.rglob("*.py"))
+             for v in cache_rule_violations(path.read_text(), str(path.relative_to(SRC)))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, message", [
+    ("import functools\n@functools.lru_cache\ndef f(x):\n    return x\n",
+     "functools.lru_cache without an int maxsize in f"),
+    ("import functools\n@functools.lru_cache()\ndef f(x):\n    return x\n",
+     "functools.lru_cache() without an int maxsize in f"),
+    ("import functools\n@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x\n",
+     "functools.lru_cache(maxsize=None) without an int maxsize in f"),
+    ("import functools as ft\nSIZE = 8\n@ft.lru_cache(maxsize=SIZE)\ndef f(x):\n"
+     "    return x\n", "ft.lru_cache(maxsize=SIZE) without an int maxsize in f"),
+    ("from functools import lru_cache\nclass C:\n    @lru_cache(None)\n"
+     "    def f(self, x):\n        return x\n",
+     "lru_cache(None) without an int maxsize in C.f"),
+    ("from functools import cache\n@cache\ndef f(x):\n    return x\n",
+     "cache without an int maxsize in f"),
+    ("import functools\ndef f(g):\n    return functools.cache(g)\n",
+     "functools.cache(g) without an int maxsize in f"),
+])
+def test_the_cache_rule_reports_each_form(source, message):
+    assert [v.split(": ", 1)[1] for v in cache_rule_violations(source)] == [message]
+
+
+def test_the_cache_rule_allows_an_int_maxsize():
+    source = ("import functools\nfrom functools import lru_cache as memo\n"
+              "@functools.lru_cache(maxsize=8)\ndef f(x):\n    return x\n"
+              "@memo(16)\ndef g(x):\n    return x\n"
+              "@functools.wraps(f)\ndef h(x):\n    return x\n")
+    assert cache_rule_violations(source) == []
 
 
 POLYHEDRON_HOME = "tesstopo/complexes/geometry.py"

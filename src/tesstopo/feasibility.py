@@ -26,6 +26,10 @@ first made fraction-free: ints on a rational profile, polynomials in pi^2
 otherwise, so a corner is reduced to a canonical Scalar only once, at the end.
 The (ridge rate, side rate) polygon is clipped once per plate profile, and the
 ridge interval that the staged helpers and the sampler read is its ridge extent.
+A profile that passes the cyclic rows has a non-empty polygon, and its ridge
+interval starts at max(0, (ve/2)(ep - cap)): (0, 0) or, on and above the cap,
+(2e, 2e) with e = (ve/4)(ep - cap) meets every rate row, and the rows
+``tau <= psi`` and ``tau >= psi/2 + e`` leave no ridge rate below 2e.
 """
 
 from __future__ import annotations
@@ -315,8 +319,6 @@ def _rate_region(ve: Scalar, ep: Scalar, pv: Scalar) -> RegionPatch:
             f"plate profile is infeasible for the general branch: {', '.join(bad)}")
     rows = _interior_rows(ve, ep, pv)
     _, psi_cap = _rate_bounds(rows, PSI, {})
-    if psi_cap < 0:
-        return RegionPatch((PSI, TAU), "empty", ())
     # the rows on the ridge rate alone made the box
     verts, kind = _clip_box(psi_cap, [_halfplane(relation, form, (PSI, TAU), {})
                                       for _, _, relation, form in rows
@@ -331,23 +333,14 @@ def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLi
                                          vertices_per_plate)))
 
 
-def _ridge_extent(*profile: Scalar) -> tuple[Scalar, Scalar] | None:
-    """The least and greatest ridge rate of the profile's (ridge rate, side
-    rate) polygon, or None when it is empty."""
-    ridges = [psi for psi, _ in _rate_region(*profile).vertices]
-    return (min(ridges), max(ridges)) if ridges else None
-
-
 def ridge_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
                         vertices_per_plate: ScalarLike) -> tuple[Scalar, Scalar]:
-    """Ridge rates compatible with the side-rate constraints for this plate
-    profile: the ridge extent of its (ridge rate, side rate) polygon, which is
-    clipped once per profile. Raises when the cyclic part is already infeasible."""
-    extent = _ridge_extent(*map(as_scalar, (edges_per_vertex, plates_per_edge,
-                                            vertices_per_plate)))
-    if extent is None:
-        raise InfeasibleParametersError("empty ridge rate interval")
-    return extent
+    """Ridge rates that leave a side rate for this plate profile: the ridge extent of
+    its (ridge rate, side rate) polygon, clipped once per profile, which is never empty
+    and starts at max(0, (ve/2)(ep - cap)). A profile failing the cyclic rows raises."""
+    ridges = [psi for psi, _ in interior_rate_region(edges_per_vertex, plates_per_edge,
+                                                     vertices_per_plate).vertices]
+    return min(ridges), max(ridges)
 
 
 def side_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -375,13 +368,13 @@ def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
     from the true region, which ``open_edges`` records.
     """
     profile = tuple(map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate)))
-    extent = _ridge_extent(*profile)  # raises when the cyclic part is infeasible
+    lo_psi, hi_psi = ridge_rate_interval(*profile)  # raises when the cyclic part is infeasible
     rows = _interior_rows(*profile)
     psi, tau = as_scalar(ridge_interior_rate), as_scalar(side_interior_rate)
     rates = {PSI: psi, TAU: tau}
     # (psi, tau) must lie in the rate polygon, which no choice of shares can repair
     tau_lo, tau_hi = _rate_bounds(rows, TAU, {PSI: psi})
-    if not (extent and extent[0] <= psi <= extent[1] and tau_lo <= tau <= tau_hi):
+    if not (lo_psi <= psi <= hi_psi and tau_lo <= tau <= tau_hi):
         return RegionPatch((KAPPA, XI), "empty", ())
 
     verts, kind = _clip_box(ONE, [_halfplane(relation, form, (KAPPA, XI), rates)
@@ -491,30 +484,22 @@ def _sample_once(rng: random.Random, face_to_face: bool) -> TessParams | None:
     pv_lo, pv_hi = _rate_bounds(rows, PV, {VE: ve, EP: ep})
     if face_to_face:
         return TessParams.create(ve, ep, _rand_between(rng, pv_lo, pv_hi, include_hi=False))
+    # on and above the cap pv_hi = 2 pv_lo, and the strict floor is left out
     pv = _rand_between(rng, pv_lo, pv_hi, include_lo=(ep < cap), include_hi=False)
-    if pv <= pv_lo and ep >= cap:
-        return None
 
-    extent = _ridge_extent(ve, ep, pv)
-    if extent is None:
-        return None
-    psi = _rand_between(rng, *extent)
-    # a ridge rate in the extent leaves some side rate
+    psi = _rand_between(rng, *ridge_rate_interval(ve, ep, pv))
+    # a ridge rate in the interval leaves some side rate
     rows = _interior_rows(ve, ep, pv)
     tau = _rand_between(rng, *_rate_bounds(rows, TAU, {PSI: psi}))
 
-    # the hemi share must leave room for a pi share of at most 1
+    # the hemi share must leave room for a pi share of at most 1, as the polygon does
     _, k_cap = _rate_bounds(rows, KAPPA, {PSI: psi, TAU: tau, XI: ONE})
-    if k_cap < 0:
-        return None
     kappa = _rand_between(rng, ZERO, k_cap)
 
     xi_lo, xi_hi = _rate_bounds(rows, XI, {PSI: psi, TAU: tau, KAPPA: kappa})
-    if xi_lo > xi_hi or not xi_hi:
+    if xi_lo > xi_hi or not xi_hi:  # the one draw that can fail
         return None
     xi = _rand_between(rng, xi_lo, xi_hi, include_lo=bool(xi_lo))
-    if not xi:
-        return None
     return TessParams.create(ve, ep, pv, xi, kappa, psi, tau)
 
 

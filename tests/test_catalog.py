@@ -41,6 +41,11 @@ def test_unknown_id_raises():
         get("ex11_spoke_cube(k=2)")
     with pytest.raises(UnknownEntryError):
         get("ex11_spoke_cube(k=2,n=x)")
+    with pytest.raises(UnknownEntryError, match=r"^spoke cube needs k, n >= 0, got k=-1, n=0$"):
+        get("ex11_spoke_cube(k=-1,n=0)")
+    with pytest.raises(UnknownEntryError,
+                       match=r"^core prism cube needs k, n >= 0, got k=-1, n=0$"):
+        get("ex12_core_prism_cube(k=-1,n=0)")
 
 
 def test_family_lookup():

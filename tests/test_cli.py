@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tesstopo import complexes
 from tesstopo.cli import main
 from tesstopo.complexes.domain import MAX_HALFSPACES
 from tesstopo.complexes.generators import GENERATORS
@@ -606,3 +608,92 @@ def test_help_exits_zero(capsys):
 def test_missing_subcommand_exits_two(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+def test_mixture_component_from_a_params_file(capsys, tmp_path):
+    _, dump, _ = run(capsys, "derive", "--catalog", "ex01_voronoi")
+    path = tmp_path / "voronoi.json"
+    path.write_text(dump)
+    argv = ("transform", "--op", "mixture", "--component", "ex03_poisson_planes=2/3")
+    code, from_file = run_json(capsys, *argv, "--component", f"@{path}=1/3")
+    assert code == 0
+    assert from_file["components"][1]["source"] == f"@{path}"
+    _, from_catalog = run_json(capsys, *argv, "--component", "ex01_voronoi=1/3")
+    assert from_file["result"] == from_catalog["result"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("transform", "--op", "stratum", "--catalog", "ex04_stit"),
+     "transform --op stratum takes planar key=value pairs"),
+    (("transform", "--op", "mixture", "--component", "ex01_voronoi",
+      "--component", "ex05_cubic=1/2"),
+     "expected SOURCE=WEIGHT component, got 'ex01_voronoi'"),
+    (("region", "--type", "pv-ep", "--ve", "8", "--ep-max", "3"),
+     "plotting window must extend past 3"),
+])
+def test_refused_command_lines_exit_two(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"tesstopo: {message}\n")
+
+
+def test_missing_domain_file_exits_two(capsys, tmp_path):
+    missing = tmp_path / "nope.json"
+    code, out, err = run(capsys, "measure", "--domain", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"tesstopo: cannot read {missing}: ")
+
+
+def test_params_file_not_json_exits_two(capsys, tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text("ve: 6")
+    code, out, err = run(capsys, "derive", "--params-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"tesstopo: {path} is not valid JSON: ")
+
+
+def test_measure_validate_prints_each_failure_and_exits_three(capsys, monkeypatch):
+    validate = complexes.validate
+    monkeypatch.setattr(complexes, "validate", lambda cx: dataclasses.replace(
+        validate(cx), ok=False, failures=("first fault", "second fault")))
+    code, out, err = run(capsys, "measure", "--generator", "split_prism", "--validate")
+    assert code == 3
+    assert err == "validation failure: first fault\nvalidation failure: second fault\n"
+    assert json.loads(out)["validation"]["failures"] == ["first fault", "second fault"]
+
+
+UNIT_LATTICE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+UNIT_CUBE = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+# n·x <= offset for each face of the unit cube
+UNIT_CUBE_ROWS = [[-1, 0, 0, 0], [1, 0, 0, 1], [0, -1, 0, 0], [0, 1, 0, 1],
+                  [0, 0, -1, 0], [0, 0, 1, 1]]
+
+
+@pytest.mark.parametrize("cell", [
+    {"apices": UNIT_CUBE},
+    {"halfspaces": [{"normal": row[:3], "offset": row[3]} for row in UNIT_CUBE_ROWS]},
+])
+def test_domain_cell_objects_build(capsys, tmp_path, cell):
+    path = domain_file(tmp_path, json.dumps({"lattice": UNIT_LATTICE, "cells": [cell]}))
+    code, doc = run_json(capsys, "measure", "--domain", path)
+    assert code == 0
+    _, cubic = run_json(capsys, "measure", "--generator", "cubic_lattice")
+    assert {**doc, "source": None} == {**cubic, "source": None}
+
+
+@pytest.mark.parametrize("domain, message", [
+    ({"cells": [{"halfspaces": [{"normal": [1, 0], "offset": 1}]}]},
+     "halfspace normals need three entries"),
+    ({"cells": [{"halfspaces": [[1, 0, 0]]}]}, "halfspace rows need four entries"),
+    ({"cells": [{"corners": UNIT_CUBE}]}, "cell object needs 'apices' or 'halfspaces'"),
+    ({"cells": [[]]}, "empty cell entry"),
+    ({"cells": [[[0, 0, 0], [1, 0]]]}, "ragged cell entry"),
+    ({"cells": [[[0, 0, 0, 0, 1]] * 6]}, "cell rows must have three or four entries"),
+    ({"lattice": [[1, 0, 0], [2, 0, 0], [0, 0, 1]]}, "lattice vectors are linearly dependent"),
+    ({"metadata": ["cubic"]}, "domain metadata must be an object"),
+    ({"cells": []}, "domain has no cells"),
+    ({"cells": [[[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]]]},
+     "cell is not three-dimensional"),
+])
+def test_malformed_domain_exits_three(capsys, tmp_path, domain, message):
+    domain = {"lattice": UNIT_LATTICE, "cells": [UNIT_CUBE], **domain}
+    path = domain_file(tmp_path, json.dumps(domain))
+    assert run(capsys, "measure", "--domain", path) == (3, "", f"tesstopo: {message}\n")

@@ -4,13 +4,12 @@ Each command below is run in-process and the SHA-256 of its stdout is
 compared with a pinned digest, so any change to what a document holds, the
 order of its keys, or how it is rendered shows up here. The argv list covers
 every subcommand, both output formats, a pi^2 entry, ``measure --validate``,
-all three region types (the two staged ones also on sampled profiles and on
-pi^2 profiles, one of whose share regions is a point, and a rate region that
-is a segment), a longer
-general-branch sample, a three-component mixture, and the bounds
-that do not apply (two edges per vertex; the high-regime floor below the
-plate cap; the plate-profile region at four edges per vertex, which has no
-crossover line).
+one central-point step and an orbit, all three region types (the two staged
+ones also on sampled profiles and on pi^2 profiles, one of whose share regions
+is a point, and a rate region that is a segment), a longer general-branch
+sample, a three-component mixture, and the bounds that do not apply (two edges
+per vertex; the high-regime floor below the plate cap; the plate-profile
+region at four edges per vertex, which has no crossover line).
 
 A deliberate change of output needs new digests. Print them with
 
@@ -48,6 +47,8 @@ COMMANDS = {
                              "--format", "csv"],
     "transform-central-point": ["transform", "--op", "central-point",
                                 "--catalog", "ex01_voronoi", "--steps", "2"],
+    "transform-central-point-once": ["transform", "--op", "central-point",
+                                     "--catalog", "ex01_voronoi"],
     "transform-mixture-two": ["transform", "--op", "mixture",
                               "--component", "ex01_voronoi=1/3",
                               "--component", "ex03_poisson_planes=2/3"],
@@ -121,6 +122,7 @@ DIGESTS = {
     "sample-longer": "de13649c4fff397d6e089176f0104f7032d2f9b75b431ffb24f892050e6ae716",
     "stats": "73d51c2d823a2bbb578e9b38d3350f12b4e66b043451be814ef59acbc36e3292",
     "transform-central-point": "70480ea903a9f41a54bbe222c928908a614167a21298f9f111a82f16b55f626d",
+    "transform-central-point-once": "6cba62af9e3fc28d186700a5c45cd2f07ea23aaa248b38678ddb6b8feff57425",
     "transform-column-csv": "2b22800575d8aedd62a330b4b64288c6a06a3be8fb8bea6b013b26db779a8e92",
     "transform-mixture-three": "daebff7c71deef7670902abdacf562896547207feec3ae46923bb9d025e6dbd5",
     "transform-mixture-two": "d8d588bf62727a71296b3d15b4580f31bd6244fa2588301bd23acf390c7bd5f7",

@@ -318,6 +318,13 @@ def test_obj_dump_lists_all_cells():
     assert "v " in obj and "f " in obj
 
 
+def test_obj_dump_rounds_a_coordinate_without_a_decimal_expansion():
+    # a third has no finite decimal, so it prints rounded to 40 places
+    dom = make_domain([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                      [[[0, 0, 0], [1, 0, 0], [0, 1, 0], ["1/3", "1/2", 1]]])
+    assert "\nv 0." + "3" * 40 + " 0.5 1\n" in dom.obj_dump()
+
+
 # Unimodular maps (determinant +-1) with rational translations: they keep
 # every incidence but move the cells off the grid and tilt the facet planes.
 # The last two reverse orientation, and so does the torus map of their

@@ -252,6 +252,8 @@ def test_sampler_deterministic_and_feasible():
         assert rep.branch == "face_to_face"
         assert rep.feasible
     assert sample_feasible(count=4, seed=12) != a
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        sample_feasible(count=-1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -366,3 +368,62 @@ def test_a_plate_profile_is_clipped_once(monkeypatch):
         assert [corner[3] for corner in calls[1]] == [(0, -1, 0), (1, 0, -1), (0, 1, -1),
                                                       (-1, 0, 0)]
         calls.clear()
+
+
+def _pi2_mixtures():
+    samples = sample_feasible(count=3, seed=5)
+    return [mixture([(get(name).to_params(), w), (s, 1 - w)])
+            for name in ("ex08_divided_delaunay", "ex13a_weighted_mixture",
+                         "ex13b_equal_mixture")
+            for s in samples for w in (Fraction(1, 4), Fraction(2, 3))]
+
+
+PI2_MIXTURES = _pi2_mixtures()
+
+
+def _rational_profile(ve_t, ep_t, pv_t):
+    # strictly inside the general branch's cyclic rows, up to 4 past the cap
+    ve = S(4 + 10 * ve_t)
+    ep = S(3) + (plate_cap(ve) + 1) * S(ep_t)
+    pv_lo = max(S(3), row_limit("vertices_per_plate_high_regime_min", (ve, ep)))
+    pv_hi = row_limit("vertices_per_plate_max", (ve, ep))
+    return ve, ep, pv_lo + (pv_hi - pv_lo) * S(pv_t)
+
+
+UNIT = st.fractions(0, 1, max_denominator=60)
+OPEN_UNIT = UNIT.filter(lambda t: 0 < t < 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(UNIT, UNIT, OPEN_UNIT).map(lambda t: _rational_profile(*t)),
+                 st.sampled_from(PI2_MIXTURES).map(
+                     lambda p: (p.edges_per_vertex, p.plates_per_edge,
+                                p.vertices_per_plate))))
+def test_every_cyclic_profile_has_a_rate_polygon_from_the_excess_floor(profile):
+    # a second route for what the module docstring proves: the polygon is not
+    # empty, its ridge interval starts at m = max(0, (ve/2)(ep - cap)), (m, m)
+    # is one of its corners, and every corner leaves a hemi-share cap at pi
+    # share 1
+    ve, ep, pv = profile
+    m = max(S(0), ve / 2 * (ep - plate_cap(ve)))
+    assert ridge_rate_interval(*profile)[0] == m
+    patch = interior_rate_region(*profile)
+    assert (m, m) in patch.vertices
+    rows = feasibility._interior_rows(*profile)
+    for psi, tau in patch.vertices:
+        _, kappa_cap = feasibility._rate_bounds(
+            rows, feasibility.KAPPA, {feasibility.PSI: psi, feasibility.TAU: tau,
+                                      feasibility.XI: S(1)})
+        assert kappa_cap >= 0
+
+
+def test_the_pi_share_window_can_be_empty():
+    # why the sampler keeps its one rejection: at this profile the corner
+    # psi = tau = 166/75 of the rate polygon, with hemi share 0, leaves only
+    # pi share 0, which the branch excludes
+    profile = tuple(map(S, ("76/15", "428/95", "49327/11500")))
+    psi = tau = S("166/75")
+    assert (psi, tau) in interior_rate_region(*profile).vertices
+    rows = feasibility._interior_rows(*profile)
+    assert feasibility._rate_bounds(rows, feasibility.XI, {
+        feasibility.PSI: psi, feasibility.TAU: tau, feasibility.KAPPA: S(0)}) == (S(0), S(0))

@@ -6,7 +6,8 @@ from hypothesis import example, given, strategies as st
 
 from tesstopo.errors import (DegenerateIntensityError, ParameterDomainError,
                              PlanarParameterError, UsageError)
-from tesstopo.io import params_from_mapping
+from tesstopo.io import (PLANAR_ALIASES, encode, params_from_mapping, parse_generator_args,
+                         parse_pairs)
 from tesstopo.params import (
     TessParams,
     cell_intensity_form,
@@ -192,3 +193,27 @@ def test_central_point_checks_what_derive_checks(p):
     except (ParameterDomainError, ZeroDivisionError):
         return
     assert coned.vertex_intensity == p.vertex_intensity + cells
+
+
+def test_readers_refuse_what_they_cannot_read():
+    with pytest.raises(UsageError, match="^expected key=value, got 've'$"):
+        parse_pairs(["ve"], PLANAR_ALIASES)
+    with pytest.raises(UsageError, match="^parameter 'edges_per_vertex' given twice$"):
+        parse_pairs(["ve=3", "edges_per_vertex=4"], PLANAR_ALIASES)
+    with pytest.raises(UsageError, match="^expected key=value generator argument, got 'k'$"):
+        parse_generator_args(["k"])
+    with pytest.raises(TypeError, match="^cannot encode object$"):
+        encode(object(), 20)
+
+
+def test_records_refuse_values_outside_their_domain():
+    with pytest.raises(PlanarParameterError, match="^vertex intensity must be positive$"):
+        PlanarParams(3, vertex_intensity=0)
+    with pytest.raises(PlanarParameterError, match=r"^pi ends per edge must lie in \[0, 2\]$"):
+        PlanarParams(3, pi_ends_per_edge=3)
+    # six edges per vertex, but a single plate per edge and vertex per plate
+    with pytest.raises(DegenerateIntensityError,
+                       match="^cells-per-vertex mean is not positive for these parameters$"):
+        derive(TessParams.create(6, 1, 1))
+    with pytest.raises(KeyError, match="no adjacency mean for"):
+        derive(CUBIC).mean_adjacent("cell", "cell")

@@ -15,15 +15,14 @@ tuple (8, 4, 16/5), although the diagonal-pyramid construction has
 (11, 48/11, 16/5); on that catalog row only the ``adjacency_checks`` tell
 the two apart.
 
-Each branch is one table of linear inequalities: five cyclic rows on the
-plate profile (ve, ep, pv), and in the general branch the interior rows on
-the four interior rates. :func:`classify`, the staged helpers, the sampler,
-the plate-profile region and the catalog self-check all solve the same rows,
-and :func:`row_limit` solves any one of them. A staged region clips its box
-by each row, as the halfplane ``side·form <= 0`` with side -1 on a ``>`` or
-``>=`` row, in the exact kernel of :mod:`tesstopo.planar`. Each halfplane is
-first made fraction-free: ints on a rational profile, polynomials in pi^2
-otherwise, so a corner is reduced to a canonical Scalar only once, at the end.
+Every row of both branches is written once, in one table, with constant int
+coefficients over eight densities per unit vertex intensity (V = 1, E = ve/2,
+I = E·ep, P = I/pv, X = E·xi, K = kappa, S = psi, T = tau). A row reads
+``form >= 0``, or ``> 0`` when strict, and is reported as a bound on its rate.
+A tuple's densities are made fraction-free once, ints or integer polynomials
+in pi^2, so a row's verdict is the sign of one dot product and its limit one
+quotient. A staged region clips its box by the rows on its two rates, their
+coefficients the rates' columns times their base densities (V, or E for xi).
 The (ridge rate, side rate) polygon is clipped once per plate profile, and the
 ridge interval that the staged helpers and the sampler read is its ridge extent.
 A profile that passes the cyclic rows has a non-empty polygon, and its ridge
@@ -36,9 +35,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InfeasibleParametersError
 from .params import TessParams
@@ -71,120 +70,126 @@ def plate_cap(edges_per_vertex: ScalarLike) -> Scalar:
     return 6 * (1 - 2 / ve)
 
 
-# ---- the constraint tables ----
+# ---- the density table ----
 
 VE, EP, PV = "edges_per_vertex", "plates_per_edge", "vertices_per_plate"
 PSI, TAU, KAPPA, XI = ("ridge_interior_rate", "side_interior_rate",
                        "hemi_vertex_share", "pi_edge_share")
 _HIGH_REGIME = "vertices_per_plate_high_regime_min"
 
+_COLUMNS = "VEIPXKST"
+_PROFILE = {VE, EP, PV}
+# the rates each density reads; an interior one reads the profile, as its rows do
+_READS = tuple(frozenset(r) for r in ((), {VE}, {VE, EP}, _PROFILE, {*_PROFILE, XI},
+                                      {*_PROFILE, KAPPA}, {*_PROFILE, PSI}, {*_PROFILE, TAU}))
+# each rate as the columns (carrier, top, base) of rate = top·carrier/base:
+# ve = 2E/V, ep = I/E, xi = X/E, kappa = K/V and so on; pv = I/P has no top
+_CARRIER = {VE: (1, 2, 0), EP: (2, 1, 1), PV: (3, None, 2), XI: (4, 1, 1),
+            KAPPA: (5, 1, 0), PSI: (6, 1, 0), TAU: (7, 1, 0)}
 
-# the cyclic floors, which no profile value enters
-_FLOOR_ROWS = (
-    ("edges_per_vertex_min", VE, ">=", {VE: ONE, "": Scalar(-4)}),
-    ("plates_per_edge_min", EP, ">=", {EP: ONE, "": Scalar(-3)}),
-    ("vertices_per_plate_min", PV, ">=", {PV: ONE, "": Scalar(-3)}),
+
+def _row(name: str, rate: str, relation: str, **coeffs: int) -> tuple:
+    """Row (name, rate, relation, coefficients over the columns, rates read)."""
+    c = tuple(coeffs.get(col, 0) for col in _COLUMNS)
+    return name, rate, relation, c, frozenset().union(*(r for r, k in zip(_READS, c) if k))
+
+
+_CYCLIC = (
+    _row("edges_per_vertex_min", VE, ">=", E=1, V=-2),
+    _row("plates_per_edge_min", EP, ">=", I=1, E=-3),
+    _row("vertices_per_plate_min", PV, ">=", I=1, P=-3),
+    # keeps the cell intensity positive
+    _row("vertices_per_plate_max", PV, "<", V=1, E=-1, P=1),
 )
-
-
-def _cyclic_rows(ve: Scalar, branch: str) -> tuple:
-    """The cyclic rows of a branch in report order, as in :func:`_interior_rows`
-    over the plate profile, with coefficients set by ve."""
-    return (
-        *_FLOOR_ROWS,
-        # keeps the cell intensity positive
-        ("vertices_per_plate_max", PV, "<", {PV: ve - 2, EP: -ve}),
-        ("plates_per_edge_cap", EP, "<=", {EP: ONE, "": -plate_cap(ve)})
-        if branch == "face_to_face" else
-        (_HIGH_REGIME, PV, ">", {PV: 2 * (ve - 2), EP: -ve}),
-    )
-
-
-@functools.lru_cache(maxsize=8)  # classify and the staged calls on a profile share it
-def _interior_rows(ve: Scalar, ep: Scalar, pv: Scalar) -> tuple:
-    """The interior inequalities of the general branch in report order: rows
-    (name, rate, relation, form), read as ``form relation 0``, where a form
-    maps rates to coefficients and "" to the constant. The bounded rate's
-    coefficient is 1 or ve; the coefficients depend on the profile alone."""
-    incidences = ve * ep / 2  # plate-edge incidences per vertex
-    corners = incidences * (1 - 3 / pv)  # keeps the typical plate at least triangular
-    # keeps the typical cell's apex count at least 4 (with zero hemi share)
-    apices = ve - 2 + incidences * (1 - 4 / pv)
-    excess = ve / 4 * (ep - plate_cap(ve))
-    rows = (
-        ("pi_edge_share_positive", XI, ">", {XI: 1}),
-        ("ridge_rate_cap_apices", PSI, "<=", {PSI: 1, "": -apices}),
-        ("ridge_rate_cap_combined", PSI, "<=", {PSI: 1, "": -ve / 4 - corners}),
-        ("hemi_share_cap", KAPPA, "<=", {KAPPA: 1, PSI: 1, "": -apices}),
-        ("side_rate_max_ridge", TAU, "<=", {TAU: 1, PSI: -1}),
-        ("side_rate_max_plate_corners", TAU, "<=", {TAU: 1, "": -corners}),
-        ("side_rate_min_ridge_gap", TAU, ">=", {TAU: 1, PSI: -1, "": ve / 2}),
-        ("side_rate_min_excess", TAU, ">=", {TAU: 1, PSI: Fraction(-1, 2), "": -excess}),
+_CAP = _row("plates_per_edge_cap", EP, "<=", E=6, V=-6, I=-1)
+_ROWS = {
+    "face_to_face": (*_CYCLIC, _CAP),
+    "general": (
+        *_CYCLIC,
+        _row(_HIGH_REGIME, PV, ">", E=2, V=-2, P=-1),
+        _row("pi_edge_share_positive", XI, ">", X=1),
+        # I - 4P + 2E - 2V is the typical cell's apex count past 4 (zero hemi share)
+        _row("ridge_rate_cap_apices", PSI, "<=", E=2, V=-2, I=1, P=-4, S=-1),
+        # I - 3P keeps the typical plate at least triangular
+        _row("ridge_rate_cap_combined", PSI, "<=", E=1, I=2, P=-6, S=-2),
+        _row("hemi_share_cap", KAPPA, "<=", E=2, V=-2, I=1, P=-4, S=-1, K=-1),
+        _row("side_rate_max_ridge", TAU, "<=", S=1, T=-1),
+        _row("side_rate_max_plate_corners", TAU, "<=", I=1, P=-3, T=-1),
+        _row("side_rate_min_ridge_gap", TAU, ">=", T=1, S=-1, E=1),
+        _row("side_rate_min_excess", TAU, ">=", T=2, S=-1, I=-1, E=6, V=-6),
         # averaged per-vertex budget: pi-edges pay for interior incidences
-        ("pi_share_min_vertex_budget", XI, ">=", {XI: ve, KAPPA: -3, PSI: -2, TAU: 2}),
+        _row("pi_share_min_vertex_budget", XI, ">=", X=2, K=-3, S=-2, T=2),
         # keeps cell sides at least triangular
-        ("pi_share_min_side_corners", XI, ">=",
-         {XI: ve, KAPPA: -6, PSI: -4, "": 4 * corners}),
+        _row("pi_share_min_side_corners", XI, ">=", X=2, K=-6, S=-4, I=4, P=-12),
         # keeps the typical cell's ridge count at least 6
-        ("pi_share_cap_cell_ridges", XI, "<=",
-         {XI: ve, PSI: 2, "": -6 * (ve - 2) - ve * ep * (1 - 6 / pv)}),
+        _row("pi_share_cap_cell_ridges", XI, "<=", E=6, V=-6, I=1, P=-6, X=-1, S=-1),
         # keeps the typical cell's side count at least 4
-        ("pi_share_cap_cell_sides", XI, "<=",
-         {XI: ve, KAPPA: -2, "": 8 - 4 * ve + 2 * ve * ep / pv}),
+        _row("pi_share_cap_cell_sides", XI, "<=", E=4, V=-4, P=-2, X=-1, K=1),
         # keeps at least three ridges meeting at the typical apex
-        ("pi_share_cap_apex_degree", XI, "<=",
-         {XI: ve, KAPPA: -3, PSI: -1, "": 6 + incidences - 3 * ve}),
-    )
-    return tuple((name, rate, relation, {k: as_scalar(v) for k, v in form.items()})
-                 for name, rate, relation, form in rows)
+        _row("pi_share_cap_apex_degree", XI, "<=", E=6, V=-6, I=-1, X=-2, K=3, S=1),
+    ),
+}
+_GENERAL = _ROWS["general"]
+_BY_NAME = {row[0]: row for rows in _ROWS.values() for row in rows}
 
 
-def _rows(profile: tuple[Scalar, ...]):
-    """The rows of both branches that a (ve, ep, pv) profile, or its start, sets."""
-    yield from _FLOOR_ROWS
-    if len(profile) == 3:
-        yield from _interior_rows(*profile)
-    if profile:
-        yield from _cyclic_rows(profile[0], "general")
-        yield from _cyclic_rows(profile[0], "face_to_face")
+def _densities(values: dict[str, Scalar]) -> tuple:
+    """The densities that values give, 0 where a rate they read is missing,
+    made fraction-free."""
+    ve, ep, pv, xi = map(values.get, (VE, EP, PV, XI))
+    e = ve / 2 if ve is not None else ZERO
+    i = e * ep if ep is not None else ZERO
+    return fraction_free(ONE, e, i, i / pv if pv is not None else ZERO,
+                         e * xi if xi is not None else ZERO,
+                         *(values.get(r, ZERO) for r in (KAPPA, PSI, TAU)))
 
 
-def _offset(form: dict[str, Scalar], values: dict[str, Scalar], rate: str = "") -> Scalar:
-    """The form's constant with the given rates, but ``rate``, moved into it."""
-    return sum((c * values[k] for k, c in form.items() if k != rate and k in values),
-               form.get("", ZERO))
+def _ratio(n, d) -> Scalar:
+    """n/d as a canonical Scalar, from ints or polynomials in pi^2."""
+    return Scalar._rat(n, d) if type(n) is int and type(d) is int else n / d
 
 
-def _limit(form: dict[str, Scalar], rate: str, values: dict[str, Scalar]) -> Scalar:
-    """The form solved for ``rate``, the other rates taken from values; a
-    floor, or any row ``rate + c`` on its rate alone, is ``-c`` as it stands."""
-    if len(form) == 2 and "" in form and form[rate] == ONE:
-        return -form[""]
-    return _offset(form, values, rate) / -form[rate]
+def _solve(coeffs: tuple, rate: str, dens: tuple) -> tuple:
+    """A form at the densities, c times the rate's carrier plus rest, as
+    (level, sign, n, d): the sign of the rate's own coefficient, c's or, for pv,
+    rest's, and n/d, with d > 0 unless that is 0, the rate where it vanishes."""
+    j, top, base = _CARRIER[rate]
+    c = coeffs[j]
+    level = sum(map(operator.mul, coeffs, dens))
+    rest = level - c * dens[j]
+    if top is None:  # pv times the form is c·I + rest·pv
+        sign = 1 if rest > 0 else -1 if rest else 0
+        return level, sign, -sign * c * dens[base], sign * rest
+    sign = 1 if c > 0 else -1
+    return level, sign, -sign * top * rest, sign * c * dens[base]
 
 
 def row_limit(name: str, profile: tuple[ScalarLike, ...] = (),
               values: dict[str, ScalarLike] | None = None) -> Scalar:
     """Row ``name`` of either branch solved for its rate at the plate profile
-    (ve, ep, pv) and the other ``values``. A row reads only the start of the
-    profile it needs: the floors none of it, the other cyclic rows no pv."""
-    profile = tuple(map(as_scalar, profile))
-    for row_name, rate, _, form in _rows(profile):
-        if row_name == name:
-            return _limit(form, rate, {**dict(zip((VE, EP, PV), profile)), **(values or {})})
-    raise KeyError(f"no row {name!r} reads only a profile of length {len(profile)}")
+    (ve, ep, pv) and the other ``values``, a missing one read as 0. A row needs
+    the start of the profile its densities read, less its own rate."""
+    _, rate, _, coeffs, reads = _BY_NAME[name]
+    given = {**dict(zip((VE, EP, PV), profile)), **(values or {})}
+    if not reads & _PROFILE - {rate} <= given.keys():
+        raise KeyError(f"row {name!r} reads more than a profile of length {len(profile)}")
+    dens = _densities({k: as_scalar(v) for k, v in given.items()})
+    return _ratio(*_solve(coeffs, rate, dens)[2:])
 
 
-def _rate_bounds(rows, rate: str, values: dict[str, Scalar]) -> tuple[Scalar, Scalar]:
-    """Floor and ceiling of ``rate`` from the rows left on it alone once
-    ``values`` fix their other rates. Every rate is at least 0, and a
-    share is at most 1."""
-    floors, ceilings = [ZERO], [ONE] if rate in (KAPPA, XI) else []
-    for _, _, relation, form in rows:
-        if form.keys() - values.keys() - {""} == {rate}:
-            floor = (relation[0] == ">") == (form[rate].sign() > 0)
-            (floors if floor else ceilings).append(_limit(form, rate, values))
-    return max(floors), min(ceilings)
+def _rate_bounds(rows, rate: str, given, dens: tuple) -> tuple[Scalar, Scalar]:
+    """Floor and ceiling of ``rate`` from the rows on it alone once the given
+    rates, the profile's start before any interior one, fix the others, at
+    densities that hold them. A rate is at least 0, and a share at most 1."""
+    known, floor, ceiling = given | {rate}, (0, 1), (1, 1) if rate in (KAPPA, XI) else None
+    for *_, coeffs, reads in rows:  # limits compared as n/d; only the binding two are reduced
+        if coeffs[_CARRIER[rate][0]] and reads <= known:
+            _, sign, n, d = _solve(coeffs, rate, dens)
+            if sign > 0 and n * floor[1] > floor[0] * d:
+                floor = n, d
+            elif sign < 0 and (ceiling is None or ceiling[0] * d > n * ceiling[1]):
+                ceiling = n, d
+    return _ratio(*floor), _ratio(*ceiling)
 
 
 @dataclass(frozen=True)
@@ -204,15 +209,22 @@ class Bound:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def _bound(row: tuple, values: dict[str, Scalar], applies: bool = True) -> Bound:
-    """A row evaluated at values; one that does not apply reports limit 0."""
-    name, rate, relation, form = row
-    if not applies:
-        return Bound(name, rate, relation, ZERO, values[rate], False, True, False)
-    limit = _limit(form, rate, values)
-    diff = values[rate]._compare(limit)
-    sat = {"<=": diff <= 0, "<": diff < 0, ">=": diff >= 0, ">": diff > 0}[relation]
-    return Bound(name, rate, relation, limit, values[rate], True, sat, diff == 0)
+def _verdict(row: tuple, dens: tuple) -> tuple:
+    """A row at the densities as (applies, satisfied, on_boundary, n, d), n/d its limit; it
+    applies where its rate's coefficient has the sign its relation reads (pv rows: ve above 2),
+    the high-regime floor on or above the cap."""
+    name, rate, relation, coeffs, _ = row
+    if name != _HIGH_REGIME or not sum(map(operator.mul, _CAP[3], dens)) > 0:
+        level, sign, n, d = _solve(coeffs, rate, dens)
+        if sign == (1 if relation[0] == ">" else -1):
+            return True, level > 0 or not level and relation[-1] == "=", not level, n, d
+    return False, True, False, 0, 1
+
+
+def _bound(row: tuple, dens: tuple, values: dict[str, Scalar]) -> Bound:
+    """A row evaluated at the densities; one that does not apply reports limit 0."""
+    applies, sat, on, n, d = _verdict(row, dens)
+    return Bound(*row[:3], _ratio(n, d), values[row[1]], applies, sat, on)
 
 
 @dataclass(frozen=True)
@@ -241,25 +253,11 @@ class FeasibilityReport:
         }
 
 
-@functools.lru_cache(maxsize=8)  # classify and the staged calls on a profile share it
-def _cyclic_bounds(ve: Scalar, ep: Scalar, pv: Scalar | None,
-                   branch: str) -> tuple[Bound, ...]:
-    """The cyclic rows of a branch at the profile, less those on pv when it
-    is None. A row applies where its rate has a positive coefficient (ve
-    above 2), and the high-regime floor only on or above the plate cap."""
-    values = {VE: ve, EP: ep, PV: pv}
-    return tuple(_bound(row, values, row[3][row[1]].sign() > 0
-                        and (row[0] != _HIGH_REGIME or ep >= plate_cap(ve)))
-                 for row in _cyclic_rows(ve, branch) if pv is not None or PV not in row[3])
-
-
 def classify_partial(values: dict[str, Scalar], branch: str = "general") -> tuple[Bound, ...]:
-    """The rows of a branch whose rates ``values`` all give, evaluated there;
-    ve and ep must be given. :func:`classify` is this on all seven."""
-    ve, ep, pv = values[VE], values[EP], values.get(PV)
-    interior = _interior_rows(ve, ep, pv) if branch == "general" and pv is not None else ()
-    return _cyclic_bounds(ve, ep, pv, branch) + tuple(
-        _bound(row, values) for row in interior if row[3].keys() - {""} <= values.keys())
+    """The rows of a branch whose rates ``values`` all give, evaluated there.
+    :func:`classify` is this on all seven."""
+    dens = _densities(values)
+    return tuple(_bound(row, dens, values) for row in _ROWS[branch] if row[4] <= values.keys())
 
 
 def classify(params: TessParams) -> FeasibilityReport:
@@ -291,46 +289,39 @@ class RegionPatch:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def _halfplane(relation: str, form: dict[str, Scalar], axes: tuple[str, str],
-               values: dict[str, Scalar]) -> tuple:
-    """The closure of ``form relation 0`` on the axes, the rates off them
-    fixed by values, as the halfplane ``a·x + b·y + c <= 0`` in fraction-free
-    form: ints on a rational profile, polynomials in pi^2 otherwise."""
-    a, b, c = form.get(axes[0], ZERO), form.get(axes[1], ZERO), _offset(form, values)
-    return fraction_free(a, b, c) if relation[0] == "<" else fraction_free(-a, -b, -c)
+def _halfplanes(rows, axes: tuple[str, str], given, dens: tuple) -> list:
+    """The closures of the rows on the two rates, the given rates fixing the
+    others at densities where the two are 0, as halfplanes ``a·x + b·y + c <=
+    0``: a rate's coefficient is its carrier's times its base, c the level."""
+    cols = [_CARRIER[rate] for rate in axes]
+    return [(*(-c[j] * dens[b] for j, _, b in cols), sum(-k * d for k, d in zip(c, dens)))
+            for *_, c, reads in rows if reads - given <= {*axes} and any(c[j] for j, _, _ in cols)]
 
 
 def _clip_box(side: Scalar, lines: list) -> tuple[tuple, str]:
     """The square [0, side]^2 clipped by the lines, cleaned, with Scalar
     corners."""
-    box = ring_of_lines([(0, -1, 0), fraction_free(ONE, ZERO, -side),
-                         fraction_free(ZERO, ONE, -side), (-1, 0, 0)])
-    verts, kind = clean_ring(clip(box, lines))
-    return tuple((as_scalar(x), as_scalar(y)) for x, y in verts), kind
+    a, c = fraction_free(ONE, -side)
+    ring = clip(ring_of_lines([(0, -1, 0), (a, 0, c), (0, a, c), (-1, 0, 0)]), lines)
+    return clean_ring(ring, _ratio)
 
 
 @functools.lru_cache(maxsize=8)  # every staged call on a profile reads it
-def _rate_region(ve: Scalar, ep: Scalar, pv: Scalar) -> RegionPatch:
+def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
+                         vertices_per_plate: ScalarLike) -> RegionPatch:
     """The (ridge rate, side rate) polygon of a plate profile that passes the
-    cyclic rows."""
-    bad = [b.name for b in _cyclic_bounds(ve, ep, pv, "general") if not b.satisfied]
+    cyclic rows, clipped once: the polygons of the last eight profiles are kept."""
+    profile = dict(zip((VE, EP, PV), map(as_scalar, (edges_per_vertex, plates_per_edge,
+                                                     vertices_per_plate))))
+    dens = _densities(profile)
+    bad = [row[0] for row in _GENERAL if row[4] <= _PROFILE and not _verdict(row, dens)[1]]
     if bad:
         raise InfeasibleParametersError(
             f"plate profile is infeasible for the general branch: {', '.join(bad)}")
-    rows = _interior_rows(ve, ep, pv)
-    _, psi_cap = _rate_bounds(rows, PSI, {})
-    # the rows on the ridge rate alone made the box
-    verts, kind = _clip_box(psi_cap, [_halfplane(relation, form, (PSI, TAU), {})
-                                      for _, _, relation, form in rows
-                                      if TAU in form and form.keys() <= {PSI, TAU, ""}])
+    _, psi_cap = _rate_bounds(_GENERAL, PSI, _PROFILE, dens)
+    sides = [row for row in _GENERAL if row[3][_CARRIER[TAU][0]]]  # the psi rows made the box
+    verts, kind = _clip_box(psi_cap, _halfplanes(sides, (PSI, TAU), _PROFILE, dens))
     return RegionPatch((PSI, TAU), kind, verts)
-
-
-def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
-                         vertices_per_plate: ScalarLike) -> RegionPatch:
-    """The (ridge rate, side rate) region for one plate profile."""
-    return _rate_region(*map(as_scalar, (edges_per_vertex, plates_per_edge,
-                                         vertices_per_plate)))
 
 
 def ridge_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -355,7 +346,8 @@ def side_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike
     if psi < lo_psi or psi > hi_psi:
         raise InfeasibleParametersError(
             f"ridge rate outside its feasible interval [{lo_psi}, {hi_psi}]")
-    return _rate_bounds(_interior_rows(*profile), TAU, {PSI: psi})
+    values = {**dict(zip((VE, EP, PV), profile)), PSI: psi}
+    return _rate_bounds(_GENERAL, TAU, values.keys(), _densities(values))
 
 
 def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -369,17 +361,13 @@ def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
     """
     profile = tuple(map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate)))
     lo_psi, hi_psi = ridge_rate_interval(*profile)  # raises when the cyclic part is infeasible
-    rows = _interior_rows(*profile)
     psi, tau = as_scalar(ridge_interior_rate), as_scalar(side_interior_rate)
-    rates = {PSI: psi, TAU: tau}
+    dens = _densities({**dict(zip((VE, EP, PV), profile)), PSI: psi, TAU: tau})
     # (psi, tau) must lie in the rate polygon, which no choice of shares can repair
-    tau_lo, tau_hi = _rate_bounds(rows, TAU, {PSI: psi})
+    tau_lo, tau_hi = _rate_bounds(_GENERAL, TAU, _PROFILE | {PSI}, dens)
     if not (lo_psi <= psi <= hi_psi and tau_lo <= tau <= tau_hi):
         return RegionPatch((KAPPA, XI), "empty", ())
-
-    verts, kind = _clip_box(ONE, [_halfplane(relation, form, (KAPPA, XI), rates)
-                                  for _, _, relation, form in rows
-                                  if form.keys() & {KAPPA, XI}])
+    verts, kind = _clip_box(ONE, _halfplanes(_GENERAL, (KAPPA, XI), _PROFILE | {PSI, TAU}, dens))
     open_edges = ("pi_edge_share_positive",) if any(not xi for _, xi in verts) else ()
     return RegionPatch((KAPPA, XI), kind, verts, open_edges)
 
@@ -430,7 +418,7 @@ def plate_profile_region(edges_per_vertex: ScalarLike,
         raise InfeasibleParametersError(
             "no feasible plate profile below four edges per vertex")
     cap = plate_cap(ve)
-    ep_floor = row_limit("plates_per_edge_min")
+    ep_floor = row_limit("plates_per_edge_min", (ve,))
     ep_max = as_scalar(plates_per_edge_max) if plates_per_edge_max is not None else cap + 3
     if ep_max <= ep_floor:
         raise InfeasibleParametersError("plotting window must extend past 3")
@@ -471,36 +459,42 @@ def _rand_between(rng: random.Random, lo: Scalar, hi: Scalar,
     if lo == hi:
         return lo
     k = rng.randint(0 if include_lo else 1, grain if include_hi else grain - 1)
-    return lo + Scalar(Fraction(k, grain)) * (hi - lo)
+    return lo + Scalar(k, grain) * (hi - lo)
+
+
+# the general branch draws plates per edge up to 3/2 past the cap
+_EP_WINDOW = _row("", EP, "<=", E=15, V=-12, I=-2)
 
 
 def _sample_once(rng: random.Random, face_to_face: bool) -> TessParams | None:
     ve = _rand_between(rng, row_limit("edges_per_vertex_min"), Scalar(10))
-    cap = plate_cap(ve)
-    rows = _cyclic_rows(ve, "face_to_face" if face_to_face else "general")
-    # the general branch draws plates per edge up to 3/2 past the cap
-    window = ("", EP, "<=", {EP: ONE, "": -cap - Fraction(3, 2)})
-    ep = _rand_between(rng, *_rate_bounds((*rows, window), EP, {VE: ve}))
-    pv_lo, pv_hi = _rate_bounds(rows, PV, {VE: ve, EP: ep})
+    rows = _ROWS["face_to_face" if face_to_face else "general"]
+
+    def bounds(rate, values, rows=rows):  # of the rate, once values fix the rest
+        return _rate_bounds(rows, rate, values.keys(), _densities(values))
+
+    values = {VE: ve}
+    ep = values[EP] = _rand_between(rng, *bounds(EP, values, (*rows, _EP_WINDOW)))
+    pv_lo, pv_hi = bounds(PV, values)
     if face_to_face:
         return TessParams.create(ve, ep, _rand_between(rng, pv_lo, pv_hi, include_hi=False))
     # on and above the cap pv_hi = 2 pv_lo, and the strict floor is left out
-    pv = _rand_between(rng, pv_lo, pv_hi, include_lo=(ep < cap), include_hi=False)
+    pv = values[PV] = _rand_between(rng, pv_lo, pv_hi, include_lo=(ep < plate_cap(ve)),
+                                    include_hi=False)
 
-    psi = _rand_between(rng, *ridge_rate_interval(ve, ep, pv))
+    values[PSI] = _rand_between(rng, *ridge_rate_interval(ve, ep, pv))
     # a ridge rate in the interval leaves some side rate
-    rows = _interior_rows(ve, ep, pv)
-    tau = _rand_between(rng, *_rate_bounds(rows, TAU, {PSI: psi}))
+    values[TAU] = _rand_between(rng, *bounds(TAU, values))
 
     # the hemi share must leave room for a pi share of at most 1, as the polygon does
-    _, k_cap = _rate_bounds(rows, KAPPA, {PSI: psi, TAU: tau, XI: ONE})
-    kappa = _rand_between(rng, ZERO, k_cap)
+    _, k_cap = bounds(KAPPA, {**values, XI: ONE})
+    values[KAPPA] = _rand_between(rng, ZERO, k_cap)
 
-    xi_lo, xi_hi = _rate_bounds(rows, XI, {PSI: psi, TAU: tau, KAPPA: kappa})
+    xi_lo, xi_hi = bounds(XI, values)
     if xi_lo > xi_hi or not xi_hi:  # the one draw that can fail
         return None
-    xi = _rand_between(rng, xi_lo, xi_hi, include_lo=bool(xi_lo))
-    return TessParams.create(ve, ep, pv, xi, kappa, psi, tau)
+    values[XI] = _rand_between(rng, xi_lo, xi_hi, include_lo=bool(xi_lo))
+    return TessParams.create(**values)
 
 
 def sample_feasible(count: int = 1, seed: int = 0,

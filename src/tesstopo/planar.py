@@ -28,8 +28,8 @@ when X1 W2 = X2 W1 and Y1 W2 = Y2 W1, and a corner lies inside a side when
 the lines of its two sides are one line; dropping it leaves every other turn
 as it was, so one pass removes them all. A convex ring without area lies on
 one line, so fewer than three corners left means it is empty, a point or a
-segment. Each coordinate of a corner the clip made takes one
-:func:`exact_div` at the end; a corner given as a point comes back as it is.
+segment. Each coordinate of a corner the clip made takes one quotient at the
+end, :func:`exact_div` or the caller's; a corner given as a point stays as it is.
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ def _on_one_line(s, t) -> bool:
     return s is t or not (s[0] * t[1] - s[1] * t[0] or any(_meet(s, t)))
 
 
-def _point(corner):
+def _point(corner, div):
     x, y, w, _, given = corner
-    return given if given is not None else (exact_div(x, w), exact_div(y, w))
+    return given if given is not None else (div(x, w), div(y, w))
 
 
-def clean_ring(ring: list) -> tuple[tuple, str]:
+def clean_ring(ring: list, div=exact_div) -> tuple[tuple, str]:
     """A clipped ring without repeats or corners inside a side, as points
     named by its dimension: ``"empty"``, ``"point"``, ``"segment"`` (its two
     ends, lowest first) or ``"region"`` (its corners in ring order). Of
@@ -131,9 +131,9 @@ def clean_ring(ring: list) -> tuple[tuple, str]:
     if not pts:
         return (), "empty"
     if len(pts) == 1:
-        return (_point(pts[0]),), "point"
+        return (_point(pts[0], div),), "point"
     if all(_on_one_line(pts[0][3], p[3]) for p in pts):
-        ends = [_point(p) for p in pts]
+        ends = [_point(p, div) for p in pts]
         return (min(ends), max(ends)), "segment"
-    return tuple(_point(p) for i, p in enumerate(pts)
+    return tuple(_point(p, div) for i, p in enumerate(pts)
                  if not _on_one_line(pts[i - 1][3], p[3])), "region"

@@ -51,6 +51,7 @@ import decimal
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -70,8 +71,9 @@ def _trim(c: Iterable[int]) -> Coeffs:
 
 
 def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = max(len(a), len(b))
-    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + b[i] if i < len(b) else x for i, x in enumerate(a)])
 
 
 def _pneg(a: Coeffs) -> Coeffs:
@@ -606,9 +608,16 @@ class Scalar:
     __ge__ = _order(operator.ge)
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.as_fraction())
-        return hash((self._num, self._den))
+        """A rational hashes as the equal int or Fraction, by the numeric
+        hash rule on its parts in lowest terms, with no Fraction built."""
+        if not self.is_rational:
+            return hash((self._num, self._den))
+        (n,), (d,) = self._num, self._den
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, sys.hash_info.modulus))
+        except ValueError:  # d is a multiple of the modulus
+            h = sys.hash_info.inf
+        return h if n >= 0 else -2 if h == 1 else -h
 
     # ---- evaluation and rendering ----
 
@@ -710,21 +719,17 @@ def as_scalar(x: ScalarLike) -> Scalar:
 
 
 def fraction_free(*values: Scalar) -> tuple:
-    """The values times one positive common denominator: ints when all are
-    rational, otherwise :class:`Poly` values with the integer content
-    divided out. The denominator's sign is read once."""
+    """The values times one positive common denominator, the least common
+    multiple of theirs up to a constant, whose sign is read once: ints when all
+    are rational, otherwise :class:`Poly` values with the content divided out."""
     if all(v.is_rational for v in values):
         m = math.lcm(*(v._den[0] for v in values))
         return tuple(v._num[0] * (m // v._den[0]) for v in values)
-    dens = list(dict.fromkeys(v._den for v in values))
-    sides = []
-    for v in values:
-        side = v._num
-        for d in dens:
-            if d != v._den:
-                side = _pmul(side, d)
-        sides.append(side)
-    g = math.gcd(*(x for s in sides for x in s)) * _product_sign(*dens)
+    lcm = (1,)
+    for d in dict.fromkeys(v._den for v in values):
+        lcm = _pmul(lcm, _cancel(lcm, d)[1])
+    sides = [_pmul(v._num, _pdivexact(lcm, v._den)) if v else (0,) for v in values]
+    g = math.gcd(*(x for s in sides for x in s)) * _product_sign(lcm)
     return tuple(Poly(tuple([x // g for x in s])) for s in sides)
 
 
@@ -739,7 +744,7 @@ class Poly:
         self.c = c
 
     def __add__(self, o):
-        return Poly(_padd(self.c, o.c if type(o) is Poly else (o,)))
+        return Poly(_padd(self.c, o.c if type(o) is Poly else (o,))) if o else self
 
     __radd__ = __add__
 
@@ -761,7 +766,7 @@ class Poly:
         return self.c == (o.c if type(o) is Poly else (o,))
 
     def __gt__(self, o) -> bool:
-        d = self - o
+        d = self - o if o else self
         return bool(d) and _product_sign(d.c) > 0
 
     def __truediv__(self, o) -> Scalar:

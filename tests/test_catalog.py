@@ -206,6 +206,34 @@ def test_verify_catalog_failure_line_is_unquoted(monkeypatch):
     assert failures == ["ex11_spoke_cube: cannot build this member"]
 
 
+@pytest.mark.parametrize("entry_id, change, message", [
+    ("ex04_stit", {"face_to_face": True}, "branch general, expected face_to_face"),
+    ("ex05_cubic", {"face_to_face": False}, "branch face_to_face, expected general"),
+    ("ex05_cubic", {"adjacency_checks": (("cell", "vertex", 9),)},
+     "mean cell->vertex adjacency is 8, entry says 9"),
+    ("ex06a_triangle_columns", {"vertices_per_plate": Scalar(137, 20)},
+     "construction gives vertices_per_plate = 27/4, entry stores 137/20"),
+])
+def test_the_check_names_each_tampered_entry(monkeypatch, entry_id, change, message):
+    # one tampered field each: the check must say what is wrong, and nothing else
+    import tesstopo.catalog as cat
+
+    tampered = dataclasses.replace(get(entry_id), **change)
+    complaints = []
+    catalog._check_entry(tampered, complaints.append)
+    assert complaints == [message]
+    monkeypatch.setattr(cat, "entries", lambda: iter([tampered]))
+    assert verify_catalog().failures == (f"{entry_id}: {message}",)
+
+
+def test_the_check_names_generator_args_without_a_generator(monkeypatch):
+    import tesstopo.catalog as cat
+
+    tampered = dataclasses.replace(get("ex04_stit"), generator_args={"k": 1})
+    monkeypatch.setattr(cat, "entries", lambda: iter([tampered]))
+    assert verify_catalog().failures == ("ex04_stit: generator args without generator",)
+
+
 def _box(x0, y0, z0, x1, y1, z1):
     return [(x, y, z) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)]
 

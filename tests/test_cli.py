@@ -304,6 +304,10 @@ def test_bad_precision_env_rejected(capsys, monkeypatch):
     ("sample", "--count", "100000000"),
     ("transform", "--op", "central-point", "--catalog", "ex01_voronoi",
      "--steps", "100000000"),
+    # the prism_columns argument errors, which hypothesis draws reach only by chance
+    ("measure", "--generator", "prism_columns", "--arg", "base=hexagon"),
+    ("measure", "--generator", "prism_columns", "--arg", "base=triangle",
+     "--arg", "offsets=0,1/4,1/2,3/4"),
 ])
 def test_usage_errors_exit_two(capsys, tmp_path, argv):
     # a dict stands for a domain file holding it

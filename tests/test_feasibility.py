@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tesstopo.catalog import entries
-from tesstopo.errors import InfeasibleParametersError
+from tesstopo.errors import InfeasibleParametersError, ParameterDomainError
 from tesstopo.feasibility import (
     classify,
+    classify_partial,
     hemi_pi_region,
     interior_rate_region,
     plate_cap,
@@ -21,6 +22,8 @@ from tesstopo import feasibility
 from tesstopo.catalog import get
 from tesstopo.scalar import Poly, Scalar
 from tesstopo.transforms import mixture
+
+import feasibility_reference as reference
 
 
 def S(x):
@@ -277,18 +280,11 @@ def test_report_json_shape():
                for b in j["bounds"])
 
 
-def _ridge_bounds(rows):
-    """Ridge rates that leave some side rate: the rows on the ridge rate
-    alone, and ``ceiling - floor <= 0`` for each floor (0 included) and
-    ceiling row on the two rates (each has side-rate coefficient 1). Where
-    the ridge terms cancel, the cyclic rows ensure the difference holds."""
-    TAU, PSI, ONE, ZERO = feasibility.TAU, feasibility.PSI, Scalar(1), Scalar(0)
-    sides = [(rel[0], form) for _, rate, rel, form in rows
-             if rate == TAU and form.keys() <= {TAU, PSI, ""}] + [(">", {TAU: ONE})]
-    pairs = [("", PSI, "<=", {k: c.get(k, ZERO) - f.get(k, ZERO) for k in (PSI, "")})
-             for f_rel, f in sides if f_rel == ">" for c_rel, c in sides if c_rel == "<"]
-    return feasibility._rate_bounds([*rows, *(row for row in pairs if row[3][PSI])],
-                                    PSI, {})
+def _rate_bounds(rate, values):
+    """The table's floor and ceiling of ``rate`` once ``values`` fix the
+    other rates, from the general branch's rows."""
+    return feasibility._rate_bounds(feasibility._GENERAL, rate, values.keys(),
+                                    feasibility._densities(values))
 
 
 def test_staged_regions_agree_with_classify():
@@ -305,8 +301,8 @@ def test_staged_regions_agree_with_classify():
                          for s in samples[:2]]
     for p in tuples:
         ve, ep, pv = p.edges_per_vertex, p.plates_per_edge, p.vertices_per_plate
-        assert ridge_rate_interval(ve, ep, pv) == _ridge_bounds(
-            feasibility._interior_rows(ve, ep, pv))
+        assert ridge_rate_interval(ve, ep, pv) == reference.ridge_bounds(
+            reference.interior_rows(ve, ep, pv))
         shares = hemi_pi_region(ve, ep, pv, p.ridge_interior_rate, p.side_interior_rate)
         for kappa, xi in shares.vertices:
             if xi > 0:
@@ -320,8 +316,8 @@ def test_a_segment_shaped_rate_region_has_the_reference_ridge_interval():
     profile = (Fraction(9, 2), 3, 3)
     patch = interior_rate_region(*profile)
     assert (patch.kind, set(patch.vertices)) == ("segment", {(S(0), S(0)), (S("1/4"), S(0))})
-    rows = feasibility._interior_rows(*map(S, profile))
-    assert ridge_rate_interval(*profile) == _ridge_bounds(rows) == (S(0), S("1/4"))
+    rows = reference.interior_rows(*map(S, profile))
+    assert ridge_rate_interval(*profile) == reference.ridge_bounds(rows) == (S(0), S("1/4"))
 
 
 def test_staged_regions_clip_on_ints_or_pi2_polynomials(monkeypatch):
@@ -353,7 +349,7 @@ def test_a_plate_profile_is_clipped_once(monkeypatch):
     clip = feasibility.clip
     monkeypatch.setattr(feasibility, "clip",
                         lambda ring, lines: calls.append(ring) or clip(ring, lines))
-    feasibility._rate_region.cache_clear()
+    interior_rate_region.cache_clear()
     for entry in ("ex04_stit", "ex13a_weighted_mixture"):
         p = get(entry).to_params()
         ve, ep, pv = p.edges_per_vertex, p.plates_per_edge, p.vertices_per_plate
@@ -409,11 +405,10 @@ def test_every_cyclic_profile_has_a_rate_polygon_from_the_excess_floor(profile):
     assert ridge_rate_interval(*profile)[0] == m
     patch = interior_rate_region(*profile)
     assert (m, m) in patch.vertices
-    rows = feasibility._interior_rows(*profile)
     for psi, tau in patch.vertices:
-        _, kappa_cap = feasibility._rate_bounds(
-            rows, feasibility.KAPPA, {feasibility.PSI: psi, feasibility.TAU: tau,
-                                      feasibility.XI: S(1)})
+        _, kappa_cap = _rate_bounds(feasibility.KAPPA, {
+            **dict(zip((feasibility.VE, feasibility.EP, feasibility.PV), profile)),
+            feasibility.PSI: psi, feasibility.TAU: tau, feasibility.XI: S(1)})
         assert kappa_cap >= 0
 
 
@@ -424,6 +419,80 @@ def test_the_pi_share_window_can_be_empty():
     profile = tuple(map(S, ("76/15", "428/95", "49327/11500")))
     psi = tau = S("166/75")
     assert (psi, tau) in interior_rate_region(*profile).vertices
-    rows = feasibility._interior_rows(*profile)
-    assert feasibility._rate_bounds(rows, feasibility.XI, {
+    assert _rate_bounds(feasibility.XI, {
+        **dict(zip((feasibility.VE, feasibility.EP, feasibility.PV), profile)),
         feasibility.PSI: psi, feasibility.TAU: tau, feasibility.KAPPA: S(0)}) == (S(0), S(0))
+
+
+FIELDS = ("edges_per_vertex", "plates_per_edge", "vertices_per_plate", "pi_edge_share",
+          "hemi_vertex_share", "ridge_interior_rate", "side_interior_rate")
+SAMPLES = sample_feasible(count=20, seed=17) + sample_feasible(count=20, seed=17,
+                                                               face_to_face=True)
+
+
+@st.composite
+def _tuples(draw):
+    """Rational tuples from a box (ve = 2 and below included, so that rows
+    stop applying), and sampled or pi^2 tuples with one field scaled, most of
+    them infeasible."""
+    kind = draw(st.sampled_from(("box", "sample", "pi2")))
+    if kind == "box":
+        positive = st.fractions(Fraction(1, 2), 14, max_denominator=24)
+        ve = draw(st.one_of(st.just(Fraction(2)), positive))
+        ep, pv = draw(positive), draw(positive)
+        if draw(st.booleans()):
+            return TessParams.create(ve, ep, pv)
+        rates = st.fractions(0, 12, max_denominator=24)
+        return TessParams.create(ve, ep, pv, draw(UNIT), draw(UNIT), draw(rates), draw(rates))
+    p = draw(st.sampled_from(SAMPLES if kind == "sample" else PI2_MIXTURES))
+    field = draw(st.sampled_from(FIELDS))
+    try:
+        return p.with_values(**{field: getattr(p, field)
+                                * draw(st.fractions(0, 3, max_denominator=12))})
+    except ParameterDomainError:
+        return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tuples())
+def test_every_bound_is_the_reference_rows_bound(p):
+    # the density table against the per-profile rows it replaced: the same
+    # limit, value, applicable, satisfied and on_boundary for every row, on
+    # rational and pi^2 tuples, feasible or not, and on partial records
+    values = p.as_dict()
+    report = classify(p)
+    assert report.bounds == reference.classify_partial(values, report.branch)
+    for keep in FIELDS[:2], FIELDS[:3], FIELDS[:3] + FIELDS[4:6]:
+        part = {k: values[k] for k in keep}
+        for branch in ("general", "face_to_face"):
+            assert classify_partial(part, branch) == reference.classify_partial(part, branch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(UNIT, UNIT, UNIT, UNIT, UNIT, UNIT, UNIT))
+def test_the_other_general_rows_imply_the_high_regime_floor(t):
+    # on and above the cap, with e = (ve/4)(ep - cap): tau <= psi and
+    # tau >= psi/2 + e leave tau >= 2e, and the plate-corner ceiling then
+    # puts pv at or above the floor, at it only with psi = tau = 2e, where the
+    # pi-share rows fail; below the cap, pv >= 3 already puts it above. So a
+    # tuple with pv at or under the floor that meets every other general row
+    # does not exist. Here psi and tau meet the two side-rate rows, and
+    # t = 0 is the one candidate. The row stays in the report, applicable
+    # from the cap up.
+    ve_t, ep_t, pv_t, psi_t, tau_t, kappa, xi = t
+    ve = S(4 + 10 * ve_t)
+    ep = plate_cap(ve) + 2 * S(ep_t)
+    e = ve / 4 * (ep - plate_cap(ve))
+    floor = row_limit("vertices_per_plate_high_regime_min", (ve, ep))
+    pv = floor - (floor - 3) * S(pv_t)
+    psi = 2 * e + 8 * S(psi_t)
+    tau = psi / 2 + e + (psi / 2 - e) * S(tau_t)
+    p = TessParams.create(ve, ep, pv, max(S(xi), S("1/64")), kappa, psi, tau)
+    report = classify(p)
+    high = {b.name: b for b in report.bounds}["vertices_per_plate_high_regime_min"]
+    assert high.applicable and not high.satisfied
+    assert set(report.violated) - {high.name}
+    for q in SAMPLES[:20]:
+        bounds = {b.name: b for b in classify(q).bounds}
+        assert bounds[high.name].satisfied
+        assert bounds[high.name].applicable == (q.plates_per_edge >= plate_cap(q.edges_per_vertex))

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -252,6 +253,25 @@ def test_evaluate_and_float_match_mpmath(value, digits):
         exact = _at_pi2(value.num_coeffs) / _at_pi2(value.den_coeffs)
         assert value.evaluate(digits) == mpmath.nstr(exact, digits, strip_zeros=False)
         assert float(value) == float(exact)
+
+
+MODULUS = sys.hash_info.modulus
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**30, 10**30),
+       st.one_of(st.integers(1, 10**30),
+                 st.integers(1, 5).map(lambda k: k * MODULUS),
+                 st.integers(1, 5).map(lambda k: k * MODULUS + 1)))
+def test_a_rational_hashes_as_its_int_or_fraction(n, d):
+    # the numeric hash rule on the parts in lowest terms, with no Fraction
+    # built: a denominator that is a multiple of the modulus hashes as
+    # infinity, and -1 is read as -2
+    s = Scalar(n, d)
+    assert hash(s) == hash(Fraction(n, d))
+    assert hash(Scalar(n)) == hash(n)
+    assert hash(Scalar(-1)) == hash(-1) == -2
+    assert hash(Scalar(-1, MODULUS)) == hash(Fraction(-1, MODULUS))
 
 
 def test_hash_matches_equality():

@@ -23,6 +23,8 @@ from .params import (
     TessParams,
     DerivedSummary,
     cell_intensity_form,
+    densities,
+    from_densities,
     derive,
     check_identities,
     is_consistent,

@@ -20,9 +20,13 @@ coefficients over eight densities per unit vertex intensity (V = 1, E = ve/2,
 I = E·ep, P = I/pv, X = E·xi, K = kappa, S = psi, T = tau). A row reads
 ``form >= 0``, or ``> 0`` when strict, and is reported as a bound on its rate.
 A tuple's densities are made fraction-free once, ints or integer polynomials
-in pi^2, so a row's verdict is the sign of one dot product and its limit one
-quotient. A staged region clips its box by the rows on its two rates, their
-coefficients the rates' columns times their base densities (V, or E for xi).
+in pi^2, and kept on the tuple (``TessParams.densities``), so a row's verdict
+is the sign of one int dot product per power of pi^2 and its limit one
+quotient. The staged helpers and the sampler extend a vector by one rate at a
+time: scaled by the rate's denominator less any polynomial factor it shares
+with the rate's base density, with the rate's column set. A staged region
+clips its box by the rows on its two rates, their coefficients the rates'
+columns times their base densities (V, or E for xi).
 The (ridge rate, side rate) polygon is clipped once per plate profile, and the
 ridge interval that the staged helpers and the sampler read is its ridge extent.
 A profile that passes the cyclic rows has a non-empty polygon, and its ridge
@@ -35,14 +39,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import operator
 import random
 from dataclasses import dataclass
 
 from .errors import InfeasibleParametersError
-from .params import TessParams
+from .params import Densities, TessParams, _densities, _form, _from_vector, _ratio
 from .planar import clean_ring, clip, ring_of_lines, ring_of_points
-from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar, fraction_free
+from .scalar import ONE, ZERO, Poly, Scalar, ScalarLike, _cancel, as_scalar, fraction_free
 
 __all__ = [
     "Bound",
@@ -77,7 +80,6 @@ PSI, TAU, KAPPA, XI = ("ridge_interior_rate", "side_interior_rate",
                        "hemi_vertex_share", "pi_edge_share")
 _HIGH_REGIME = "vertices_per_plate_high_regime_min"
 
-_COLUMNS = "VEIPXKST"
 _PROFILE = {VE, EP, PV}
 # the rates each density reads; an interior one reads the profile, as its rows do
 _READS = tuple(frozenset(r) for r in ((), {VE}, {VE, EP}, _PROFILE, {*_PROFILE, XI},
@@ -90,7 +92,7 @@ _CARRIER = {VE: (1, 2, 0), EP: (2, 1, 1), PV: (3, None, 2), XI: (4, 1, 1),
 
 def _row(name: str, rate: str, relation: str, **coeffs: int) -> tuple:
     """Row (name, rate, relation, coefficients over the columns, rates read)."""
-    c = tuple(coeffs.get(col, 0) for col in _COLUMNS)
+    c = _form(**coeffs)
     return name, rate, relation, c, frozenset().union(*(r for r, k in zip(_READS, c) if k))
 
 
@@ -133,35 +135,37 @@ _GENERAL = _ROWS["general"]
 _BY_NAME = {row[0]: row for rows in _ROWS.values() for row in rows}
 
 
-def _densities(values: dict[str, Scalar]) -> tuple:
-    """The densities that values give, 0 where a rate they read is missing,
-    made fraction-free."""
-    ve, ep, pv, xi = map(values.get, (VE, EP, PV, XI))
-    e = ve / 2 if ve is not None else ZERO
-    i = e * ep if ep is not None else ZERO
-    return fraction_free(ONE, e, i, i / pv if pv is not None else ZERO,
-                         e * xi if xi is not None else ZERO,
-                         *(values.get(r, ZERO) for r in (KAPPA, PSI, TAU)))
-
-
-def _ratio(n, d) -> Scalar:
-    """n/d as a canonical Scalar, from ints or polynomials in pi^2."""
-    return Scalar._rat(n, d) if type(n) is int and type(d) is int else n / d
-
-
 def _solve(coeffs: tuple, rate: str, dens: tuple) -> tuple:
     """A form at the densities, c times the rate's carrier plus rest, as
     (level, sign, n, d): the sign of the rate's own coefficient, c's or, for pv,
     rest's, and n/d, with d > 0 unless that is 0, the rate where it vanishes."""
     j, top, base = _CARRIER[rate]
     c = coeffs[j]
-    level = sum(map(operator.mul, coeffs, dens))
+    level = dens.level(coeffs)
     rest = level - c * dens[j]
     if top is None:  # pv times the form is c·I + rest·pv
         sign = 1 if rest > 0 else -1 if rest else 0
         return level, sign, -sign * c * dens[base], sign * rest
     sign = 1 if c > 0 else -1
     return level, sign, -sign * top * rest, sign * c * dens[base]
+
+
+def _extend(dens: Densities, rate: str, value: Scalar) -> Densities:
+    """The densities with one more rate set: a rate n/d puts n times its base
+    over top times d in its carrier column (pv = I/P puts d·I/n). The vector is
+    scaled by that denominator less any polynomial factor it shares with the
+    base, made positive, and the column set."""
+    j, top, base = _CARRIER[rate]
+    n, d = value.num_coeffs, value.den_coeffs
+    num, den = (d, n) if top is None else (n, tuple([top * x for x in d]))
+    b = dens[base]
+    share, den, _ = _cancel(b.c if type(b) is Poly else (b,), den)
+    num, den, share = (c[0] if len(c) == 1 else Poly(c) for c in (num, den, share))
+    if not den > 0:
+        num, den = -num, -den
+    out = [x * den for x in dens]
+    out[j] = num * share
+    return Densities(out)
 
 
 def row_limit(name: str, profile: tuple[ScalarLike, ...] = (),
@@ -214,7 +218,7 @@ def _verdict(row: tuple, dens: tuple) -> tuple:
     applies where its rate's coefficient has the sign its relation reads (pv rows: ve above 2),
     the high-regime floor on or above the cap."""
     name, rate, relation, coeffs, _ = row
-    if name != _HIGH_REGIME or not sum(map(operator.mul, _CAP[3], dens)) > 0:
+    if name != _HIGH_REGIME or not dens.level(_CAP[3]) > 0:
         level, sign, n, d = _solve(coeffs, rate, dens)
         if sign == (1 if relation[0] == ">" else -1):
             return True, level > 0 or not level and relation[-1] == "=", not level, n, d
@@ -255,7 +259,7 @@ class FeasibilityReport:
 
 def classify_partial(values: dict[str, Scalar], branch: str = "general") -> tuple[Bound, ...]:
     """The rows of a branch whose rates ``values`` all give, evaluated there.
-    :func:`classify` is this on all seven."""
+    :func:`classify` is this on all seven, at the tuple's own densities."""
     dens = _densities(values)
     return tuple(_bound(row, dens, values) for row in _ROWS[branch] if row[4] <= values.keys())
 
@@ -269,7 +273,8 @@ def classify(params: TessParams) -> FeasibilityReport:
     classification and is caught only by its adjacency checks.
     """
     branch = "face_to_face" if params.is_face_to_face else "general"
-    bounds = classify_partial(params.as_dict(), branch)
+    dens, values = params.densities, params.as_dict()
+    bounds = tuple(_bound(row, dens, values) for row in _ROWS[branch])
     return FeasibilityReport(params, branch, all(b.satisfied for b in bounds), bounds)
 
 
@@ -294,7 +299,7 @@ def _halfplanes(rows, axes: tuple[str, str], given, dens: tuple) -> list:
     others at densities where the two are 0, as halfplanes ``a·x + b·y + c <=
     0``: a rate's coefficient is its carrier's times its base, c the level."""
     cols = [_CARRIER[rate] for rate in axes]
-    return [(*(-c[j] * dens[b] for j, _, b in cols), sum(-k * d for k, d in zip(c, dens)))
+    return [(*(-c[j] * dens[b] for j, _, b in cols), -dens.level(c))
             for *_, c, reads in rows if reads - given <= {*axes} and any(c[j] for j, _, _ in cols)]
 
 
@@ -307,10 +312,10 @@ def _clip_box(side: Scalar, lines: list) -> tuple[tuple, str]:
 
 
 @functools.lru_cache(maxsize=8)  # every staged call on a profile reads it
-def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
-                         vertices_per_plate: ScalarLike) -> RegionPatch:
-    """The (ridge rate, side rate) polygon of a plate profile that passes the
-    cyclic rows, clipped once: the polygons of the last eight profiles are kept."""
+def _rate_polygon(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
+                  vertices_per_plate: ScalarLike) -> tuple[Densities, RegionPatch]:
+    """A plate profile's densities and its (ridge rate, side rate) polygon,
+    clipped once: those of the last eight profiles are kept."""
     profile = dict(zip((VE, EP, PV), map(as_scalar, (edges_per_vertex, plates_per_edge,
                                                      vertices_per_plate))))
     dens = _densities(profile)
@@ -321,7 +326,14 @@ def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLi
     _, psi_cap = _rate_bounds(_GENERAL, PSI, _PROFILE, dens)
     sides = [row for row in _GENERAL if row[3][_CARRIER[TAU][0]]]  # the psi rows made the box
     verts, kind = _clip_box(psi_cap, _halfplanes(sides, (PSI, TAU), _PROFILE, dens))
-    return RegionPatch((PSI, TAU), kind, verts)
+    return dens, RegionPatch((PSI, TAU), kind, verts)
+
+
+def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
+                         vertices_per_plate: ScalarLike) -> RegionPatch:
+    """The (ridge rate, side rate) polygon of a plate profile that passes the
+    cyclic rows, clipped once per profile."""
+    return _rate_polygon(edges_per_vertex, plates_per_edge, vertices_per_plate)[1]
 
 
 def ridge_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -339,15 +351,15 @@ def side_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike
                        ridge_interior_rate: ScalarLike) -> tuple[Scalar, Scalar]:
     """Side rates compatible with the given ridge rate. The ridge rate must lie
     in the profile's ridge interval, the extent of the same cached polygon, so
-    some side rate is left."""
+    some side rate is left; the profile's cached densities are extended by it."""
     profile = tuple(map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate)))
     psi = as_scalar(ridge_interior_rate)
     lo_psi, hi_psi = ridge_rate_interval(*profile)
     if psi < lo_psi or psi > hi_psi:
         raise InfeasibleParametersError(
             f"ridge rate outside its feasible interval [{lo_psi}, {hi_psi}]")
-    values = {**dict(zip((VE, EP, PV), profile)), PSI: psi}
-    return _rate_bounds(_GENERAL, TAU, values.keys(), _densities(values))
+    dens = _extend(_rate_polygon(*profile)[0], PSI, psi)
+    return _rate_bounds(_GENERAL, TAU, _PROFILE | {PSI}, dens)
 
 
 def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -362,7 +374,7 @@ def hemi_pi_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
     profile = tuple(map(as_scalar, (edges_per_vertex, plates_per_edge, vertices_per_plate)))
     lo_psi, hi_psi = ridge_rate_interval(*profile)  # raises when the cyclic part is infeasible
     psi, tau = as_scalar(ridge_interior_rate), as_scalar(side_interior_rate)
-    dens = _densities({**dict(zip((VE, EP, PV), profile)), PSI: psi, TAU: tau})
+    dens = _extend(_extend(_rate_polygon(*profile)[0], PSI, psi), TAU, tau)
     # (psi, tau) must lie in the rate polygon, which no choice of shares can repair
     tau_lo, tau_hi = _rate_bounds(_GENERAL, TAU, _PROFILE | {PSI}, dens)
     if not (lo_psi <= psi <= hi_psi and tau_lo <= tau <= tau_hi):
@@ -466,35 +478,46 @@ def _rand_between(rng: random.Random, lo: Scalar, hi: Scalar,
 _EP_WINDOW = _row("", EP, "<=", E=15, V=-12, I=-2)
 
 
+# the densities of no rate: one vertex
+_UNIT = Densities((1, 0, 0, 0, 0, 0, 0, 0))
+
+
 def _sample_once(rng: random.Random, face_to_face: bool) -> TessParams | None:
-    ve = _rand_between(rng, row_limit("edges_per_vertex_min"), Scalar(10))
     rows = _ROWS["face_to_face" if face_to_face else "general"]
+    drawn, dens = set(), _UNIT
 
-    def bounds(rate, values, rows=rows):  # of the rate, once values fix the rest
-        return _rate_bounds(rows, rate, values.keys(), _densities(values))
+    def draw(rate, lo, hi, **ends):  # a value of the rate, added to the densities
+        nonlocal dens
+        value = _rand_between(rng, lo, hi, **ends)
+        drawn.add(rate)
+        dens = _extend(dens, rate, value)
+        return value
 
-    values = {VE: ve}
-    ep = values[EP] = _rand_between(rng, *bounds(EP, values, (*rows, _EP_WINDOW)))
-    pv_lo, pv_hi = bounds(PV, values)
+    def bounds(rate, rows=rows):  # of the rate, once the rates drawn fix the rest
+        return _rate_bounds(rows, rate, drawn, dens)
+
+    ve = draw(VE, row_limit("edges_per_vertex_min"), Scalar(10))
+    ep = draw(EP, *bounds(EP, (*rows, _EP_WINDOW)))
+    pv_lo, pv_hi = bounds(PV)
     if face_to_face:
-        return TessParams.create(ve, ep, _rand_between(rng, pv_lo, pv_hi, include_hi=False))
+        draw(PV, pv_lo, pv_hi, include_hi=False)
+        return _from_vector(dens, ONE)
     # on and above the cap pv_hi = 2 pv_lo, and the strict floor is left out
-    pv = values[PV] = _rand_between(rng, pv_lo, pv_hi, include_lo=(ep < plate_cap(ve)),
-                                    include_hi=False)
+    pv = draw(PV, pv_lo, pv_hi, include_lo=(ep < plate_cap(ve)), include_hi=False)
 
-    values[PSI] = _rand_between(rng, *ridge_rate_interval(ve, ep, pv))
+    draw(PSI, *ridge_rate_interval(ve, ep, pv))
     # a ridge rate in the interval leaves some side rate
-    values[TAU] = _rand_between(rng, *bounds(TAU, values))
+    draw(TAU, *bounds(TAU))
 
     # the hemi share must leave room for a pi share of at most 1, as the polygon does
-    _, k_cap = bounds(KAPPA, {**values, XI: ONE})
-    values[KAPPA] = _rand_between(rng, ZERO, k_cap)
+    _, k_cap = _rate_bounds(rows, KAPPA, drawn | {XI}, _extend(dens, XI, ONE))
+    draw(KAPPA, ZERO, k_cap)
 
-    xi_lo, xi_hi = bounds(XI, values)
+    xi_lo, xi_hi = bounds(XI)
     if xi_lo > xi_hi or not xi_hi:  # the one draw that can fail
         return None
-    values[XI] = _rand_between(rng, xi_lo, xi_hi, include_lo=bool(xi_lo))
-    return TessParams.create(**values)
+    draw(XI, xi_lo, xi_hi, include_lo=bool(xi_lo))
+    return _from_vector(dens, ONE)
 
 
 def sample_feasible(count: int = 1, seed: int = 0,

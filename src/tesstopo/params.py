@@ -21,21 +21,31 @@ calling the class or its alias :meth:`TessParams.create`, reads every value
 exactly and checks its domain. :func:`derive` computes the lot;
 :func:`check_identities` re-checks the structural identities on a derived
 summary so corrupted data is caught.
+
+The seven means are ratios of eight densities, which :func:`densities` gives
+and :func:`from_densities` reads back. A tuple makes its density vector
+fraction-free once and keeps it, and every derived value is one quotient of
+integer forms in it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DegenerateIntensityError, ParameterDomainError
-from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar
+from .scalar import ONE, ZERO, Poly, Scalar, ScalarLike, _trim, as_scalar, fraction_free
 
 __all__ = [
     "OBJECTS",
     "TessParams",
     "DerivedSummary",
     "cell_intensity_form",
+    "densities",
+    "from_densities",
     "derive",
     "check_identities",
     "is_consistent",
@@ -50,6 +60,68 @@ def cell_intensity_form(edges_per_vertex: Scalar, plates_per_edge: Scalar,
     the cell-per-plate-vertex intensity ratio, and whose value at 2 is
     twice the cells-per-vertex mean."""
     return edges_per_vertex * plates_per_edge - as_scalar(x) * (edges_per_vertex - 2)
+
+
+_COLUMNS = "VEIPXKST"
+
+
+def _form(**coeffs: int) -> tuple[int, ...]:
+    """An integer form over the densities, its coefficients given by column."""
+    return tuple(coeffs.get(col, 0) for col in _COLUMNS)
+
+
+class Densities(tuple):
+    """The eight densities (V, E, I, P, X, K, S, T) of a tuple, or of the rates
+    known so far, times one positive factor: ints when they are rational,
+    otherwise integer polynomials in pi^2 (:class:`Poly`). Their coefficients
+    are transposed once, by power of pi^2, into ``layers``, so an integer form
+    of them is one int dot product per power; a rational vector has one layer."""
+
+    def __new__(cls, values: Sequence) -> "Densities":
+        self = super().__new__(cls, values)
+        self.rational = Poly not in map(type, values)
+        if self.rational:
+            self.layers = (self,)
+        else:
+            sides = [v.c if type(v) is Poly else (v,) for v in values]
+            width = max(map(len, sides))
+            self.layers = tuple(zip(*(c + (0,) * (width - len(c)) for c in sides)))
+        return self
+
+    def level(self, coeffs: Sequence[int]):
+        """The form with these coefficients at the densities: the dot product
+        with each layer, an int on the one layer of a rational vector."""
+        if self.rational:
+            return sum(map(operator.mul, coeffs, self))
+        return Poly(_trim([sum(map(operator.mul, coeffs, layer)) for layer in self.layers]))
+
+
+def _densities(values: dict[str, Scalar]) -> Densities:
+    """The densities per unit vertex intensity that values give, 0 where a
+    rate they read is missing, made fraction-free."""
+    ve, ep, pv, xi = map(values.get, ("edges_per_vertex", "plates_per_edge",
+                                      "vertices_per_plate", "pi_edge_share"))
+    e = ve / 2 if ve is not None else ZERO
+    i = e * ep if ep is not None else ZERO
+    return Densities(fraction_free(
+        ONE, e, i, i / pv if pv is not None else ZERO, e * xi if xi is not None else ZERO,
+        *(values.get(r, ZERO) for r in ("hemi_vertex_share", "ridge_interior_rate",
+                                         "side_interior_rate"))))
+
+
+def _ratio(n, d) -> Scalar:
+    """n/d as a canonical Scalar, from ints or polynomials in pi^2."""
+    return Scalar._rat(n, d) if type(n) is int and type(d) is int else n / d
+
+
+def _from_vector(dens: Densities, vertex_intensity: Scalar) -> "TessParams":
+    """The tuple whose densities are ``dens`` up to a positive factor, which it
+    keeps as its own density vector."""
+    v, e, i, p, x, k, s, t = dens
+    out = TessParams(_ratio(2 * e, v), _ratio(i, e), _ratio(i, p), _ratio(x, e),
+                     _ratio(k, v), _ratio(s, v), _ratio(t, v), vertex_intensity)
+    out.__dict__["densities"] = dens  # where the cached property keeps it
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,6 +164,12 @@ class TessParams:
         for name in ("ridge_interior_rate", "side_interior_rate"):
             if getattr(self, name).sign() < 0:
                 raise ParameterDomainError(f"{name} must be nonnegative")
+
+    @functools.cached_property
+    def densities(self) -> Densities:
+        """The tuple's densities per unit vertex intensity, made fraction-free
+        on first use and kept on the record."""
+        return _densities(self.as_dict())
 
     @property
     def is_face_to_face(self) -> bool:
@@ -148,92 +226,93 @@ class DerivedSummary:
         }
 
 
-def positive_forms(params: TessParams) -> tuple[Scalar, Scalar, Scalar]:
-    """The forms behind the cell intensity, the cells-per-vertex mean and
-    the cell side intensity, checked positive in that order: otherwise a
+def densities(params: TessParams) -> tuple[Scalar, ...]:
+    """The eight densities per unit volume: vertices V, edges E = V·ve/2,
+    plate-edge incidences I = E·ep, plates P = I/pv, pi-edges X = E·xi,
+    hemi-vertices K = V·kappa, and ridge- and side-interior incidences
+    S = V·psi and T = V·tau."""
+    dens, lv = params.densities, params.vertex_intensity
+    return tuple(lv * _ratio(x, dens[0]) for x in dens)
+
+
+def from_densities(values: Sequence[ScalarLike]) -> TessParams:
+    """The tuple whose densities per unit volume are ``values``, the inverse
+    of :func:`densities`. V, E, I and P must be positive."""
+    dens = tuple(map(as_scalar, values))
+    if len(dens) != len(_COLUMNS):
+        raise ParameterDomainError(f"expected {len(_COLUMNS)} densities, got {len(dens)}")
+    if any(x.sign() <= 0 for x in dens[:4]):
+        raise ParameterDomainError("the densities V, E, I and P must be positive")
+    return _from_vector(Densities(fraction_free(*dens)), dens[0])
+
+
+# the intensities per unit volume as forms over the densities, then the other
+# counts that derive divides: vertex-plate incidences I, vertex-cell and
+# cell-plate incidences, and pi-edge ends
+_INTENSITIES = {
+    "vertices": _form(V=1), "edges": _form(E=1), "plates": _form(P=1),
+    "cells": _form(V=1, E=-1, P=1), "pi_edges": _form(X=1),
+    "cell_apices": _form(V=2, E=-2, I=1, K=-1, S=-1), "cell_ridges": _form(I=1, X=-1, S=-1),
+    "cell_sides": _form(P=2, X=-1, K=1), "cell_side_borders": _form(I=2, X=-2, S=-2),
+    "plate_sides": _form(I=1, T=-1),
+}
+_FORMS = {**_INTENSITIES, "incidences": _form(I=1), "vertex_cells": _form(V=2, E=-2, I=1),
+          "cell_plates": _form(P=2), "pi_ends": _form(X=2)}
+
+
+def positive_forms(params: TessParams) -> None:
+    """Check the cell intensity, V - E + P, the vertex-cell incidences,
+    2V - 2E + I, and the cell side intensity, 2P - X + K, positive at the
+    tuple's densities, in that order: otherwise a
     :class:`DegenerateIntensityError`, and no tessellation has these values."""
-    ve, ep, pv = params.edges_per_vertex, params.plates_per_edge, params.vertices_per_plate
-    f_pv = cell_intensity_form(ve, ep, pv)
-    if f_pv.sign() <= 0:
-        raise DegenerateIntensityError(
-            "cell intensity is not positive for these parameters")
-    f_2 = cell_intensity_form(ve, ep, 2)
-    if f_2.sign() <= 0:
-        raise DegenerateIntensityError(
-            "cells-per-vertex mean is not positive for these parameters")
-    xi, kappa = params.pi_edge_share, params.hemi_vertex_share
-    sides_form = 2 * ve * ep - pv * (xi * ve - 2 * kappa)
-    if sides_form.sign() <= 0:
-        raise DegenerateIntensityError(
-            "cell side intensity is not positive for these parameters")
-    return f_pv, f_2, sides_form
+    dens = params.densities
+    for name, what in (("cells", "cell intensity"), ("vertex_cells", "cells-per-vertex mean"),
+                       ("cell_sides", "cell side intensity")):
+        if not dens.level(_FORMS[name]) > 0:
+            raise DegenerateIntensityError(f"{what} is not positive for these parameters")
 
 
 def derive(params: TessParams) -> DerivedSummary:
-    """Compute the full derived description, exactly.
+    """Compute the full derived description, exactly: each value is one
+    quotient of integer forms in the tuple's densities.
 
     Raises :class:`DegenerateIntensityError` when the parameters force a
     nonpositive intensity or adjacency count, in which case no
     tessellation with these values exists.
     """
-    ve = params.edges_per_vertex
-    ep = params.plates_per_edge
-    pv = params.vertices_per_plate
-    xi = params.pi_edge_share
-    kappa = params.hemi_vertex_share
-    psi = params.ridge_interior_rate
-    tau = params.side_interior_rate
-    lv = params.vertex_intensity
+    positive_forms(params)
+    dens = params.densities
+    level = {name: dens.level(form) for name, form in _FORMS.items()}
 
-    f_pv, f_2, sides_form = positive_forms(params)
-    le = lv * ve / 2
-    lp = lv * ve * ep / (2 * pv)
-    lz = lv * f_pv / (2 * pv)
+    def q(top: str, bottom: str) -> Scalar:
+        return _ratio(level[top], level[bottom])
 
+    lv, ve = params.vertex_intensity, params.edges_per_vertex
+    ep, pv = params.plates_per_edge, params.vertices_per_plate
     m = {
         ("vertex", "edge"): ve,
-        ("vertex", "plate"): ve * ep / 2,
-        ("vertex", "cell"): f_2 / 2,
+        ("vertex", "plate"): q("incidences", "vertices"),
+        ("vertex", "cell"): q("vertex_cells", "vertices"),
         ("edge", "vertex"): Scalar(2),
         ("edge", "plate"): ep,
         ("edge", "cell"): ep,
         ("plate", "vertex"): pv,
         ("plate", "edge"): pv,
         ("plate", "cell"): Scalar(2),
-        ("cell", "vertex"): pv * f_2 / f_pv,
-        ("cell", "edge"): ve * ep * pv / f_pv,
-        ("cell", "plate"): 2 * ve * ep / f_pv,
+        ("cell", "vertex"): q("vertex_cells", "cells"),
+        ("cell", "edge"): q("incidences", "cells"),
+        ("cell", "plate"): q("cell_plates", "cells"),
     }
-
-    ridge_form = ve * (ep - xi) - 2 * psi
-
-    intensities = {
-        "vertices": lv,
-        "edges": le,
-        "plates": lp,
-        "cells": lz,
-        "pi_edges": le * xi,
-        "cell_apices": lv * (f_2 / 2 - kappa - psi),
-        "cell_ridges": lv * ridge_form / 2,
-        "cell_sides": lv * sides_form / (2 * pv),
-        "cell_side_borders": lv * ridge_form,
-        "plate_sides": lv * (ve * ep - 2 * tau) / 2,
-    }
-
-    apices = m[("cell", "vertex")] - pv * 2 * (kappa + psi) / f_pv
-    ridges = m[("cell", "edge")] - pv * (xi * ve + 2 * psi) / f_pv
-    sides = m[("cell", "plate")] - pv * (xi * ve - 2 * kappa) / f_pv
-
     return DerivedSummary(
         params=params,
-        intensities=intensities,
+        intensities={name: lv * q(name, "vertices") for name in _INTENSITIES},
         mean_adjacencies=m,
-        apices_per_cell=apices,
-        ridges_per_cell=ridges,
-        sides_per_cell=sides,
-        corners_per_cell_side=2 * pv * ridge_form / sides_form,
-        corners_per_plate=pv * (1 - 2 * tau / (ve * ep)),
-        pi_edges_per_vertex=xi * ve,
+        apices_per_cell=q("cell_apices", "cells"),
+        ridges_per_cell=q("cell_ridges", "cells"),
+        sides_per_cell=q("cell_sides", "cells"),
+        corners_per_cell_side=q("cell_side_borders", "cell_sides"),
+        corners_per_plate=q("plate_sides", "plates"),
+        pi_edges_per_vertex=q("pi_ends", "vertices"),
     )
 
 

@@ -759,6 +759,9 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __neg__(self):
+        return Poly(_pneg(self.c))
+
     def __bool__(self) -> bool:
         return self.c != (0,)
 

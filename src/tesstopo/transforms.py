@@ -14,6 +14,21 @@ The fourth, :func:`mixture`, combines whole parameter sets with ergodic
 weights. Each primitive object class carries its own weighting intensity,
 which is why the mixed means are not plain convex combinations.
 
+On the eight densities per unit volume of :func:`~tesstopo.params.densities`
+(V, E, I, P, X, K, S, T), three of the four are linear and one is not:
+
+* :func:`central_point` is an integer 8x8 matrix. Its largest eigenvalue, 4,
+  belongs to the tuple (8, 9/2, 3, 0, 0, 0, 0), which it keeps with four
+  times the vertex intensity; the next is 2, so every orbit tends to that
+  tuple with an error of order 2^-n.
+* :func:`mixture` is the convex combination of the components' density
+  vectors with the mixture weights.
+* :func:`stratum` is linear in the planar densities: with planar vertices
+  V2, edges E2 and pi-vertices F, it gives (V2, E2 + V2, 6 E2, 2 E2 - V2, F,
+  0, 2F, F).
+* :func:`column` is not linear: its hemi-vertex density has a term in
+  phi^2/ve, the planar pi-vertex share squared over the mean degree.
+
 A planar input is summarised by :class:`PlanarParams`: mean edges per
 vertex, the share of pi-vertices (vertices in the relative interior of a
 side of some planar cell), the mean number of pi-vertex endpoints per
@@ -26,13 +41,15 @@ take it as valid.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import MixtureShareError, PlanarParameterError
-from .params import TessParams, positive_forms
-from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar
+from .params import (Densities, TessParams, _form, _from_vector, _ratio, from_densities,
+                     positive_forms)
+from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar, fraction_free
 
 __all__ = [
     "PlanarParams",
@@ -170,20 +187,13 @@ def stratum(planar: PlanarParams) -> TessParams:
     """Stack shifted slabs over a planar tessellation.
 
     Only the planar mean degree and pi-vertex share matter; slab height is
-    one unit, so the spatial vertex intensity equals the planar one.
+    one unit, so the spatial vertex intensity equals the planar one. With
+    planar vertices v, edges e and pi-vertices f per unit area, the densities
+    are (v, e + v, 6e, 2e - v, f, 0, 2f, f).
     """
-    ve = planar.edges_per_vertex
-    phi = planar.pi_vertex_share
-    return TessParams.create(
-        edges_per_vertex=ve + 2,
-        plates_per_edge=6 * ve / (ve + 2),
-        vertices_per_plate=3 * ve / (ve - 1),
-        pi_edge_share=2 * phi / (ve + 2),
-        hemi_vertex_share=0,
-        ridge_interior_rate=2 * phi,
-        side_interior_rate=phi,
-        vertex_intensity=planar.vertex_intensity,
-    )
+    v = planar.vertex_intensity
+    e, f = v * planar.edges_per_vertex / 2, v * planar.pi_vertex_share
+    return from_densities((v, e + v, 6 * e, 2 * e - v, f, 0, 2 * f, f))
 
 
 def column(planar: PlanarParams) -> TessParams:
@@ -212,34 +222,27 @@ def column(planar: PlanarParams) -> TessParams:
     )
 
 
+# central_point is linear on the densities: these are the rows of its integer
+# matrix over (V, E, I, P, X, K, S, T), V' = V + (V - E + P) adding one vertex
+# per cell
+_CONED = (_form(V=2, E=-1, P=1), _form(V=2, E=-1, I=1, K=-1, S=-1),
+          _form(I=4, X=-3, S=-2), _form(I=1, P=1, X=-1, S=-1),
+          _form(X=1), _form(K=1), _form(S=2), _form(S=1, T=1))
+
+
 def central_point(params: TessParams) -> TessParams:
     """Cone every cell to one interior point.
 
     Old vertices keep their edges and gain one spoke per adjacent cell;
     old plates survive and each (cell, ridge) pair spawns a new plate, so
-    every count below is exact bookkeeping over the old parameters. The
-    new vertex intensity is the old one plus the cell intensity.
+    the new densities are an integer matrix times the old ones, and the
+    new tuple is read back from them. The new vertex intensity is the old
+    one plus the cell intensity.
     """
-    f_pv, _, _ = positive_forms(params)
-    ve, ep, pv = params.edges_per_vertex, params.plates_per_edge, params.vertices_per_plate
-    xi, kappa = params.pi_edge_share, params.hemi_vertex_share
-    psi, tau = params.ridge_interior_rate, params.side_interior_rate
-
-    spread = ve * ep - pv * (ve - 4)  # positive whenever the input derives
-    budget = 4 - ve + ve * ep - 2 * kappa - 2 * psi
-    plate_budget = ve * ep * (pv + 1) - pv * (ve * xi + 2 * psi)
-
-    return TessParams.create(
-        edges_per_vertex=2 * pv * (ve - 4 - ve * ep + 2 * kappa + 2 * psi)
-        / (pv * (ve - 4) - ve * ep),
-        plates_per_edge=(4 * ve * ep - 3 * ve * xi - 4 * psi) / budget,
-        vertices_per_plate=pv * (4 * ve * ep - 3 * ve * xi - 4 * psi) / plate_budget,
-        pi_edge_share=ve * xi / (ve * (ep - 1) + 4 - 2 * kappa - 2 * psi),
-        hemi_vertex_share=2 * pv * kappa / spread,
-        ridge_interior_rate=4 * pv * psi / spread,
-        side_interior_rate=2 * pv * (tau + psi) / spread,
-        vertex_intensity=params.vertex_intensity + params.vertex_intensity * f_pv / (2 * pv),
-    )
+    positive_forms(params)
+    dens = params.densities
+    coned = Densities([dens.level(row) for row in _CONED])
+    return _from_vector(coned, params.vertex_intensity * _ratio(coned[0], dens[0]))
 
 
 def central_point_orbit(params: TessParams, steps: int) -> tuple[TessParams, ...]:
@@ -255,10 +258,10 @@ def central_point_orbit(params: TessParams, steps: int) -> tuple[TessParams, ...
 def mixture(components: Sequence[tuple[TessParams, ScalarLike]]) -> TessParams:
     """Ergodic mixture of parameter sets.
 
-    Weights must be positive and sum to one. Each mean is averaged with
-    the intensity of its subject class: vertex means with the vertex
-    intensity, edge means with the edge intensity, plate means with the
-    plate intensity.
+    Weights must be positive and sum to one. The mixture's densities are
+    the weighted sums of the components', so each mean is averaged with the
+    intensity of its subject class: vertex means with the vertex intensity,
+    edge means with the edge intensity, plate means with the plate intensity.
     """
     if not components:
         raise MixtureShareError("a mixture needs at least one component")
@@ -269,30 +272,11 @@ def mixture(components: Sequence[tuple[TessParams, ScalarLike]]) -> TessParams:
     total = sum(w for _, w in pairs)
     if total != 1:
         raise MixtureShareError(f"mixture weights sum to {total}, not 1")
-
-    wv = [w * p.vertex_intensity for p, w in pairs]
-    we = [w * p.vertex_intensity * p.edges_per_vertex / 2 for p, w in pairs]
-    wp = [w * p.vertex_intensity * p.edges_per_vertex * p.plates_per_edge
-          / (2 * p.vertices_per_plate) for p, w in pairs]
-    sv, se, sp = sum(wv), sum(we), sum(wp)
-
-    def vertex_mean(field: str) -> Scalar:
-        return sum(w * getattr(p, field) for (p, _), w in zip(pairs, wv)) / sv
-
-    def edge_mean(field: str) -> Scalar:
-        return sum(w * getattr(p, field) for (p, _), w in zip(pairs, we)) / se
-
-    return TessParams.create(
-        edges_per_vertex=vertex_mean("edges_per_vertex"),
-        plates_per_edge=edge_mean("plates_per_edge"),
-        vertices_per_plate=sum(
-            w * p.vertices_per_plate for (p, _), w in zip(pairs, wp)) / sp,
-        pi_edge_share=edge_mean("pi_edge_share"),
-        hemi_vertex_share=vertex_mean("hemi_vertex_share"),
-        ridge_interior_rate=vertex_mean("ridge_interior_rate"),
-        side_interior_rate=vertex_mean("side_interior_rate"),
-        vertex_intensity=sv,
-    )
+    # a component's densities per unit volume are lv/V times its vector
+    scales = fraction_free(*(w * p.vertex_intensity * _ratio(1, p.densities[0]) for p, w in pairs))
+    vector = [sum(map(operator.mul, scales, column))
+              for column in zip(*(p.densities for p, _ in pairs))]
+    return _from_vector(Densities(vector), sum(w * p.vertex_intensity for p, w in pairs))
 
 
 @dataclass(frozen=True)

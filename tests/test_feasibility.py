@@ -18,7 +18,7 @@ from tesstopo.feasibility import (
     side_rate_interval,
 )
 from tesstopo.params import TessParams
-from tesstopo import feasibility
+from tesstopo import feasibility, params
 from tesstopo.catalog import get
 from tesstopo.scalar import Poly, Scalar
 from tesstopo.transforms import mixture
@@ -284,7 +284,7 @@ def _rate_bounds(rate, values):
     """The table's floor and ceiling of ``rate`` once ``values`` fix the
     other rates, from the general branch's rows."""
     return feasibility._rate_bounds(feasibility._GENERAL, rate, values.keys(),
-                                    feasibility._densities(values))
+                                    params._densities(values))
 
 
 def test_staged_regions_agree_with_classify():
@@ -349,7 +349,7 @@ def test_a_plate_profile_is_clipped_once(monkeypatch):
     clip = feasibility.clip
     monkeypatch.setattr(feasibility, "clip",
                         lambda ring, lines: calls.append(ring) or clip(ring, lines))
-    interior_rate_region.cache_clear()
+    feasibility._rate_polygon.cache_clear()
     for entry in ("ex04_stit", "ex13a_weighted_mixture"):
         p = get(entry).to_params()
         ve, ep, pv = p.edges_per_vertex, p.plates_per_edge, p.vertices_per_plate
@@ -422,6 +422,29 @@ def test_the_pi_share_window_can_be_empty():
     assert _rate_bounds(feasibility.XI, {
         **dict(zip((feasibility.VE, feasibility.EP, feasibility.PV), profile)),
         feasibility.PSI: psi, feasibility.TAU: tau, feasibility.KAPPA: S(0)}) == (S(0), S(0))
+
+
+# positive factors, two of them with a canonical denominator negative at pi^2
+PI2_FACTORS = (S(1), S("7/3"), Scalar((-1,), (-10, 1)), Scalar((-3, 1), (-1000, 100)),
+               Scalar((35, 24), (0, 12)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sample_feasible(count=6, seed=9) + PI2_MIXTURES),
+       st.lists(st.sampled_from(PI2_FACTORS), min_size=7, max_size=7))
+def test_a_vector_extended_rate_by_rate_is_the_tuples_densities(p, factors):
+    # the staged helpers and the sampler extend a vector one rate at a time;
+    # it must be the table's density vector times a positive factor, also for
+    # a rate whose denominator is negative at pi^2
+    values = {rate: getattr(p, rate) * f for rate, f in zip(
+        (feasibility.VE, feasibility.EP, feasibility.PV, feasibility.XI, feasibility.KAPPA,
+         feasibility.PSI, feasibility.TAU), factors)}
+    dens = feasibility._UNIT
+    for rate, value in values.items():
+        dens = feasibility._extend(dens, rate, value)
+    fresh = params._densities(values)
+    assert dens[0] * fresh[0] > 0
+    assert all(a * fresh[0] == dens[0] * b for a, b in zip(dens, fresh))
 
 
 FIELDS = ("edges_per_vertex", "plates_per_edge", "vertices_per_plate", "pi_edge_share",

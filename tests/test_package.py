@@ -30,8 +30,8 @@ EXPORTS = {
         "UnknownEntryError"),
     "tesstopo.scalar": ("Scalar", "as_scalar", "PI2", "ZERO", "ONE"),
     "tesstopo.params": (
-        "TessParams", "DerivedSummary", "cell_intensity_form", "derive",
-        "check_identities", "is_consistent"),
+        "TessParams", "DerivedSummary", "cell_intensity_form", "densities",
+        "from_densities", "derive", "check_identities", "is_consistent"),
     "tesstopo.feasibility": (
         "Bound", "FeasibilityReport", "RegionPatch", "PlateProfileRegion", "classify",
         "plate_cap", "ridge_rate_interval", "side_rate_interval", "interior_rate_region",

@@ -2,21 +2,26 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import params_reference as reference
+from tesstopo.catalog import get
 from tesstopo.errors import (DegenerateIntensityError, ParameterDomainError,
-                             PlanarParameterError, UsageError)
+                             PlanarParameterError, TesstopoError, UsageError)
+from tesstopo.feasibility import classify, sample_feasible
 from tesstopo.io import (PLANAR_ALIASES, encode, params_from_mapping, parse_generator_args,
                          parse_pairs)
 from tesstopo.params import (
     TessParams,
     cell_intensity_form,
     check_identities,
+    densities,
     derive,
+    from_densities,
     is_consistent,
 )
 from tesstopo.scalar import PI2, Scalar
-from tesstopo.transforms import PlanarParams, central_point
+from tesstopo.transforms import PlanarParams, central_point, mixture
 
 
 CUBIC = TessParams.create(6, 4, 4)
@@ -217,3 +222,82 @@ def test_records_refuse_values_outside_their_domain():
         derive(TessParams.create(6, 1, 1))
     with pytest.raises(KeyError, match="no adjacency mean for"):
         derive(CUBIC).mean_adjacent("cell", "cell")
+
+
+SAMPLED = sample_feasible(count=12, seed=17) + sample_feasible(count=12, seed=17,
+                                                               face_to_face=True)
+PI2_MIXTURES = [mixture([(get(name).to_params(), w), (q, 1 - w)])
+                for name in ("ex01_voronoi", "ex08_divided_delaunay", "ex13a_weighted_mixture",
+                             "ex13b_equal_mixture")
+                for q in SAMPLED[:2] + SAMPLED[12:13] for w in (Fraction(1, 4), Fraction(2, 3))]
+PI2_POINTS = PI2_MIXTURES + [central_point(p) for p in PI2_MIXTURES]
+
+
+@st.composite
+def degenerate_params(draw):
+    """Tuples at or past the point where one of derive's three forms, cells
+    V - E + P, vertex-cell incidences 2V - 2E + I or cell sides 2P - X + K,
+    stops being positive, the forms before it still positive."""
+    past = 1 + draw(st.fractions(0, 2, max_denominator=12))
+    which = draw(st.sampled_from(("cells", "vertex_cells", "sides")))
+    if which == "cells":  # pv at or past ve·ep/(ve - 2)
+        ve = draw(st.fractions(Fraction(5, 2), 12, max_denominator=12))
+        ep = draw(st.fractions(Fraction(1, 4), 8, max_denominator=12))
+        return TessParams.create(ve, ep, ve * ep / (ve - 2) * past)
+    if which == "vertex_cells":  # ep at or under 2(ve - 2)/ve, pv small enough for cells
+        ve = draw(st.fractions(Fraction(5, 2), 12, max_denominator=12))
+        ep = 2 * (ve - 2) / ve / past
+        return TessParams.create(ve, ep, ve * ep / (ve - 2) / 2)
+    # with pi share 1 and hemi share 0, pv at or past 2 ep; ve = 3 leaves cells
+    # positive below pv = 3 ep
+    ep = draw(st.fractions(1, 8, max_denominator=12))
+    return TessParams.create(3, ep, 2 * ep * min(past, Fraction(4, 3)), 1)
+
+
+def _outcome(f, p):
+    """f at p, or the type of the error it raises, with the text of a typed one."""
+    try:
+        return f(p)
+    except TesstopoError as exc:
+        return type(exc), str(exc)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(valid_params(), degenerate_params(), st.sampled_from(SAMPLED),
+                 st.sampled_from(PI2_POINTS)))
+@example(TessParams.create(6, 4, 12))  # cell intensity not positive
+@example(TessParams.create(6, 1, 1))  # cells-per-vertex mean not positive
+@example(TessParams.create(3, 3, 8, 1))  # cell side intensity not positive
+@example(TessParams.create(4, 3, 4, ridge_interior_rate=6))  # coned edge density 0
+def test_derive_and_central_point_equal_the_scalar_reference(p):
+    # the quotients of integer density forms against the Scalar formulas they
+    # replaced, on rational box tuples, sampled tuples of both branches, pi^2
+    # mixtures and their central points, and degenerate tuples: the same
+    # summary and the same central point, or the same error
+    assert _outcome(derive, p) == _outcome(reference.derive, p)
+    coned = _outcome(central_point, p)
+    assert coned == _outcome(reference.central_point, p)
+    if isinstance(coned, TessParams):
+        # the matrix product it keeps classifies as a fresh record's densities do
+        assert classify(coned) == classify(TessParams(**coned.as_dict()))
+    # the densities per unit volume, and back
+    dens = densities(p)
+    lv, ve = p.vertex_intensity, p.edges_per_vertex
+    ep, pv = p.plates_per_edge, p.vertices_per_plate
+    assert dens == (lv, lv * ve / 2, lv * ve * ep / 2, lv * ve * ep / (2 * pv),
+                    lv * ve * p.pi_edge_share / 2, lv * p.hemi_vertex_share,
+                    lv * p.ridge_interior_rate, lv * p.side_interior_rate)
+    assert from_densities(dens) == p
+
+
+def test_from_densities_refuses_what_gives_no_tuple():
+    with pytest.raises(ParameterDomainError, match="expected 8 densities, got 3"):
+        from_densities([1, 3, 12])
+    with pytest.raises(ParameterDomainError, match="V, E, I and P must be positive"):
+        from_densities([1, 3, 12, 0, 0, 0, 0, 0])
+    with pytest.raises(ParameterDomainError, match="pi_edge_share must lie in"):
+        from_densities([1, 3, 12, 3, 4, 0, 0, 0])
+    assert from_densities(["pi^2", 3, 12, 3, 0, 0, 0, 0]) == CUBIC.with_values(
+        edges_per_vertex=6 / PI2, plates_per_edge=4, vertices_per_plate=4, vertex_intensity=PI2)

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import params_reference as reference
+
+from tesstopo.catalog import entries
 from tesstopo.errors import MixtureShareError, PlanarParameterError
 from tesstopo.feasibility import classify, plate_cap, sample_feasible
-from tesstopo.params import TessParams, derive
+from tesstopo.params import TessParams, densities, derive
 from tesstopo.scalar import Scalar
 from tesstopo.transforms import (
     MixtureCurve,
@@ -79,6 +82,15 @@ class TestStratum:
     def test_stratum_with_pi_vertices_is_feasible(self):
         for n in (1, 2, 5):
             assert classify(stratum(planar_gridded_square(n))).feasible
+
+    def test_is_linear_in_the_planar_densities(self):
+        # the density route against the Scalar formulas it replaced
+        for planar in (planar_cairo(2), planar_stit(Fraction(1, 3)), planar_voronoi(),
+                       planar_gridded_square(2, 5), planar_delaunay(Scalar((35, 24), 3))):
+            v = planar.vertex_intensity
+            e, f = v * planar.edges_per_vertex / 2, v * planar.pi_vertex_share
+            assert densities(stratum(planar)) == (v, e + v, 6 * e, 2 * e - v, f, 0, 2 * f, f)
+            assert stratum(planar) == reference.stratum(planar)
 
 
 class TestColumn:
@@ -184,11 +196,46 @@ class TestCentralPoint:
         for p in central_point_orbit(STIT, 3)[1:]:
             assert classify(p).feasible
 
+    def test_orbit_tends_to_the_fixed_tuple(self):
+        # the matrix's eigenvalue 4 has (8, 9/2, 3, 0, 0, 0, 0) as its tuple,
+        # which the transform keeps with four times the vertex intensity; the
+        # next eigenvalue is 2, so every orbit nears it as 2^-n: from step 8 to
+        # step 16 the largest distance of the seven means shrinks at least
+        # 128-fold (the slowest catalog tuple, ex08, by 255.99)
+        limit = TessParams.create(8, Fraction(9, 2), 3, vertex_intensity=Fraction(5, 3))
+        assert central_point(limit) == limit.with_values(vertex_intensity=Fraction(20, 3))
+        target = cyclic(limit) + interior(limit)
+        for entry in entries():
+            if entry.is_complete:
+                orbit = central_point_orbit(entry.to_params(), 16)
+                near, nearer = (max(abs(a - b) for a, b in zip(cyclic(q) + interior(q), target))
+                                for q in (orbit[8], orbit[16]))
+                assert 128 * nearer <= near, entry.entry_id
+
+
+MIXABLE = [CUBIC, STIT.with_values(vertex_intensity=3), VORONOI,
+           DELAUNAY.with_values(vertex_intensity=Fraction(2, 7)),
+           *sample_feasible(3, seed=4), *sample_feasible(2, seed=4, face_to_face=True)]
+
 
 class TestMixture:
     def test_self_mixture_is_identity(self):
         p = mixture([(CUBIC, Fraction(1, 2)), (CUBIC, Fraction(1, 2))])
         assert p == CUBIC
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(MIXABLE), st.integers(1, 9)), min_size=1,
+                    max_size=3))
+    def test_is_the_convex_combination_of_density_vectors(self, drawn):
+        # the density route against the Scalar formulas it replaced, on
+        # rational and pi^2 components with their own vertex intensities
+        total = sum(k for _, k in drawn)
+        parts = [(p, Fraction(k, total)) for p, k in drawn]
+        mixed = mixture(parts)
+        assert mixed == reference.mixture(parts)
+        vectors = [densities(p) for p, _ in parts]
+        assert densities(mixed) == tuple(
+            sum(w * d[k] for (_, w), d in zip(parts, vectors)) for k in range(8))
 
     def test_cubic_with_iterated_division(self):
         p = mixture([(CUBIC, Fraction(1, 2)), (STIT, Fraction(1, 2))])

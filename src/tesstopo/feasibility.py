@@ -28,7 +28,8 @@ with the rate's base density, with the rate's column set. A staged region
 clips its box by the rows on its two rates, their coefficients the rates'
 columns times their base densities (V, or E for xi).
 The (ridge rate, side rate) polygon is clipped once per plate profile, and the
-ridge interval that the staged helpers and the sampler read is its ridge extent.
+ridge interval that the staged helpers read is its ridge extent; the sampler
+clips the polygon of the vector it has just extended, outside that cache.
 A profile that passes the cyclic rows has a non-empty polygon, and its ridge
 interval starts at max(0, (ve/2)(ep - cap)): (0, 0) or, on and above the cap,
 (2e, 2e) with e = (ve/4)(ep - cap) meets every rate row, and the rows
@@ -311,14 +312,9 @@ def _clip_box(side: Scalar, lines: list) -> tuple[tuple, str]:
     return clean_ring(ring, _ratio)
 
 
-@functools.lru_cache(maxsize=8)  # every staged call on a profile reads it
-def _rate_polygon(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
-                  vertices_per_plate: ScalarLike) -> tuple[Densities, RegionPatch]:
-    """A plate profile's densities and its (ridge rate, side rate) polygon,
-    clipped once: those of the last eight profiles are kept."""
-    profile = dict(zip((VE, EP, PV), map(as_scalar, (edges_per_vertex, plates_per_edge,
-                                                     vertices_per_plate))))
-    dens = _densities(profile)
+def _rate_patch(dens: Densities) -> RegionPatch:
+    """The (ridge rate, side rate) polygon at a plate profile's densities, which
+    must pass the cyclic rows."""
     bad = [row[0] for row in _GENERAL if row[4] <= _PROFILE and not _verdict(row, dens)[1]]
     if bad:
         raise InfeasibleParametersError(
@@ -326,7 +322,23 @@ def _rate_polygon(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
     _, psi_cap = _rate_bounds(_GENERAL, PSI, _PROFILE, dens)
     sides = [row for row in _GENERAL if row[3][_CARRIER[TAU][0]]]  # the psi rows made the box
     verts, kind = _clip_box(psi_cap, _halfplanes(sides, (PSI, TAU), _PROFILE, dens))
-    return dens, RegionPatch((PSI, TAU), kind, verts)
+    return RegionPatch((PSI, TAU), kind, verts)
+
+
+@functools.lru_cache(maxsize=8)  # every staged call on a profile reads it
+def _rate_polygon(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
+                  vertices_per_plate: ScalarLike) -> tuple[Densities, RegionPatch]:
+    """A plate profile's densities and its rate polygon, clipped once: those
+    of the last eight profiles are kept."""
+    profile = dict(zip((VE, EP, PV), map(as_scalar, (edges_per_vertex, plates_per_edge,
+                                                     vertices_per_plate))))
+    dens = _densities(profile)
+    return dens, _rate_patch(dens)
+
+
+def _ridge_extent(patch: RegionPatch) -> tuple[Scalar, Scalar]:
+    ridges = [psi for psi, _ in patch.vertices]
+    return min(ridges), max(ridges)
 
 
 def interior_rate_region(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -341,9 +353,8 @@ def ridge_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLik
     """Ridge rates that leave a side rate for this plate profile: the ridge extent of
     its (ridge rate, side rate) polygon, clipped once per profile, which is never empty
     and starts at max(0, (ve/2)(ep - cap)). A profile failing the cyclic rows raises."""
-    ridges = [psi for psi, _ in interior_rate_region(edges_per_vertex, plates_per_edge,
-                                                     vertices_per_plate).vertices]
-    return min(ridges), max(ridges)
+    return _ridge_extent(interior_rate_region(edges_per_vertex, plates_per_edge,
+                                              vertices_per_plate))
 
 
 def side_rate_interval(edges_per_vertex: ScalarLike, plates_per_edge: ScalarLike,
@@ -503,9 +514,9 @@ def _sample_once(rng: random.Random, face_to_face: bool) -> TessParams | None:
         draw(PV, pv_lo, pv_hi, include_hi=False)
         return _from_vector(dens, ONE)
     # on and above the cap pv_hi = 2 pv_lo, and the strict floor is left out
-    pv = draw(PV, pv_lo, pv_hi, include_lo=(ep < plate_cap(ve)), include_hi=False)
+    draw(PV, pv_lo, pv_hi, include_lo=(ep < plate_cap(ve)), include_hi=False)
 
-    draw(PSI, *ridge_rate_interval(ve, ep, pv))
+    draw(PSI, *_ridge_extent(_rate_patch(dens)))  # clipped here, not kept with the profiles
     # a ridge rate in the interval leaves some side rate
     draw(TAU, *bounds(TAU))
 

@@ -43,6 +43,11 @@ coefficient ``c`` is an unsigned decimal such as ``3``, ``2.5`` or
 as a coordinate or a coefficient, is read by ``parse_fraction``: an ``int``
 that is not a ``bool``, a ``Fraction``, or text such as ``-7/4``. Decimal
 exponents in either reader are at most ``MAX_DECIMAL_EXPONENT`` in size.
+Scalar text is read on ``int``, with no ``Fraction`` between the text and
+the value: each side becomes integer coefficients over one positive common
+denominator, a side of ASCII digits alone by ``int``, a decimal coefficient
+by ``parse_fraction``, and the two denominators cross over, so a rational
+reaches lowest terms by one integer gcd.
 """
 
 from __future__ import annotations
@@ -195,12 +200,12 @@ def _product(a: Coeffs, b: Coeffs, c: Coeffs, d: Coeffs) -> tuple[Coeffs, Coeffs
     return _lowest(_pmul(a, c), _pmul(b, d))
 
 
-def _side(x: object) -> list[Fraction]:
+def _side(x: object) -> list:
     items = list(x) if isinstance(x, (tuple, list)) else [x]
     if not items or any(type(e) not in (int, Fraction) for e in items):
         raise TypeError(f"coefficients are ints or Fractions, got {x!r}; "
                         "read text with Scalar.parse")
-    return [Fraction(e) for e in items]
+    return items
 
 
 _PI2_BOUNDS: dict[int, tuple[int, int]] = {}
@@ -366,37 +371,53 @@ def parse_fraction(value: object) -> Fraction:
     return Fraction(value)
 
 
-def _parse_poly(s: str) -> list[Fraction]:
+def _parse_poly(s: str) -> tuple[list[int], int]:
+    """One side of scalar text: int coefficients by power of pi^2, over one
+    positive common denominator."""
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
+    if s.isdigit() and s.isascii():  # a plain integer, the commonest side
+        return [int(s)], 1
     if not s:
         raise ValueError("empty polynomial text")
-    coeffs: dict[int, Fraction] = {}
-    pos = 0
+    coeffs, den, pos = [0], 1, 0
     while pos < len(s):
         m = _TERM.match(s, pos)
-        if not m or m.end() == pos or (m.group("coef") is None and m.group("exp") is None):
+        sign, coef, star, exp = m.groups()
+        if m.end() == pos or (coef is None and exp is None):
             raise ValueError(f"cannot parse scalar text at {s[pos:]!r}")
-        if pos and not m.group("sign"):
+        if pos and not sign:
             raise ValueError(f"missing operator before {s[pos:]!r}")
-        coef = parse_fraction(m.group("coef")) if m.group("coef") is not None else Fraction(1)
-        if m.group("sign") == "-":
-            coef = -coef
-        if m.group("exp") is not None:
-            e = int(m.group("exp"))
+        if coef is None:
+            n = den
+        elif coef.isdigit() and coef.isascii():
+            n = int(coef) * den
+        else:  # a decimal or an exponent: n/d, and the common denominator takes d
+            f = parse_fraction(coef)
+            d = f.denominator
+            scale = d // math.gcd(den, d)
+            if scale > 1:
+                coeffs = [c * scale for c in coeffs]
+                den *= scale
+            n = f.numerator * (den // d)
+        if sign == "-":
+            n = -n
+        if exp is not None:
+            e = int(exp)
             if e > MAX_PI_POWER:
                 raise ValueError(f"pi powers above {MAX_PI_POWER} are not accepted")
             if e % 2:
                 raise ValueError("only even powers of pi are representable")
             k = e // 2
+            if k >= len(coeffs):
+                coeffs += [0] * (k + 1 - len(coeffs))
         else:
-            if m.group("star"):
+            if star:
                 raise ValueError(f"dangling '*' in {s!r}")
             k = 0
-        coeffs[k] = coeffs.get(k, Fraction(0)) + coef
+        coeffs[k] += n
         pos = m.end()
-    top = max(coeffs)
-    return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
+    return coeffs, den
 
 
 def _poly_str(c: Coeffs) -> str:
@@ -451,8 +472,9 @@ class Scalar:
             s = Scalar._rat(num, den)
         else:
             nf, df = _side(num), _side(den)
-            scale = math.lcm(*(f.denominator for f in nf + df))
-            s = Scalar._raw([int(f * scale) for f in nf], [int(f * scale) for f in df])
+            m = math.lcm(*(x.denominator for x in nf + df))
+            s = Scalar._raw([x.numerator * (m // x.denominator) for x in nf],
+                            [x.numerator * (m // x.denominator) for x in df])
         self._num, self._den = s._num, s._den
 
     @classmethod
@@ -686,7 +708,12 @@ class Scalar:
         if not s:
             raise ValueError("empty scalar text")
         num, slash, den = s.partition("/")
-        return cls(_parse_poly(num), _parse_poly(den)) if slash else cls(_parse_poly(s))
+        # n/a over d/b is nb/da: each side's common denominator crosses over
+        n, a = _parse_poly(num)
+        d, b = _parse_poly(den) if slash else ([1], 1)
+        if len(n) == 1 and len(d) == 1:
+            return cls._rat(n[0] * b, d[0] * a)
+        return cls._raw([x * b for x in n], [x * a for x in d])
 
 
 def _coerce(x: object) -> Scalar | None:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import MixtureShareError, PlanarParameterError
+from .errors import DegenerateIntensityError, MixtureShareError, PlanarParameterError
 from .params import (Densities, TessParams, _form, _from_vector, _ratio, from_densities,
                      positive_forms)
 from .scalar import ONE, ZERO, Scalar, ScalarLike, as_scalar, fraction_free
@@ -237,11 +237,17 @@ def central_point(params: TessParams) -> TessParams:
     old plates survive and each (cell, ridge) pair spawns a new plate, so
     the new densities are an integer matrix times the old ones, and the
     new tuple is read back from them. The new vertex intensity is the old
-    one plus the cell intensity.
+    one plus the cell intensity. A new edge or plate intensity that is not
+    positive, E' = 2V - E + I - K - S or P' = I + P - X - S, raises
+    :class:`DegenerateIntensityError`, as :func:`positive_forms` does for
+    the input.
     """
     positive_forms(params)
     dens = params.densities
     coned = Densities([dens.level(row) for row in _CONED])
+    for j, what in ((1, "coned edge intensity"), (3, "coned plate intensity")):
+        if not coned[j] > 0:
+            raise DegenerateIntensityError(f"{what} is not positive for these parameters")
     return _from_vector(coned, params.vertex_intensity * _ratio(coned[0], dens[0]))
 
 

@@ -117,6 +117,10 @@ def central_point(params: TessParams) -> TessParams:
     spread = ve * ep - pv * (ve - 4)  # positive whenever the input derives
     budget = 4 - ve + ve * ep - 2 * kappa - 2 * psi
     plate_budget = ve * ep * (pv + 1) - pv * (ve * xi + 2 * psi)
+    # twice the coned edge intensity, and 2 pv times the coned plate intensity
+    for value, what in ((budget, "coned edge intensity"), (plate_budget, "coned plate intensity")):
+        if value <= 0:
+            raise DegenerateIntensityError(f"{what} is not positive for these parameters")
 
     return TessParams.create(
         edges_per_vertex=2 * pv * (ve - 4 - ve * ep + 2 * kappa + 2 * psi)

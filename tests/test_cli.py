@@ -634,6 +634,10 @@ def test_mixture_component_from_a_params_file(capsys, tmp_path):
      "expected SOURCE=WEIGHT component, got 'ex01_voronoi'"),
     (("region", "--type", "pv-ep", "--ve", "8", "--ep-max", "3"),
      "plotting window must extend past 3"),
+    (("transform", "--op", "central-point", "ve=4", "ep=3", "pv=4", "psi=6"),
+     "coned edge intensity is not positive for these parameters"),
+    (("transform", "--op", "central-point", "ve=4", "ep=3", "pv=4", "xi=1", "psi=11/2"),
+     "coned plate intensity is not positive for these parameters"),
 ])
 def test_refused_command_lines_exit_two(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"tesstopo: {message}\n")

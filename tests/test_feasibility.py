@@ -366,6 +366,19 @@ def test_a_plate_profile_is_clipped_once(monkeypatch):
         calls.clear()
 
 
+def test_the_sampler_clips_its_own_polygon():
+    # each general-branch draw clips the rate polygon of the densities it has
+    # just extended, so the staged callers' cached profiles stay in place
+    feasibility._rate_polygon.cache_clear()
+    p = get("ex04_stit").to_params()
+    profile = (p.edges_per_vertex, p.plates_per_edge, p.vertices_per_plate)
+    interval = ridge_rate_interval(*profile)
+    sample_feasible(count=20, seed=1)
+    assert feasibility._rate_polygon.cache_info().misses == 1
+    assert ridge_rate_interval(*profile) == interval
+    assert feasibility._rate_polygon.cache_info().hits == 1
+
+
 def _pi2_mixtures():
     samples = sample_feasible(count=3, seed=5)
     return [mixture([(get(name).to_params(), w), (s, 1 - w)])

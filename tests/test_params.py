@@ -271,6 +271,7 @@ def _outcome(f, p):
 @example(TessParams.create(6, 1, 1))  # cells-per-vertex mean not positive
 @example(TessParams.create(3, 3, 8, 1))  # cell side intensity not positive
 @example(TessParams.create(4, 3, 4, ridge_interior_rate=6))  # coned edge density 0
+@example(TessParams.create(4, 3, 4, 1, ridge_interior_rate=Fraction(11, 2)))  # coned plate density 0
 def test_derive_and_central_point_equal_the_scalar_reference(p):
     # the quotients of integer density forms against the Scalar formulas they
     # replaced, on rational box tuples, sampled tuples of both branches, pi^2

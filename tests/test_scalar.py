@@ -7,12 +7,13 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import scalar_reference
 from tesstopo import scalar
 from tesstopo.complexes import generate, make_domain
 from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
 from tesstopo.scalar import (
-    MAX_PI_POWER, Scalar, as_scalar, parse_fraction, PI2, ZERO, ONE, _normalize, _padd,
-    _pi2_bounds, _pmul, _pneg, _poly_sign)
+    MAX_DECIMAL_EXPONENT, MAX_PI_POWER, Scalar, as_scalar, parse_fraction, PI2, ZERO, ONE,
+    _normalize, _padd, _pi2_bounds, _pmul, _pneg, _poly_sign)
 
 
 coeff_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
@@ -745,6 +746,95 @@ def test_parse_matches_the_bracket_depth_reference(text):
 ])
 def test_parse_edge_cases_match_the_reference(text):
     assert _read(Scalar.parse, text) == _read(_reference_parse, text)
+
+
+# ---- Scalar.parse and Scalar(num, den) against the Fraction readers they replaced ----
+
+def _outcome(call, *args):
+    """The canonical coefficients, or the exception's type and message."""
+    try:
+        s = call(*args)
+    except (ArithmeticError, TypeError, ValueError) as e:
+        return type(e), str(e)
+    return s.num_coeffs, s.den_coeffs
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=24)  # leading zeros too
+_COEFS = st.one_of(
+    _DIGITS, st.builds("{}.{}".format, _DIGITS, _DIGITS),
+    st.builds("{}{}{}{}{}".format, _DIGITS, st.sampled_from(["", ".5", ".125", ".0"]),
+              st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+              st.integers(0, MAX_DECIMAL_EXPONENT).map(str)))
+_PI_POWERS = st.sampled_from(["", "*pi^2", "pi^2", "*pi^4", "pi^0", "*pi^22", "pi^20", "pi^02"])
+# out of the grammar or past a cap, each in some draws
+_ODD_COEFS = st.sampled_from(["1e1001", "2.5E-1002", "1e0999", "1e+01001", "1_0", "1e1_0",
+                              "\u0663", "1\u0663", "\u0663.5", "2\u00b2", "1.", ".5", "1e", ""])
+_ODD_POWERS = st.sampled_from(["*pi^3", "pi^21", "*pi^23", "pi^24", "*pi^", "*", "**pi^2",
+                               "*pi^0022", "pi^2pi^2"])
+_STRAYS = st.sampled_from(["+", "-", "+-", "--", "(", ")", "x", "/", "*", "()"])
+
+
+@st.composite
+def _reader_sides(draw):
+    """One side: signed terms in the grammar, in one pair of brackets or
+    none, with whitespace; now and then a coefficient, pi power or token
+    that is not."""
+    def odd():
+        return draw(st.integers(0, 11)) == 0
+    parts = [draw(st.sampled_from("+-")) + draw(_ODD_COEFS if odd() else _COEFS)
+             + draw(_ODD_POWERS if odd() else _PI_POWERS)
+             for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        parts[0] = parts[0][1:]
+    text = "".join(parts)
+    if odd():
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_STRAYS) + text[at:]
+    text = draw(st.sampled_from([text, text, f"({text})", f" ( {text} ) ", f"(({text}))"]))
+    for at in sorted(draw(st.lists(st.integers(0, len(text)), max_size=3)), reverse=True):
+        text = text[:at] + draw(st.sampled_from([" ", "\t", "\u3000"])) + text[at:]
+    return text
+
+
+reader_texts = st.one_of(
+    st.builds("{}{}{}".format, _reader_sides(), st.sampled_from(["/", "/", " / ", "//"]),
+              _reader_sides()),
+    _reader_sides(),
+    st.lists(st.sampled_from(list("0123456789.eE+-*/()_ ") + ["pi^2", "pi^3", "\u0663"]),
+             max_size=14).map("".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(reader_texts)
+def test_parse_matches_the_fraction_reference(text):
+    assert _outcome(Scalar.parse, text) == _outcome(scalar_reference.parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "39/4", "007/0010", "-0", "+3", "+-3", "--3", "1/0", "0/0", "0*pi^2/0", "2*", "2*/3",
+    "\u0663/4", "1\u0663", "1_0", "1e1000", "1e1001", "25e-1000", "2.5E-1001", "1e-0999",
+    "1+1E-00000999999999", "0.5+0.25*pi^2", "1/(0.5-2.5e-3*pi^2)", "(2.5*pi^4)/(0.125+pi^2)",
+    "pi^22", "pi^23", "pi^24", pytest.param("pi^" + "9" * 5000, id="pi^(5000 nines)"),
+    pytest.param("1" * 4301, id="4301 ones"),
+    pytest.param("1" * 4301 + "*pi^2", id="4301 ones*pi^2"),
+    " ( 1 + 2 * pi ^ 2 ) / 3 ", "(1)/(2)", "()", "1/()", "1/2/3", "pi^2-pi^2", "3-3/pi^2",
+])
+def test_parse_edge_cases_match_the_fraction_reference(text):
+    assert _outcome(Scalar.parse, text) == _outcome(scalar_reference.parse, text)
+
+
+_ITEMS = st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                   st.fractions(max_denominator=10 ** 12),
+                   st.sampled_from([True, 0.5, None, "1/2", Fraction(0)]))
+_CONSTRUCTOR_SIDES = st.one_of(_ITEMS, st.lists(_ITEMS, max_size=4),
+                               st.lists(_ITEMS, max_size=4).map(tuple))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_CONSTRUCTOR_SIDES, _CONSTRUCTOR_SIDES)
+def test_constructor_matches_the_fraction_reference(num, den):
+    assert _outcome(Scalar, num, den) == _outcome(scalar_reference.scalar, num, den)
 
 
 # ---- refusals of every exact-number reader of the library ----

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import params_reference as reference
 
 from tesstopo.catalog import entries
-from tesstopo.errors import MixtureShareError, PlanarParameterError
+from tesstopo.errors import DegenerateIntensityError, MixtureShareError, PlanarParameterError
 from tesstopo.feasibility import classify, plate_cap, sample_feasible
 from tesstopo.params import TessParams, densities, derive
 from tesstopo.scalar import Scalar
@@ -183,6 +183,19 @@ class TestCentralPoint:
         # every new cell is coned over a triangle, so the ceiling is met
         assert p.plates_per_edge == plate_cap(p.edges_per_vertex)
         assert classify(p).feasible
+
+    @pytest.mark.parametrize("values, what", [
+        ({"ridge_interior_rate": 6}, "edge"),  # E' = 0
+        ({"ridge_interior_rate": 7}, "edge"),  # E' < 0
+        ({"pi_edge_share": 1, "ridge_interior_rate": Fraction(11, 2)}, "plate"),  # P' = 0
+        ({"pi_edge_share": 1, "ridge_interior_rate": Fraction(23, 4)}, "plate"),  # P' < 0
+    ])
+    def test_refuses_a_coned_intensity_that_is_not_positive(self, values, what):
+        p = TessParams.create(4, 3, 4, **values)
+        derive(p)  # the input itself derives
+        with pytest.raises(DegenerateIntensityError,
+                           match=f"^coned {what} intensity is not positive for these parameters$"):
+            central_point(p)
 
     def test_orbit(self):
         orbit = central_point_orbit(CUBIC, 2)

@@ -27,7 +27,8 @@ Pipeline, in order:
    orientations, so facets are grouped by plane class (the primitive normal
    with its sign fixed, and the offset modulo D), and only opposite facets
    of one class are clipped, at the lattice shifts that put them on one
-   plane and make their projected boxes overlap in a rectangle;
+   plane and make their projected boxes overlap in a rectangle; two facing
+   facets with the same corners meet in all of the first, with no clip;
 3. pairwise interior-disjointness certificates for every cell pair at every
    translate whose bounding boxes overlap in their interiors (at every other
    translate the boxes themselves separate the cells, so the enumeration is
@@ -39,12 +40,15 @@ Pipeline, in order:
 5. edges: the union of all cell ridges split at every vertex lying in a
    ridge's relative interior, deduplicated into translation classes (every
    tessellation edge is a subset of some cell ridge, so this is complete);
-   the vertices inside a segment are searched once per translation class of
-   segments and moved to each instance;
+   each translation class of segments is split once, and its pieces, edge
+   ids and interior vertices are moved, and reversed where needed, to every
+   later instance;
 6. incidence tallies between all classes by exact containment tests,
    including the interior-adjacency counters (facet-interior vertices,
    ridge-interior vertices, plate-side-interior vertices) and the marking of
-   edges whose relative interior lies inside a cell facet.
+   edges whose relative interior lies inside a cell facet. Only a facet
+   that two or more plates cover is tested: the plates on a facet tile it,
+   so a lone plate is the whole facet and its sides lie on its boundary.
 """
 
 from __future__ import annotations
@@ -248,12 +252,14 @@ class _Builder:
         self.plates: list[PlateOrbit] = []
         self.vertex_ids: dict[Vec, int] = {}
         self.vertices: list[VertexRecord] = []
-        self.segment_hits: dict[tuple[Vec, Vec], list[tuple[int, Vec]]] = {}
+        # per translation class of segments: the lower end of its first
+        # instance, and its split from there (see _split_segment)
+        self.segments: dict[tuple[Vec, Vec], tuple] = {}
         self.edge_ids: dict[tuple[Vec, Vec], int] = {}
         self.edges: list[EdgeRecord] = []
         self.cell_records: list[CellRecord] = []
         self.covering: dict[tuple[int, int], list[tuple[int, IVec]]] = {}
-        self.ridge_pieces: list[list[list[int]]] = []
+        self.ridge_pieces: list[list[tuple[int, ...]]] = []
         self.diagnostics: list[str] = []
         self._torus_units: dict = {}
 
@@ -284,7 +290,9 @@ class _Builder:
         k, ring_a, _, _ = self.facet_views[i][fa]
         du, dv = project2(self._shift(t), k)
         ring_b = [(x + du, y + dv) for x, y in self.facet_views[j][fb][1]]
-        cut = convex_intersection2(ring_a, ring_b)
+        # facing facets with the same corners meet in all of facet a
+        cut = (ring_a if set(ring_b) == set(ring_a)
+               else convex_intersection2(ring_a, ring_b))
         if not cut:
             return None
         f = self.cells[i].facets[fa]
@@ -422,25 +430,6 @@ class _Builder:
             for t in product(*axes):
                 yield vid, (v[0] + d * t[0], v[1] + d * t[1], v[2] + d * t[2])
 
-    def _interior_vertices(self, a: Vec, b: Vec) -> list[tuple[int, Vec]]:
-        """Vertex instances inside segment ab, ordered from a to b. Each
-        translation class of segments is scanned once."""
-        key = _canon_segment(a, b, self.scale)
-        hits = self.segment_hits.get(key)
-        if hits is None:
-            p, q = key
-            lo = tuple(min(p[k], q[k]) for k in range(3))
-            hi = tuple(max(p[k], q[k]) for k in range(3))
-            d = sub(q, p)
-            hits = [(vid, x) for vid, x in self._instances_in_box(lo, hi)
-                    if on_segment(x, p, q)]
-            hits.sort(key=lambda item: dot(sub(item[1], p), d))
-            self.segment_hits[key] = hits
-        low = min(a, b)
-        t = sub(low, key[0])
-        moved = [(vid, add(x, t)) for vid, x in hits]
-        return moved if low == a else moved[::-1]
-
     # -- phase 5: edges ------------------------------------------------------
 
     def _register_edge(self, a: Vec, b: Vec) -> int:
@@ -456,18 +445,40 @@ class _Builder:
         return eid
 
     def _split_segment(self, a: Vec, b: Vec
-                       ) -> tuple[list[tuple[Vec, Vec]], list[int], list[int]]:
-        """Split segment ab at interior vertices. Returns the pieces, their
-        edge ids, and the interior vertex ids."""
-        hits = self._interior_vertices(a, b)
-        stops = [a] + [p for _, p in hits] + [b]
-        pieces = list(zip(stops, stops[1:]))
-        ids = [self._register_edge(p, q) for p, q in pieces]
-        return pieces, ids, [vid for vid, _ in hits]
+                       ) -> tuple[tuple[Vec, ...], tuple[int, ...], tuple[int, ...]]:
+        """Split segment ab at the vertices inside it. Returns its stops from
+        a to b (a, the interior vertex instances, b), the edge ids of the
+        pieces between them and the interior vertex ids.
+
+        Each translation class of segments is split once, in the direction
+        of its first instance, whose pieces register their edges. The split
+        is kept from the lower end to the higher, and a later instance moves
+        it, reversed when the instance runs from its higher end."""
+        forward = a <= b
+        low = a if forward else b
+        key = _canon_segment(a, b, self.scale)
+        split = self.segments.get(key)
+        if split is None:
+            d = sub(b, a)
+            hits = sorted(((vid, x) for vid, x in self._instances_in_box(
+                tuple(map(min, a, b)), tuple(map(max, a, b))) if on_segment(x, a, b)),
+                key=lambda item: dot(sub(item[1], a), d))
+            stops = (a, *(x for _, x in hits), b)
+            ids = tuple(self._register_edge(p, q) for p, q in zip(stops, stops[1:]))
+            step = 1 if forward else -1
+            split = self.segments[key] = (low, stops[1:-1][::step], ids[::step],
+                                          tuple(vid for vid, _ in hits)[::step])
+        origin, inner, ids, vids = split
+        if inner and low != origin:
+            t = sub(low, origin)
+            inner = tuple(add(x, t) for x in inner)
+        if forward:
+            return (a, *inner, b), ids, vids
+        return (a, *inner[::-1], b), ids[::-1], vids[::-1]
 
     def build_edges(self) -> None:
         for cell in self.cells:
-            per_cell: list[list[int]] = []
+            per_cell: list[tuple[int, ...]] = []
             for a_idx, b_idx in cell.ridges:
                 _, ids, _ = self._split_segment(cell.apices[a_idx], cell.apices[b_idx])
                 per_cell.append(ids)
@@ -482,9 +493,9 @@ class _Builder:
             interior: list[int] = []
             ring = plate.ring
             for k in range(len(ring)):
-                seg_pieces, ids, inner = self._split_segment(ring[k],
-                                                             ring[(k + 1) % len(ring)])
-                pieces.extend(seg_pieces)
+                stops, ids, inner = self._split_segment(ring[k],
+                                                        ring[(k + 1) % len(ring)])
+                pieces.extend(zip(stops, stops[1:]))
                 edge_ids.extend(ids)
                 interior.extend(inner)
             plate.side_pieces = tuple(pieces)
@@ -537,6 +548,11 @@ class _Builder:
     def mark_facet_interior_edges(self) -> None:
         pi_orbits: set[int] = set()
         for (ci, fi), entries in sorted(self.covering.items()):
+            if len(entries) == 1:
+                # the plates on a facet tile it (the volume and disjointness
+                # certificates hold), so a lone plate is the whole facet and
+                # its sides lie on the facet's boundary
+                continue
             k, facet_ring, _, _ = self.facet_views[ci][fi]
             # the midpoint of pq lies in the facet iff p + q lies in it doubled
             doubled = [(2 * x, 2 * y) for x, y in facet_ring]

@@ -3,6 +3,13 @@
 Coordinates are world coordinates as exact rationals. A domain is plain
 geometric data; the periodic structure is built from it by
 :mod:`tesstopo.complexes.build`.
+
+A supercell or an affine image moves every cell without a new hull
+(:func:`~tesstopo.complexes.geometry.translate_cell` and
+:func:`~tesstopo.complexes.geometry.map_cell`). Its image coordinates are
+worked out on ``int`` over one common denominator per domain, and each
+``Fraction`` is built once, at the end; a coordinate is a ``Fraction``
+exactly where ``Fraction`` arithmetic on the same input would make one.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from ..errors import NotATessellationError, UsageError
 from ..scalar import parse_fraction
@@ -23,7 +31,9 @@ from .geometry import (
     hull_from_halfspaces,
     map_cell,
     mat_vec,
+    scale_to_int,
     smul,
+    translate_cell,
     vec3,
 )
 
@@ -47,28 +57,53 @@ class FundamentalDomain:
         return abs(det3(self.lattice))
 
     def replicate(self, mx: int, my: int, mz: int) -> FundamentalDomain:
-        """Supercell: repeat the domain mx * my * mz times."""
+        """Supercell: repeat the domain mx * my * mz times.
+
+        Copy (a, b, c) moves each cell by a t1 + b t2 + c t3, on ``int``
+        over the lcm of every lattice and apex denominator. A coordinate is
+        a ``Fraction`` where the apex's or any lattice row's is one, since
+        0 * Fraction is one too."""
         if min(mx, my, mz) < 1:
             raise ValueError("replication factors must be positive")
         t1, t2, t3 = self.lattice
-        cells: list[Polyhedron] = []
-        for a in range(mx):
-            for b in range(my):
-                for c in range(mz):
-                    shift = add(add(smul(a, t1), smul(b, t2)), smul(c, t3))
-                    cells.extend(map_cell(cell, [add(p, shift) for p in cell.apices])
-                                 for cell in self.cells)
+        d, (u1, u2, u3, *flat) = scale_to_int(
+            [*self.lattice, *(p for cell in self.cells for p in cell.apices)])
+        along = [any(type(row[i]) is Fraction for row in self.lattice) for i in range(3)]
+        ints = iter(flat)
+        scaled = [[(next(ints), tuple(f or type(x) is Fraction for x, f in zip(p, along)))
+                   for p in cell.apices] for cell in self.cells]
+        read = _reader(d)
+        cells = []
+        for a, b, c in product(range(mx), range(my), range(mz)):
+            shift = add(add(smul(a, u1), smul(b, u2)), smul(c, u3))
+            for cell, points in zip(self.cells, scaled):
+                nums = [add(q, shift) for q, _ in points]
+                moved = [read(q, kinds) for q, (_, kinds) in zip(nums, points)]
+                cells.append(translate_cell(cell, moved, nums, d))
         lattice = (smul(mx, t1), smul(my, t2), smul(mz, t3))
         return FundamentalDomain(lattice, tuple(cells), dict(self.metadata))
 
     def affine_image(self, m: Mat, t: Vec = vec3(0, 0, 0)) -> FundamentalDomain:
-        """Apply x -> m x + t. Requires det(m) != 0."""
+        """Apply x -> m x + t. Requires det(m) != 0.
+
+        For q the lcm of the denominators of m and r that of t and every
+        apex, p maps to (q m)(r p) + q (r t) over q r. A coordinate is a
+        ``Fraction`` where the point, that row of m or that entry of t holds
+        one."""
         if det3(m) == 0:
             raise ValueError("affine map must be invertible")
         lattice = tuple(mat_vec(m, row) for row in self.lattice)
-        cells = tuple(
-            map_cell(cell, [add(mat_vec(m, p), t) for p in cell.apices])
-            for cell in self.cells)
+        q, mq = scale_to_int(m)
+        r, (tr, *flat) = scale_to_int(
+            [t, *(p for cell in self.cells for p in cell.apices)])
+        tqr = smul(q, tr)
+        along = tuple(any(type(x) is Fraction for x in (*row, s)) for row, s in zip(m, t))
+        read = _reader(q * r)
+        ints = iter(flat)
+        cells = tuple(map_cell(cell, [
+            read(add(mat_vec(mq, next(ints)), tqr),
+                 (True,) * 3 if any(type(x) is Fraction for x in p) else along)
+            for p in cell.apices]) for cell in self.cells)
         return FundamentalDomain(lattice, cells, dict(self.metadata))  # type: ignore[arg-type]
 
     def to_json(self) -> dict:
@@ -98,6 +133,21 @@ class FundamentalDomain:
                 lines.append("f " + " ".join(str(offset + i) for i in f.ring))
             offset += len(cell.apices)
         return "\n".join(lines) + "\n"
+
+
+def _reader(d: int):
+    """Reads an int point over d back: each coordinate an ``int`` or, where
+    its kind is true, a ``Fraction``, each Fraction built once."""
+    memo: dict[int, Fraction] = {}
+
+    def read(nums: Vec, kinds) -> Vec:
+        out = []
+        for x, frac in zip(nums, kinds):
+            if frac and x not in memo:
+                memo[x] = Fraction(x, d)
+            out.append(memo[x] if frac else x // d)
+        return tuple(out)  # type: ignore[return-value]
+    return read
 
 
 def _decimal(x: Fraction, places: int = 40) -> str:

@@ -216,8 +216,8 @@ def _boundary_cycle(n: int) -> list[tuple[Fraction, Fraction]]:
 
 
 # the largest k and n that spoke_cube and core_prism_cube accept: at k = n = 8
-# generate and build_complex together take about 0.5-1.2 s for spoke_cube (360
-# cells, nearly all of it the build) and 0.3-0.5 s for core_prism_cube (45
+# generate and build_complex together take about 0.45-0.65 s for spoke_cube (360
+# cells, nearly all of it the build) and 0.2-0.35 s for core_prism_cube (45
 # cells) on a shared 2-core machine, and the build time grows faster than the
 # cell count
 MAX_SIZE = 8

@@ -13,9 +13,12 @@ containment, and degeneracy question is decided exactly.
 A cell's faces are decided once, by a hull where the cell enters: a domain
 file's apices or halfspaces, or a generator's points. An invertible affine
 map keeps every face, so :func:`map_cell` moves a hull into any other frame
-(a translate, an affine image, the builder's scaled torus) without a new
-hull, and gives exactly what that hull would. A domain file's halfspaces
-cut a cube, one :func:`clip_cell` each, and a hull decides each cut.
+(an affine image, the builder's scaled torus) without a new hull, and gives
+exactly what that hull would. A translate, a supercell's copy, keeps even
+the apex order, rings, normals, ridges and volume, so
+:func:`translate_cell` only moves each facet offset. A domain file's
+halfspaces cut a cube, one :func:`clip_cell` each, and a hull decides each
+cut.
 
 Planar clipping and ring cleanup come from :mod:`tesstopo.planar`. Every
 ring here is convex, a facet of a hull or a clip of convex polygons, so one
@@ -238,7 +241,7 @@ def _initial_tetrahedron(points: list[Vec]) -> tuple[list[int], list[tuple[int, 
     return corners, tris
 
 
-def _scaled(points: list[Vec]) -> tuple[int, list[Vec]]:
+def scale_to_int(points: list[Vec]) -> tuple[int, list[Vec]]:
     """D, the lcm of the coordinate denominators, and each point times D as
     an ``int`` point."""
     d = lcm(*(x.denominator for p in points for x in p))
@@ -254,7 +257,7 @@ def convex_hull(raw_points: list[Vec]) -> Polyhedron:
     unchanged), and a positive scale keeps every orientation sign, primitive
     normal and lexicographic order. The result is read back from the
     caller's points by :func:`_canonical_cell`."""
-    d, scaled = _scaled(raw_points)
+    d, scaled = scale_to_int(raw_points)
     first: dict[Vec, Vec] = {}
     for q, p in zip(scaled, raw_points):
         first.setdefault(q, p)  # the caller's first object for each point
@@ -317,7 +320,7 @@ def map_cell(cell: Polyhedron, moved: list[Vec]) -> Polyhedron:
     and then each ring is reversed and each normal negated. An offset is
     taken from its ring's first corner, so its type is the hull's whenever
     the images are all ``int`` or all ``Fraction`` points."""
-    d, points = _scaled(moved)
+    d, points = scale_to_int(moved)
     normals = [primitive(cross(sub(points[f.ring[1]], points[f.ring[0]]),
                                sub(points[f.ring[2]], points[f.ring[0]])))
                for f in cell.facets]
@@ -329,14 +332,33 @@ def map_cell(cell: Polyhedron, moved: list[Vec]) -> Polyhedron:
         for n, f in zip(normals, cell.facets)])
 
 
+def translate_cell(cell: Polyhedron, moved: list[Vec], points: list[Vec],
+                   d: int) -> Polyhedron:
+    """``map_cell(cell, moved)`` for ``moved`` a translate of
+    ``cell.apices``, given also as the ``int`` points ``points`` over d. A
+    translation keeps the apex order, every ring, normal and ridge and the
+    volume, so only each offset moves: it is read off its ring's first
+    corner, as :func:`map_cell` reads it."""
+    facets = tuple(Facet(f.normal, _offset(f.normal, points[f.ring[0]],
+                                           moved[f.ring[0]], d), f.ring)
+                   for f in cell.facets)
+    return Polyhedron(tuple(moved), facets, cell.ridges, cell.volume)
+
+
+def _offset(n: Vec, point: Vec, original: Vec, d: int) -> Num:
+    """n . x over d for a corner x scaled by d, of the type n . x has on the
+    caller's corner: a ``Fraction`` when one of its coordinates is."""
+    value = dot(n, point)
+    return _F(value, d) if any(type(x) is _F for x in original) else value // d
+
+
 def _canonical_cell(originals: list[Vec], points: list[Vec], d: int,
                     facet_rings: list[tuple[Vec, int, Sequence[int]]]) -> Polyhedron:
     """One canonical cell from ``points`` (``originals`` times D, on
     ``int``) and its facets, each a primitive outward normal, the index of
     the corner its offset is taken from and a counterclockwise ring of point
-    indices. An offset is n . x on the scaled corner over D, of the type
-    n . x has on the caller's corner: a ``Fraction`` when one of its
-    coordinates is. Apices are the caller's objects in lexicographic order."""
+    indices. An offset is read by :func:`_offset`. Apices are the caller's
+    objects in lexicographic order."""
     hull_indices = sorted({i for _, _, ring in facet_rings for i in ring},
                           key=lambda i: points[i])
     remap = {old: new for new, old in enumerate(hull_indices)}
@@ -346,10 +368,8 @@ def _canonical_cell(originals: list[Vec], points: list[Vec], d: int,
     for n, corner, ring in facet_rings:
         mapped = [remap[i] for i in ring]
         low = mapped.index(min(mapped))
-        offset = dot(n, points[corner])
-        offset = (_F(offset, d) if any(type(x) is _F for x in originals[corner])
-                  else offset // d)
-        facets.append(Facet(n, offset, tuple(mapped[low:] + mapped[:low])))
+        facets.append(Facet(n, _offset(n, points[corner], originals[corner], d),
+                            tuple(mapped[low:] + mapped[:low])))
     facets.sort(key=lambda f: (f.normal, f.offset))
 
     # each ridge lies on two facets, which walk it in opposite directions

@@ -5,8 +5,10 @@ import hashlib
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import lcm
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tesstopo import catalog
 from tesstopo.complexes import (
@@ -23,9 +25,10 @@ from tesstopo.complexes import build
 from tesstopo.complexes import domain as domain_module
 from tesstopo.complexes.generators import MAX_SIZE
 from tesstopo.complexes.geometry import (
-    ZERO3, add, convex_hull, cross, det3, dot, map_cell, sub)
+    ZERO3, add, convex_hull, convex_intersection2, cross, det3, dot, map_cell, sub)
 from tesstopo.errors import GeneratorParameterError, NotATessellationError, UsageError
 
+import build_reference
 from plane_solver import solve3
 
 SEVEN = ("edges_per_vertex", "plates_per_edge", "vertices_per_plate",
@@ -478,6 +481,151 @@ def test_domain_cells_are_pinned(case_id, name, kw, change):
 def test_build_structure_is_pinned(built, case_id, name, kw, change):
     cx = structure_case_complex(built, name, kw, change)
     assert structure_digest(cx) == STRUCTURE_DIGESTS[case_id]
+
+
+# Domain maps and builds checked against tests/build_reference.py: domains
+# as the generators make them (every coordinate a Fraction), with each whole
+# coordinate an int, or scaled to int throughout; maps with int or Fraction
+# entries and shifts, of either orientation.
+def _whole_to_int(p):
+    return tuple(x.numerator if x.denominator == 1 else x for x in p)
+
+
+def _coordinates_as(domain, kind):
+    if kind == "fraction":
+        return domain
+    if kind == "whole":
+        return domain_module.FundamentalDomain(
+            tuple(_whole_to_int(row) for row in domain.lattice),
+            tuple(convex_hull([_whole_to_int(p) for p in cell.apices])
+                  for cell in domain.cells))
+    points = [*domain.lattice, *(p for cell in domain.cells for p in cell.apices)]
+    m = lcm(*(x.denominator for p in points for x in p))
+    return domain_module.FundamentalDomain(
+        tuple(tuple(int(x * m) for x in row) for row in domain.lattice),
+        tuple(convex_hull([tuple(int(x * m) for x in p) for p in cell.apices])
+              for cell in domain.cells))
+
+
+@st.composite
+def _unimodular(draw):
+    """Shears and a signed permutation of the rows: determinant 1 or -1,
+    with int or Fraction entries."""
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                           st.sampled_from((-1, 1))), max_size=3)):
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows[0] = [-a for a in rows[0]]
+    kind = draw(st.sampled_from((int, F)))
+    return tuple(tuple(kind(x) for x in row) for row in rows)
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+_SHIFTS = st.tuples(_ENTRY, _ENTRY, _ENTRY)
+_MATRICES = st.one_of(_unimodular(), st.tuples(_SHIFTS, _SHIFTS, _SHIFTS).filter(
+    lambda m: det3(m) != 0))
+_FACTORS = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2))
+_MIRROR = ((F(-1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_GENERATORS), st.sampled_from(("fraction", "whole", "int")),
+       _FACTORS, _MATRICES, _SHIFTS)
+@example(ALL_GENERATORS[2], "int", (2, 1, 1), _MIRROR, (1, 2, 3))
+@example(ALL_GENERATORS[7], "whole", (1, 1, 2), ((1, F(1, 2), 0), (0, 1, 0), (0, 0, -1)),
+         (F(1, 3), 0, -2))
+@example(ALL_GENERATORS[6], "fraction", (1, 2, 1), ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+         (0, 0, 0))
+def test_domain_maps_match_the_fraction_reference(case, kind, factors, m, t):
+    # the same lattice, apex objects, facet offsets of the same type and
+    # volumes, to the character
+    domain = _coordinates_as(generate(case[0], **case[1]), kind)
+    assert repr(domain.replicate(*factors)) == \
+        repr(build_reference.replicate(domain, *factors))
+    assert repr(domain.affine_image(m, t)) == \
+        repr(build_reference.affine_image(domain, m, t))
+
+
+def _built_both_ways(domain):
+    fast, full = build_complex(domain), build_reference.build_complex(domain)
+    return ((structure_digest(fast), repr(validate(fast))),
+            (structure_digest(full), repr(validate(full))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALL_GENERATORS),
+       st.one_of(st.tuples(st.just("replicate"), _FACTORS),
+                 st.tuples(st.just("affine"), st.tuples(_unimodular(), _SHIFTS))))
+def test_the_builder_matches_the_exhaustive_reference(case, change):
+    # one split per segment class, no clip of coinciding facets and no
+    # interior test on a lone plate change nothing in the complex
+    domain = generate(case[0], **case[1])
+    if change[0] == "replicate":
+        domain = domain.replicate(*change[1])
+    else:
+        domain = domain.affine_image(*change[1])
+    fast, full = _built_both_ways(domain)
+    assert fast == full
+
+
+@pytest.mark.parametrize("case_id,name,kw,change", STRUCTURE_CASES,
+                         ids=[case[0] for case in STRUCTURE_CASES])
+def test_structure_cases_match_the_exhaustive_reference(case_id, name, kw, change):
+    fast, full = _built_both_ways(structure_case_domain(name, kw, change))
+    assert fast == full
+
+
+@pytest.mark.parametrize("case_id,name,kw,change", STRUCTURE_CASES,
+                         ids=[case[0] for case in STRUCTURE_CASES])
+def test_a_lone_plate_is_its_facet(case_id, name, kw, change):
+    # the builder reads a facet that one plate covers as wholly that plate
+    builder = build._Builder(structure_case_domain(name, kw, change))
+    builder.find_plates_and_certify()
+    lone = 0
+    for (ci, fi), entries in builder.covering.items():
+        if len(entries) == 1:
+            (idx, delta), = entries
+            shift = builder._shift(delta)
+            cell = builder.cells[ci]
+            assert {add(p, shift) for p in builder.plates[idx].ring} == \
+                {cell.apices[i] for i in cell.facets[fi].ring}
+            lone += 1
+    assert lone > 0
+
+
+@st.composite
+def _convex_rings(draw):
+    """A counterclockwise convex ring of int points: the hull of a random
+    set, by the monotone chain."""
+    points = sorted(set(draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+                                      min_size=3, max_size=12))))
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    chains = []
+    for run in (points, points[::-1]):
+        chain = []
+        for p in run:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    ring = chains[0] + chains[1]
+    assume(len(ring) >= 3)
+    return ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(_convex_rings(), st.integers(0, 11))
+def test_a_ring_clipped_by_its_own_corners_is_itself(ring, start):
+    # two facing facets with the same corners meet in the first one's ring,
+    # from its first corner, whichever corner the second one's ring starts at
+    start %= len(ring)
+    assert convex_intersection2(ring, ring[start:] + ring[:start]) == ring
 
 
 def test_supercell_measures_identically(built):
